@@ -7,7 +7,7 @@ Subcommands:
     criteria   print the criterion registry
 
 Exit codes: 0 every selected check passed, 1 at least one failed, 2 any
-configuration, schema, or data error.
+configuration, schema, or data error, or an unexpected internal error.
 """
 
 from __future__ import annotations
@@ -238,6 +238,10 @@ def main(argv=None) -> int:
         return 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"fairaudit: error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash must not read as a failed criterion (exit 1)
+        detail = " ".join(str(exc).split())
+        print(f"fairaudit: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 2
 
 

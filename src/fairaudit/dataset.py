@@ -214,6 +214,10 @@ def _parse_numeric(tokens: list[str], name: str, lines: list[int]) -> np.ndarray
             values[i] = float(tok)
         except ValueError:
             raise ParseError(f"non-numeric token {tok!r}", line=lines[i], column=name) from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        i = bad[0]
+        raise ParseError(f"non-finite numeric token {tokens[i]!r}", line=lines[i], column=name)
     return values
 
 

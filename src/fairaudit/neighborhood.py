@@ -11,7 +11,14 @@ records is high enough.
 Queries are exact.  For pure-numeric features a KD-tree prunes candidates
 (L1 metric on weighted scaled coordinates equals the record distance), but
 final membership is always decided by the canonical distance kernel, so
-tree-backed and linear-scan results are identical.
+tree-backed and linear-scan results are identical.  Both engines select
+the k nearest of a whole block of records at once and fall back to a
+per-record sort only for rows with a tie at the k-th neighbor.
+
+A NeighborIndex computes every record's neighborhood once per
+neighborhood spec and caches it, so the soft criteria of one audit (isp,
+ftu, ieo, isuff), which differ only in how they restrict and count the
+members, share one neighbor query.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ DEFAULT_MIN_NEIGHBORHOOD = 10
 
 _TREE_MIN_RECORDS = 1024     # below this a linear scan wins
 _TREE_SLACK = 1e-9           # relative candidate-radius inflation over the pruning metric
+_BLOCK_CELLS = 1 << 16       # candidate distances per vectorized kNN selection block
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,7 @@ class NeighborIndex:
         self.space = FeatureSpace(dataset, dist)
         self.n = self.space.n
         self._tree = None
+        self._hoods: dict[NeighborhoodSpec, tuple[np.ndarray, np.ndarray]] = {}
         if self.space.pure_numeric and self.n >= _TREE_MIN_RECORDS:
             self._coords = self.space.tree_coordinates()
             self._tree = cKDTree(self._coords)
@@ -82,9 +91,46 @@ class NeighborIndex:
     def _chunk(self) -> int:
         return max(16, int(2e7) // max(self.n, 1))
 
-    def _knn_block(self, queries: np.ndarray, k: int, include_self: bool):
+    def neighborhoods(self, nspec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Every record's neighborhood as CSR arrays (offsets, members), computed once.
+
+        Record i's neighborhood is members[offsets[i]:offsets[i + 1]], ordered
+        by (distance, record index) in knn mode and by record index in ball
+        mode.  The arrays are cached per spec and read-only.
+        """
+        hoods = self._hoods.get(nspec)
+        if hoods is None:
+            hoods = self._hoods[nspec] = self._all_neighborhoods(nspec)
+            for arr in hoods:
+                arr.flags.writeable = False
+        return hoods
+
+    def _all_neighborhoods(self, nspec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
+        n = self.n
+        queries = np.arange(n, dtype=np.int64)
+        if nspec.mode == "knn":
+            k = nspec.k
+            self._check_k(k, nspec.include_self)
+            members = np.empty((n, k), dtype=np.int64)
+            step = max(16, _BLOCK_CELLS // (k + 2))
+            for lo in range(0, n, step):
+                q = queries[lo:lo + step]
+                members[lo:lo + step] = self._knn_block(q, k, nspec.include_self)[0]
+            return np.arange(n + 1, dtype=np.int64) * k, members.ravel()
+        hoods = []
+        step = self._chunk()
+        for lo in range(0, n, step):
+            hoods.extend(self._ball_block(queries[lo:lo + step], nspec.radius, nspec.include_self))
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(h) for h in hoods], out=offsets[1:])
+        return offsets, np.concatenate(hoods)
+
+    def _check_k(self, k: int, include_self: bool) -> None:
         if not (1 <= k <= self.n - (0 if include_self else 1)):
             raise InvalidParams(f"k={k} out of range for n={self.n}")
+
+    def _knn_block(self, queries: np.ndarray, k: int, include_self: bool):
+        self._check_k(k, include_self)
         members = np.empty((len(queries), k), dtype=np.int64)
         dists = np.empty((len(queries), k))
         if self._tree is not None:
@@ -94,31 +140,63 @@ class NeighborIndex:
         return members, dists
 
     def _knn_linear(self, queries, k, include_self, members, dists):
-        step = self._chunk()
+        # The k+1 smallest distances of each row, ordered by (distance, index),
+        # settle its k nearest unless the (k+1)-th ties the k-th; only those
+        # rows need a full-row sort.
+        width = min(k + 1, self.n)
+        step = max(16, _BLOCK_CELLS // self.n)
         for lo in range(0, len(queries), step):
             q = queries[lo:lo + step]
             d = self.space.block_distances(q)
             if not include_self:
                 d[np.arange(len(q)), q] = np.inf
-            for row, qi in enumerate(q):
-                order = np.lexsort((np.arange(self.n), d[row]))[:k]
-                members[lo + row] = order
-                dists[lo + row] = d[row][order]
+            cand = np.argpartition(d, width - 1, axis=1)[:, :width]
+            cand_d = np.take_along_axis(d, cand, axis=1)
+            order = np.lexsort((cand, cand_d), axis=-1)
+            cand = np.take_along_axis(cand, order, axis=1)
+            cand_d = np.take_along_axis(cand_d, order, axis=1)
+            members[lo:lo + step] = cand[:, :k]
+            dists[lo:lo + step] = cand_d[:, :k]
+            if width == k:
+                continue
+            for row in np.nonzero(cand_d[:, k] == cand_d[:, k - 1])[0]:
+                full = np.lexsort((np.arange(self.n), d[row]))[:k]
+                members[lo + row] = full
+                dists[lo + row] = d[row][full]
 
     def _knn_tree(self, queries, k, include_self, members, dists):
+        # One tree query returns each row's kq nearest plus the next one.  When
+        # that extra neighbor lies beyond the slack radius of the kq-th, the kq
+        # are exactly the records the radius admits, so one kernel call and
+        # one row-wise sort finish the row.  Otherwise (a tie under the
+        # pruning metric) the row re-queries the whole radius.
         kq = k if include_self else k + 1
-        tree_d, _ = self._tree.query(self._coords[queries], k=kq, p=1.0, workers=1)
-        tree_d = np.asarray(tree_d).reshape(len(queries), kq)
-        radius = tree_d[:, -1] * (1.0 + _TREE_SLACK) + 1e-12
-        cands = self._tree.query_ball_point(self._coords[queries], radius, p=1.0, workers=1)
-        for row, qi in enumerate(queries):
-            cand = np.asarray(cands[row], dtype=np.int64)
+        tree_d, cand = self._tree.query(self._coords[queries], k=kq + 1, p=1.0, workers=1)
+        radius = tree_d[:, kq - 1] * (1.0 + _TREE_SLACK) + 1e-12
+        cand = cand[:, :kq]
+        owners = np.broadcast_to(queries[:, None], cand.shape)
+        d = self.space.pair_distances(owners.ravel(), cand.ravel()).reshape(cand.shape)
+        is_self = cand == owners
+        if not include_self:
+            d[is_self] = np.inf
+        order = np.lexsort((cand, d), axis=-1)[:, :k]
+        members[:] = np.take_along_axis(cand, order, axis=1)
+        dists[:] = np.take_along_axis(d, order, axis=1)
+        # the second slack factor absorbs rounding differences between the
+        # tree's nearest-neighbor and radius searches
+        requery = tree_d[:, kq] <= radius * (1.0 + _TREE_SLACK)
+        if not include_self:
+            requery |= ~is_self.any(axis=1)
+        for row in np.nonzero(requery)[0]:
+            qi = queries[row]
+            ball = self._tree.query_ball_point(self._coords[qi], radius[row], p=1.0)
+            ball = np.asarray(ball, dtype=np.int64)
             if not include_self:
-                cand = cand[cand != qi]
-            d = self.space.pair_distances(np.full(cand.shape, qi), cand)
-            order = np.lexsort((cand, d))[:k]
-            members[row] = cand[order]
-            dists[row] = d[order]
+                ball = ball[ball != qi]
+            d_ball = self.space.pair_distances(np.full(ball.shape, qi), ball)
+            best = np.lexsort((ball, d_ball))[:k]
+            members[row] = ball[best]
+            dists[row] = d_ball[best]
 
     def _ball_block(self, queries: np.ndarray, radius: float, include_self: bool):
         if radius <= 0:
@@ -174,12 +252,6 @@ class SoftResult:
     @property
     def flagged_indices(self) -> np.ndarray:
         return np.nonzero(self.violated)[0]
-
-    def per_instance(self):
-        """Iterate (record index, neighborhood size, local value, violated) tuples."""
-        for i in range(len(self.local_values)):
-            yield (i, int(self.neighborhood_sizes[i]),
-                   float(self.local_values[i]), bool(self.violated[i]))
 
 
 def _local_rate_gap(counts: np.ndarray) -> np.ndarray:
@@ -248,31 +320,24 @@ def soft_evaluate(
     else:
         cond_code = None
 
+    offsets, members = index.neighborhoods(nspec)
     sizes = np.zeros(n, dtype=np.int64)
     values = np.full(n, np.nan)
     step = index._chunk() if nspec.mode == "ball" else max(512, index._chunk())
-    all_queries = np.arange(n, dtype=np.int64)
     for lo in range(0, n, step):
-        q = all_queries[lo:lo + step]
-        if nspec.mode == "knn":
-            members, _ = index._knn_block(q, nspec.k, nspec.include_self)
-            owners = np.repeat(q, nspec.k)
-            flat = members.ravel()
-        else:
-            hoods = index._ball_block(q, nspec.radius, nspec.include_self)
-            lens = np.fromiter((len(h) for h in hoods), dtype=np.int64, count=len(hoods))
-            owners = np.repeat(q, lens)
-            flat = np.concatenate(hoods) if hoods else np.empty(0, dtype=np.int64)
+        hi = min(lo + step, n)
+        flat = members[offsets[lo]:offsets[hi]]
+        owners = np.repeat(np.arange(lo, hi), np.diff(offsets[lo:hi + 1]))
         if cond_code is not None:
             keep = cond_code[flat] == cond_code[owners]
             owners = owners[keep]
             flat = flat[keep]
         local = owners - lo
-        m = len(q)
+        m = hi - lo
         counts = np.bincount(local * cells + pair_code[flat], minlength=m * cells)
         counts = counts.reshape(m, r_arity, c_arity).astype(np.float64)
         tot = counts.sum(axis=(1, 2))
-        sizes[q] = tot.astype(np.int64)
+        sizes[lo:hi] = tot.astype(np.int64)
         ok = tot > 0
         if measure_kind == "mi":
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -283,7 +348,7 @@ def soft_evaluate(
             chunk_vals = np.where(ok, mi_nats(probs), np.nan)
         else:
             chunk_vals = np.where(ok, _local_rate_gap(counts), np.nan)
-        values[q] = chunk_vals
+        values[lo:hi] = chunk_vals
 
     indeterminate = sizes < min_neighborhood
     values[indeterminate] = np.nan

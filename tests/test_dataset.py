@@ -181,3 +181,14 @@ def test_schema_config_parsing():
     assert threshold == 0.7
     assert missing == "drop"
     assert schema[2].positive_label == "1"
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "NAN", "inf", "Inf", "-inf", "-INF",
+                                   "+inf", "infinity", "-Infinity"])
+def test_non_finite_numeric_token_rejected(token):
+    schema = _schema([ColumnSchema("age", "feature", "numeric")])
+    with pytest.raises(ParseError) as err:
+        _load(f"s,y,yhat,age\na,0,0,12\nb,1,1,{token}\n", schema)
+    assert err.value.line == 3
+    assert err.value.column == "age"
+    assert "non-finite" in str(err.value)

@@ -69,6 +69,19 @@ def test_exit_codes(tmp_path):
     assert main(["audit", "--data", str(tmp_path / "nope.csv"), "--schema", schema]) == 2
 
 
+def test_unexpected_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    data, schema, _ = _write_scenario(tmp_path, "independent", n=200)
+
+    def crash(config):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("fairaudit.cli.run_audit", crash)
+    assert main(["audit", "--data", data, "--schema", schema]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "RuntimeError" in err and "boom" in err
+
+
 def test_audit_json_determinism(tmp_path):
     data, schema, _ = _write_scenario(tmp_path, "proxy_redlining")
     out = tmp_path / "rep.json"
