@@ -1,12 +1,14 @@
 """Bulk kNN selection against a brute-force oracle, and the shared neighbor lists."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairaudit import neighborhood
 from fairaudit.criteria import get_criterion
 from fairaudit.dataset import ColumnSchema, load_dataset
 from fairaudit.distance import DistanceSpec
@@ -39,6 +41,21 @@ def _quantized_dataset(seed, n, levels, numeric, categorical):
     ] + [ColumnSchema(name, "feature", "numeric" if j < numeric else "categorical")
          for j, name in enumerate(names)]
     return load_dataset(io.BytesIO(("\n".join(lines) + "\n").encode()), schema)
+
+
+class _BallCounter:
+    """KD-tree proxy counting ball queries, which kNN selection makes only for ties."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.ball_queries = 0
+
+    def query(self, *args, **kwargs):
+        return self.tree.query(*args, **kwargs)
+
+    def query_ball_point(self, *args, **kwargs):
+        self.ball_queries += 1
+        return self.tree.query_ball_point(*args, **kwargs)
 
 
 def _oracle(index, k, include_self):
@@ -79,15 +96,13 @@ def test_knn_engines_match_brute_force_oracle():
         k = data.draw(st.integers(1, n if include_self else n - 1), label="k")
         want_m, want_d, d = _oracle(tree, k, include_self)
 
-        kernel = tree.space.pair_distances
-        calls = []
-        tree.space.pair_distances = lambda a, b: calls.append(1) or kernel(a, b)
+        tree._tree = _BallCounter(tree._tree)
         queries = np.arange(n)
         for index in (tree, scan):
             members, dists = index._knn_block(queries, k, include_self)
             assert np.array_equal(members, want_m)
             assert np.array_equal(dists, want_d)
-        requeried.append(len(calls) - 1)
+        requeried.append(tree._tree.ball_queries)
         scan_ties.append(_boundary_ties(np.sort(d, axis=1), k))
 
     check()
@@ -153,3 +168,28 @@ def test_knn_k_out_of_range_rejected_before_allocation():
     ds = _quantized_dataset(6, 50, 5, numeric=1, categorical=1)
     with pytest.raises(InvalidParams):
         soft_evaluate(ds, get_criterion("isp"), NeighborhoodSpec("knn", k=10**12))
+
+
+def test_large_ball_audit_streams_instead_of_materializing(monkeypatch):
+    n = 2000
+    ds = _quantized_dataset(8, n, 30, numeric=1, categorical=2)
+    nspec = NeighborhoodSpec("ball", radius=1.0)    # every record is in every ball
+    specs = [get_criterion(cid) for cid in ("isp", "ieo")]
+    cached = build_index(ds)
+    want = [soft_evaluate(ds, spec, nspec, index=cached) for spec in specs]
+    assert nspec in cached._hoods                   # n^2 members fit the default budget
+
+    monkeypatch.setattr(neighborhood, "_BALL_MEMO_CELLS", 1 << 14)
+    index = build_index(ds)
+    tracemalloc.start()
+    try:
+        got = [soft_evaluate(ds, spec, nspec, index=index) for spec in specs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not index._hoods
+    assert peak < n * n * 8 / 4
+    for a, b in zip(got, want):
+        assert np.array_equal(a.neighborhood_sizes, b.neighborhood_sizes)
+        assert np.array_equal(a.local_values, b.local_values, equal_nan=True)
+        assert np.array_equal(a.violated, b.violated)
