@@ -22,22 +22,23 @@ from dataclasses import dataclass
 from .dataset import Dataset
 from .errors import (
     ContinuousConditioning,
+    DegenerateTable,
     EmptySelection,
     MissingColumn,
     NumericConditioning,
 )
 from .measures import (
     MeasureValue,
-    balanced_error_ratio,
-    chi_square,
     conditional_mutual_information,
-    mutual_information,
     stratified_balanced_error_ratio,
     stratified_chi_square,
 )
-from .tables import DEFAULT_MIN_COUNT, contingency, normalize, stratified_contingency
+from .tables import DEFAULT_MIN_COUNT, stratified_contingency
 
 MEASURE_KINDS = ("mi", "chi2", "ber")
+
+_STRATIFIED_MEASURES = {"mi": conditional_mutual_information, "chi2": stratified_chi_square,
+                        "ber": stratified_balanced_error_ratio}
 
 # decision thresholds when the caller does not override:
 # mi: value <= t, chi2: p_value >= t, ber: value/max_ber >= 1 - t
@@ -160,28 +161,18 @@ def _evaluate_on(
     if threshold <= 0:
         raise ValueError("threshold must be positive")
 
-    if not condition_cols:
-        table = contingency(dataset, spec.left, spec.right)
-        if measure_kind == "mi":
-            measure = mutual_information(normalize(table, alpha))
-        elif measure_kind == "chi2":
-            measure = chi_square(table)
-        else:
-            measure = balanced_error_ratio(normalize(table, alpha))
+    unconditioned = not condition_cols
+    strata = stratified_contingency(
+        dataset, spec.left, spec.right, condition_cols, 1 if unconditioned else min_count
+    )
+    measure = _STRATIFIED_MEASURES[measure_kind](strata, alpha)
+    per_stratum = measure.aux["per_stratum"]
+    if unconditioned:
+        # one table: its own measure (with MI's normalized value) is the criterion's
+        ((_, measure, _),) = per_stratum
+        if measure.aux.get("degenerate"):
+            raise DegenerateTable("fewer than 2 non-empty rows or columns")
         per_stratum = None
-        dropped = 0.0
-    else:
-        strata = stratified_contingency(
-            dataset, spec.left, spec.right, condition_cols, min_count
-        )
-        if measure_kind == "mi":
-            measure = conditional_mutual_information(strata, alpha)
-        elif measure_kind == "chi2":
-            measure = stratified_chi_square(strata)
-        else:
-            measure = stratified_balanced_error_ratio(strata, alpha)
-        per_stratum = measure.aux.get("per_stratum")
-        dropped = strata.dropped_mass
 
     return CriterionResult(
         criterion=spec,
@@ -190,7 +181,7 @@ def _evaluate_on(
         passed=decide(measure_kind, measure, threshold),
         threshold=threshold,
         per_stratum=per_stratum,
-        dropped_mass=dropped,
+        dropped_mass=strata.dropped_mass,
     )
 
 

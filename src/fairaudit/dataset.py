@@ -32,6 +32,8 @@ KINDS = ("categorical", "numeric")
 # roles that are stored as a single well-known column
 _UNIQUE_ROLES = ("sensitive", "target", "prediction")
 
+_MAX_KEY_SPAN = 1 << 62   # stratify re-ranks its mixed-radix key past this
+
 
 @dataclass(frozen=True)
 class ColumnSchema:
@@ -349,20 +351,27 @@ def save_csv(dataset: Dataset, target) -> None:
 def stratify(dataset: Dataset, condition_columns: Iterable[str]) -> dict[tuple[int, ...], np.ndarray]:
     """Partition record indices by exact value combination of the given columns.
 
-    Keys are tuples of category codes, iterated in lexicographic order.
-    An empty condition set yields the single stratum () holding all records.
+    Keys are tuples of category codes, iterated in lexicographic order; each
+    stratum's indices ascend.  An empty condition set yields the single
+    stratum () holding all records.
     """
     refs = list(condition_columns)
-    if not refs:
-        return {(): np.arange(dataset.n, dtype=np.int64)}
     cols = [dataset.column(r) for r in refs]
     for r, c in zip(refs, cols):
         if c.kind != "categorical":
             raise NumericConditioning(f"cannot stratify on numeric column {r!r}")
-    matrix = np.stack([c.codes for c in cols], axis=1)
-    keys, inverse = np.unique(matrix, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.cumsum(np.bincount(inverse, minlength=len(keys)))[:-1]
-    groups = np.split(order, bounds)
-    return {tuple(int(v) for v in key): idx for key, idx in zip(keys, groups)}
+    # lexicographic dense rank: a mixed-radix key per record, re-ranked
+    # whenever the next digit could overflow int64, so keys sort like codes
+    key = np.zeros(dataset.n, dtype=np.int64)
+    span = 1
+    for c in cols:
+        if span * c.arity > _MAX_KEY_SPAN:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key = key * c.arity + c.codes
+        span *= c.arity
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    bounds = starts.tolist() + [len(order)]
+    keys = zip(*(c.codes[order[starts]].tolist() for c in cols)) if cols else [()]
+    return {k: order[a:b] for k, a, b in zip(keys, bounds, bounds[1:])}

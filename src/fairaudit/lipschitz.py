@@ -61,11 +61,6 @@ class LipschitzReport:
         return self.violation_count == 0
 
 
-def _pair_index(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Condensed (row-major, i<j) position of pair (i, j)."""
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
 def _condensed(matrix: np.ndarray, metric: str, weights) -> np.ndarray:
     if metric == "euclidean":
         return pdist(matrix, "euclidean")

@@ -3,21 +3,25 @@
 Three ways to quantify how exactly an independence condition holds:
 
   * mutual information (nats), zero iff the variables are independent;
-  * Pearson chi-square with an upper-tail p-value from the regularized
-    incomplete gamma function (implemented here, no external dependency);
+  * Pearson chi-square with an upper-tail p-value (scipy's chdtrc);
   * balanced error ratio of the best deterministic predictor of the
     column variable from the row variable (maximal iff independent).
 
-Conditional variants aggregate per-stratum values with the stratum weights
-carried by StratifiedTables.
+Each measure, and the rate gap reported beside it, has one vectorized
+kernel over tables of shape (..., R, C), so a single table and the (G, R, C)
+stack of every stratum are scored by the same code (the soft path feeds its
+(m, R, C) neighborhood tables to the same kernels).  Entries a measure
+leaves out (empty rows or columns) are summed as if deleted, and the
+conditional variants add the weighted per-stratum values in stratum order,
+so every value equals the one a per-table loop gives, bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import chdtrc
 
 from .errors import DegenerateTable, MissingClass
 from .tables import ContingencyTable, JointTable, StratifiedTables, normalize
@@ -30,6 +34,66 @@ class MeasureValue:
     kind: str   # mutual_information | chi_square | balanced_error_ratio
     value: float
     aux: dict = field(default_factory=dict)
+
+
+# -- shared helpers ----------------------------------------------------------------
+
+def _masked_sum(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of the entries where `valid` holds.
+
+    numpy sums long rows pairwise, grouping terms by position, so zeros left
+    in place of the invalid entries could move the last bits.  The valid
+    entries are packed to the front instead and each row is summed over
+    exactly its valid width, as if the others had been deleted.
+    """
+    lead = values.shape[:-1]
+    valid = valid.reshape(-1, values.shape[-1])
+    order = np.argsort(~valid, axis=-1, kind="stable")
+    packed = np.take_along_axis(np.where(valid, values.reshape(valid.shape), 0.0), order, -1)
+    width = valid.sum(axis=-1)
+    out = np.zeros(len(width))
+    for w in np.unique(width):
+        rows = width == w
+        out[rows] = packed[rows, :w].sum(axis=-1)
+    return out.reshape(lead)
+
+
+def _in_stratum_order(terms: np.ndarray) -> float:
+    """Total of per-stratum terms, added left to right like `total += term`."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+
+
+def _per_stratum(strata: StratifiedTables, kind: str, values: np.ndarray, aux: dict,
+                 vacuous: np.ndarray | None = None, vacuous_aux: dict | None = None) -> list:
+    """(key, MeasureValue, weight) per stratum; vacuous strata get value 0 and vacuous_aux."""
+    names = list(aux)
+    rows = zip(*(aux[name].tolist() for name in names))
+    skips = vacuous.tolist() if vacuous is not None else [False] * len(values)
+    return [
+        (key, MeasureValue(kind, 0.0, dict(vacuous_aux)) if skip
+         else MeasureValue(kind, value, dict(zip(names, row))), weight)
+        for key, value, weight, skip, row in zip(
+            strata.keys, values.tolist(), strata.weights.tolist(), skips, rows)
+    ]
+
+
+def rate_gap(counts: np.ndarray) -> np.ndarray:
+    """Largest spread of P(row = v | col group) across column groups with members.
+
+    counts has shape (..., R, C); the result has shape (...) and is 0 for
+    tables with fewer than two groups.  For binary rows this is the familiar
+    absolute rate difference between groups; it is reported as diagnostic
+    context, not a pass/fail measure.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    group_tot = counts.sum(axis=-2, keepdims=True)            # (..., 1, C)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rates = counts / group_tot
+    present = group_tot > 0
+    hi = np.where(present, rates, -np.inf).max(axis=-1)
+    lo = np.where(present, rates, np.inf).min(axis=-1)
+    gap = (hi - lo).max(axis=-1)
+    return np.where(present.sum(axis=(-2, -1)) >= 2, gap, 0.0)
 
 
 # -- mutual information -------------------------------------------------------
@@ -50,25 +114,29 @@ def mi_nats(probs: np.ndarray) -> np.ndarray:
     return np.where((value < 0.0) & (value > _NEG_FLOOR), 0.0, value)
 
 
-def _entropy(marginal: np.ndarray) -> float:
-    m = marginal[marginal > 0.0]
-    return float(-(m * np.log(m)).sum())
+def _entropy(marginal: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -_masked_sum(marginal * np.log(marginal), marginal > 0.0)
+
+
+def _mi_parts(probs: np.ndarray) -> dict:
+    """MI value plus aux (normalized = I / min(H(row), H(col)), the entropies)."""
+    value = mi_nats(probs)
+    if (value < 0.0).any():
+        raise ValueError(f"mutual information came out negative: {float(value.min())!r}")
+    h_row = _entropy(probs.sum(axis=-1))
+    h_col = _entropy(probs.sum(axis=-2))
+    h_min = np.minimum(h_row, h_col)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = np.where(h_min > 0.0, value / h_min, 0.0)
+    return {"value": value, "normalized": normalized,
+            "entropy_row": h_row, "entropy_col": h_col}
 
 
 def mutual_information(joint: JointTable) -> MeasureValue:
     """I(row; col) in nats, with aux.normalized = I / min(H(row), H(col))."""
-    value = float(mi_nats(joint.probs))
-    if value < 0.0:
-        raise ValueError(f"mutual information came out negative: {value!r}")
-    h_row = _entropy(joint.probs.sum(axis=1))
-    h_col = _entropy(joint.probs.sum(axis=0))
-    h_min = min(h_row, h_col)
-    normalized = value / h_min if h_min > 0.0 else 0.0
-    return MeasureValue(
-        kind="mutual_information",
-        value=value,
-        aux={"normalized": normalized, "entropy_row": h_row, "entropy_col": h_col},
-    )
+    parts = {name: float(v) for name, v in _mi_parts(joint.probs).items()}
+    return MeasureValue(kind="mutual_information", value=parts.pop("value"), aux=parts)
 
 
 def conditional_mutual_information(strata: StratifiedTables, alpha: float = 0.0) -> MeasureValue:
@@ -77,144 +145,86 @@ def conditional_mutual_information(strata: StratifiedTables, alpha: float = 0.0)
     Weights are record fractions of the whole dataset, so dropped strata
     simply contribute nothing; the dropped fraction is surfaced in aux.
     """
-    per_stratum = []
-    total = 0.0
-    for key, table, weight in strata.entries:
-        mv = mutual_information(normalize(table, alpha))
-        mv.aux["rate_gap"] = rate_gap(table.counts)
-        per_stratum.append((key, mv, weight))
-        total += weight * mv.value
+    aux = _mi_parts(normalize(strata.table, alpha).probs)
+    values = aux.pop("value")
+    aux["rate_gap"] = rate_gap(strata.table.counts)
     return MeasureValue(
         kind="mutual_information",
-        value=total,
-        aux={"per_stratum": per_stratum, "dropped_mass": strata.dropped_mass},
+        value=_in_stratum_order(strata.weights * values),
+        aux={"per_stratum": _per_stratum(strata, "mutual_information", values, aux),
+             "dropped_mass": strata.dropped_mass},
     )
 
 
 # -- chi-square ----------------------------------------------------------------
 
-def _gamma_q(a: float, x: float, tol: float = 1e-12, max_iter: int = 500) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a).
-
-    Series expansion of P for x < a + 1, Lentz continued fraction for Q
-    otherwise; both iterated to relative tolerance `tol`.
-    """
-    if a <= 0.0:
-        raise ValueError("a must be positive")
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
-    if x == 0.0:
-        return 1.0
-    log_prefix = -x + a * math.log(x) - math.lgamma(a)
-    if x < a + 1.0:
-        # P(a,x) = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
-        term = 1.0 / a
-        total = term
-        for n in range(1, max_iter + 1):
-            term *= x / (a + n)
-            total += term
-            if abs(term) < abs(total) * tol:
-                break
-        else:
-            raise ArithmeticError("incomplete gamma series did not converge")
-        return 1.0 - math.exp(log_prefix) * total
-    # modified Lentz for the continued fraction of Q(a,x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            break
-    else:
-        raise ArithmeticError("incomplete gamma continued fraction did not converge")
-    return math.exp(log_prefix) * h
-
-
-def chi2_sf(statistic: float, dof: int) -> float:
-    """Upper-tail probability of the chi-square distribution."""
-    if dof < 1:
+def chi2_sf(statistic, dof):
+    """Upper-tail probability of the chi-square distribution (elementwise on arrays)."""
+    if np.any(np.asarray(dof) < 1):
         raise ValueError("dof must be >= 1")
-    return _gamma_q(dof / 2.0, statistic / 2.0)
+    return chdtrc(dof, statistic)
 
 
-def _chi_square_core(counts: np.ndarray) -> tuple[float, int] | None:
-    """Pearson statistic and dof after deleting all-zero rows/columns.
+def _chi_square_core(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson statistics and dof over each table's non-empty rows and columns.
 
-    Returns None when fewer than two non-empty rows or columns remain.
+    dof is 0 for tables with fewer than two non-empty rows or columns,
+    whose statistic is then meaningless.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    rows = counts.sum(axis=1)
-    cols = counts.sum(axis=0)
-    counts = counts[rows > 0][:, cols > 0]
-    if counts.shape[0] < 2 or counts.shape[1] < 2:
-        return None
-    rows = counts.sum(axis=1)
-    cols = counts.sum(axis=0)
-    total = counts.sum()
-    expected = np.outer(rows, cols) / total
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    dof = (counts.shape[0] - 1) * (counts.shape[1] - 1)
-    return stat, max(dof, 1)
+    rows = counts.sum(axis=-1)
+    cols = counts.sum(axis=-2)
+    total = rows.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = rows[..., :, None] * cols[..., None, :] / total[..., None, None]
+        terms = (counts - expected) ** 2 / expected
+    r_ok, c_ok = rows > 0, cols > 0
+    valid = r_ok[..., :, None] & c_ok[..., None, :]
+    flat = terms.shape[:-2] + (-1,)
+    stat = _masked_sum(terms.reshape(flat), valid.reshape(flat))
+    r_used, c_used = r_ok.sum(axis=-1), c_ok.sum(axis=-1)
+    dof = np.where((r_used < 2) | (c_used < 2), 0, (r_used - 1) * (c_used - 1))
+    return stat, dof
 
 
 def chi_square(table: ContingencyTable) -> MeasureValue:
     """Pearson chi-square test of independence for a contingency table."""
     if table.total < 1:
         raise DegenerateTable("table has no observations")
-    core = _chi_square_core(table.counts)
-    if core is None:
+    stat, dof = (x.item() for x in _chi_square_core(table.counts))
+    if dof == 0:
         raise DegenerateTable("fewer than 2 non-empty rows or columns")
-    stat, dof = core
     return MeasureValue(
         kind="chi_square",
         value=stat,
-        aux={"dof": dof, "p_value": chi2_sf(stat, dof)},
+        aux={"dof": dof, "p_value": float(chi2_sf(stat, dof))},
     )
 
 
-def stratified_chi_square(strata: StratifiedTables) -> MeasureValue:
+def stratified_chi_square(strata: StratifiedTables, alpha: float = 0.0) -> MeasureValue:
     """Sum of per-stratum Pearson statistics with summed degrees of freedom.
 
     Strata where independence is vacuous (a single non-empty row or column)
     contribute nothing.  If every stratum is vacuous the condition holds
-    trivially: statistic 0, dof 1, p-value 1.
+    trivially: statistic 0, dof 1, p-value 1.  The statistic is defined on
+    raw counts, so alpha (accepted like the other measures') is unused.
     """
-    per_stratum = []
-    stat_total = 0.0
-    dof_total = 0
-    for key, table, weight in strata.entries:
-        core = _chi_square_core(table.counts)
-        if core is None:
-            mv = MeasureValue("chi_square", 0.0, {"dof": 0, "degenerate": True})
-        else:
-            stat, dof = core
-            stat_total += stat
-            dof_total += dof
-            mv = MeasureValue(
-                "chi_square", stat,
-                {"dof": dof, "p_value": chi2_sf(stat, dof), "rate_gap": rate_gap(table.counts)},
-            )
-        per_stratum.append((key, mv, weight))
-    dof = max(dof_total, 1)
+    stat, dof = _chi_square_core(strata.table.counts)
+    vacuous = dof == 0
+    per_stratum = _per_stratum(
+        strata, "chi_square", stat,
+        {"dof": dof, "p_value": chi2_sf(stat, np.maximum(dof, 1)),
+         "rate_gap": rate_gap(strata.table.counts)},
+        vacuous, {"dof": 0, "degenerate": True},
+    )
+    stat_total = _in_stratum_order(np.where(vacuous, 0.0, stat))
+    dof_total = max(int(dof.sum()), 1)
     return MeasureValue(
         kind="chi_square",
         value=stat_total,
         aux={
-            "dof": dof,
-            "p_value": chi2_sf(stat_total, dof),
+            "dof": dof_total,
+            "p_value": float(chi2_sf(stat_total, dof_total)),
             "per_stratum": per_stratum,
             "dropped_mass": strata.dropped_mass,
         },
@@ -222,6 +232,25 @@ def stratified_chi_square(strata: StratifiedTables) -> MeasureValue:
 
 
 # -- balanced error ratio --------------------------------------------------------
+
+def _ber_core(p: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced error ratio and its ceiling (k-1)/k over each table's present columns.
+
+    The predictor maps each row value to a present column category (argmax
+    of p(row | class), ties to the lower index); absent columns take no
+    part.  Tables need at least one present column.
+    """
+    k = present.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conditional = p / p.sum(axis=-2, keepdims=True)       # p(row | class)
+    conditional = np.where(present[..., None, :], conditional, -1.0)
+    best = np.argmax(conditional, axis=-1)                     # ties -> lower index
+    picked = np.take_along_axis(conditional, best[..., None], axis=-1)
+    hits = best[..., None] == np.arange(p.shape[-1])
+    correct = np.where(hits, picked, 0.0).sum(axis=-2)         # added row by row, in order
+    value = _masked_sum(1.0 - correct, present) / k
+    return value, (k - 1) / k
+
 
 def balanced_error_ratio(joint: JointTable) -> MeasureValue:
     """Mean per-class error of the best deterministic column-variable predictor.
@@ -236,22 +265,12 @@ def balanced_error_ratio(joint: JointTable) -> MeasureValue:
     if (class_marginals == 0.0).any():
         missing = int(np.argmin(class_marginals))
         raise MissingClass(f"column category {missing} has zero marginal")
-    value, max_ber = _ber_core(p, class_marginals)
+    value, max_ber = (float(x) for x in _ber_core(p, class_marginals > 0.0))
     return MeasureValue(
         kind="balanced_error_ratio",
         value=value,
         aux={"max_ber": max_ber, "normalized": value / max_ber},
     )
-
-
-def _ber_core(p: np.ndarray, class_marginals: np.ndarray) -> tuple[float, float]:
-    k = p.shape[1]
-    conditional = p / class_marginals  # p(row | class)
-    best = np.argmax(conditional, axis=1)  # ties -> lower index
-    picked = conditional[np.arange(p.shape[0]), best]
-    correct = np.bincount(best, weights=picked, minlength=k)
-    value = float((1.0 - correct).mean())
-    return value, (k - 1) / k
 
 
 def stratified_balanced_error_ratio(strata: StratifiedTables, alpha: float = 0.0) -> MeasureValue:
@@ -263,52 +282,32 @@ def stratified_balanced_error_ratio(strata: StratifiedTables, alpha: float = 0.0
     scale-free independence score.  All-vacuous stratifications count as
     independence (normalized 1.0).
     """
-    per_stratum = []
-    value_total = 0.0
-    max_total = 0.0
-    for key, table, weight in strata.entries:
-        counts = table.counts
-        present = counts.sum(axis=0) > 0
-        if int(present.sum()) < 2:
-            mv = MeasureValue("balanced_error_ratio", 0.0, {"degenerate": True})
-            per_stratum.append((key, mv, weight))
-            continue
-        reduced = ContingencyTable(counts[:, present])
-        joint = normalize(reduced, alpha)
-        sub_value, sub_max = _ber_core(joint.probs, joint.probs.sum(axis=0))
-        mv = MeasureValue(
-            "balanced_error_ratio", sub_value,
-            {"max_ber": sub_max, "normalized": sub_value / sub_max,
-             "rate_gap": rate_gap(counts)},
-        )
-        per_stratum.append((key, mv, weight))
-        value_total += weight * sub_value
-        max_total += weight * sub_max
-    normalized = value_total / max_total if max_total > 0.0 else 1.0
+    counts = strata.table.counts
+    present = counts.sum(axis=-2) > 0
+    vacuous = present.sum(axis=-1) < 2
+    # Laplace smoothing over the present columns only: cells = R * present
+    cells = counts.shape[-2] * present.sum(axis=-1)
+    denom = counts.sum(axis=(-2, -1)) + alpha * cells
+    value, max_ber = _ber_core((counts + alpha) / denom[:, None, None], present)
+    value = np.where(vacuous, 0.0, value)
+    max_ber = np.where(vacuous, 0.0, max_ber)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = value / max_ber
+    per_stratum = _per_stratum(
+        strata, "balanced_error_ratio", value,
+        {"max_ber": max_ber, "normalized": normalized, "rate_gap": rate_gap(counts)},
+        vacuous, {"degenerate": True},
+    )
+    value_total = _in_stratum_order(strata.weights * value)
+    max_total = _in_stratum_order(strata.weights * max_ber)
+    normalized_total = value_total / max_total if max_total > 0.0 else 1.0
     return MeasureValue(
         kind="balanced_error_ratio",
         value=value_total,
         aux={
             "max_ber": max_total,
-            "normalized": normalized,
+            "normalized": normalized_total,
             "per_stratum": per_stratum,
             "dropped_mass": strata.dropped_mass,
         },
     )
-
-
-# -- shared helpers ----------------------------------------------------------------
-
-def rate_gap(counts: np.ndarray) -> float:
-    """Largest spread of P(row = v | col group) across column groups with members.
-
-    For binary rows this is the familiar absolute rate difference between
-    groups; it is reported as diagnostic context, not a pass/fail measure.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    group_totals = counts.sum(axis=0)
-    present = group_totals > 0
-    if int(present.sum()) < 2:
-        return 0.0
-    rates = counts[:, present] / group_totals[present]
-    return float((rates.max(axis=1) - rates.min(axis=1)).max())

@@ -35,7 +35,7 @@ from .criteria import CriterionSpec
 from .dataset import Dataset
 from .distance import DistanceSpec, FeatureSpace
 from .errors import AllIndeterminate, GroupCriterion, InvalidParams
-from .measures import mi_nats
+from .measures import mi_nats, rate_gap
 
 DEFAULT_EPSILON = 0.05
 DEFAULT_DELTA = 0.05
@@ -308,19 +308,6 @@ class SoftResult:
         return np.nonzero(self.violated)[0]
 
 
-def _local_rate_gap(counts: np.ndarray) -> np.ndarray:
-    """Batched largest spread of P(left = v | group) across groups with members."""
-    group_tot = counts.sum(axis=1, keepdims=True)            # (m, 1, C)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rates = counts / group_tot
-    present = group_tot[:, 0, :] > 0                          # (m, C)
-    hi = np.where(present[:, None, :], rates, -np.inf).max(axis=2)
-    lo = np.where(present[:, None, :], rates, np.inf).min(axis=2)
-    gap = (hi - lo).max(axis=1)
-    enough_groups = present.sum(axis=1) >= 2
-    return np.where(enough_groups, gap, 0.0)
-
-
 def soft_evaluate(
     dataset: Dataset,
     spec: CriterionSpec,
@@ -396,7 +383,7 @@ def soft_evaluate(
             probs = np.where(ok[:, None, None], probs, 1.0 / cells)
             chunk_vals = np.where(ok, mi_nats(probs), np.nan)
         else:
-            chunk_vals = np.where(ok, _local_rate_gap(counts), np.nan)
+            chunk_vals = np.where(ok, rate_gap(counts), np.nan)
         values[lo:lo + m] = chunk_vals
 
     indeterminate = sizes < min_neighborhood

@@ -13,16 +13,15 @@ from __future__ import annotations
 import json.encoder
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .criteria import (
-    DEFAULT_THRESHOLDS,
+    FTU,
     CriterionResult,
     evaluate,
-    evaluate_ftu,
     get_criterion,
     list_criteria,
     situation_testing_evaluate,
@@ -284,57 +283,53 @@ def run_audit(config: AuditConfig, dataset: Dataset | None = None) -> Report:
     results: list[dict] = []
     timing: dict[str, float] = {}
     all_passed = True
-    soft_needed = dataset.has_numeric_features()
     shared_index = None
     dist = DistanceSpec(config.weights)
+    evaluated: dict[str, CriterionResult | SoftResult] = {}   # ftu reuses isp's
 
-    for cid in selection:
-        started = time.monotonic()
+    def evaluate_once(cid: str) -> CriterionResult | SoftResult:
+        nonlocal shared_index
         if cid == "situation_testing":
             if not config.situation_columns:
                 raise EmptySelection("situation_testing selected without columns")
-            result = situation_testing_evaluate(
+            return situation_testing_evaluate(
                 dataset, config.situation_columns, config.measure,
                 config.threshold, config.min_count, config.alpha,
             )
-            entry = _exact_result_dict(result)
-        else:
-            spec = get_criterion(cid)
-            if "features" in spec.given and soft_needed:
-                if shared_index is None:
-                    shared_index = build_index(dataset, dist)
-                base = get_criterion("isp") if cid == "ftu" else spec
-                soft = soft_evaluate(
-                    dataset, base, config.neighborhood_spec(), dist,
-                    config.soft_measure, config.epsilon, config.delta,
-                    config.min_neighborhood, index=shared_index,
-                )
-                if cid == "ftu":
-                    soft.criterion = get_criterion("ftu")
+        spec = get_criterion(cid)
+        if "features" in spec.given and dataset.has_numeric_features():
+            if shared_index is None:
+                shared_index = build_index(dataset, dist)
+            return soft_evaluate(
+                dataset, spec, config.neighborhood_spec(), dist,
+                config.soft_measure, config.epsilon, config.delta,
+                config.min_neighborhood, index=shared_index,
+            )
+        return evaluate(
+            dataset, spec, config.measure, config.threshold, config.min_count, config.alpha,
+        )
+
+    for cid in selection:
+        started = time.monotonic()
+        # fairness through unawareness is the same condition as isp
+        base = "isp" if cid == "ftu" else cid
+        if base not in evaluated:
+            evaluated[base] = evaluate_once(base)
+        result = evaluated[base]
+        if cid == "ftu":
+            result = replace(result, criterion=FTU)
+        if isinstance(result, SoftResult):
+            warnings.append(
+                f"criterion {cid}: numeric features present, switched from "
+                "exact stratification to soft neighborhood conditioning"
+            )
+            if result.indeterminate_fraction > 0:
                 warnings.append(
-                    f"criterion {cid}: numeric features present, switched from "
-                    "exact stratification to soft neighborhood conditioning"
+                    f"criterion {cid}: {result.indeterminate_fraction:.4f} of records "
+                    "indeterminate (restricted neighborhood below min_neighborhood)"
                 )
-                if soft.indeterminate_fraction > 0:
-                    warnings.append(
-                        f"criterion {cid}: {soft.indeterminate_fraction:.4f} of records "
-                        "indeterminate (restricted neighborhood below min_neighborhood)"
-                    )
-                entry = _soft_result_dict(soft)
-                results.append(entry)
-                timing[cid] = time.monotonic() - started
-                all_passed &= soft.passed
-                continue
-            if cid == "ftu":
-                result = evaluate_ftu(
-                    dataset, config.measure, config.threshold,
-                    config.min_count, config.alpha,
-                )
-            else:
-                result = evaluate(
-                    dataset, spec, config.measure, config.threshold,
-                    config.min_count, config.alpha,
-                )
+            entry = _soft_result_dict(result)
+        else:
             entry = _exact_result_dict(result)
             if result.dropped_mass > 0:
                 warnings.append(

@@ -93,11 +93,3 @@ class CounterRng:
             out[filled:filled + accepted.size] = accepted
             filled += accepted.size
         return out
-
-    def shuffled(self, n: int) -> np.ndarray:
-        """A permutation of range(n) (Fisher-Yates driven by this stream)."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = int(self.integers(i + 1, 1)[0])
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm

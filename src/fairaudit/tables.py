@@ -1,12 +1,16 @@
 """Empirical joint distributions: contingency tables, with optional stratification.
 
-Probabilities are plain double-precision ratios; cell sums used for
-validation run in fixed row-major order so results are reproducible
-bit-for-bit.
+A table is a count tensor of shape (..., R, C): one (R, C) table, or the
+(G, R, C) stack of every stratum of a stratification, which the measures
+score in one vectorized pass.  stratified_contingency builds that stack
+with a single bincount over (stratum, row, column) codes, so no per-stratum
+object is built on the way.  Probabilities are plain double-precision
+ratios, computed per table of the stack.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,14 +23,18 @@ DEFAULT_MIN_COUNT = 5
 
 @dataclass(frozen=True)
 class ContingencyTable:
-    """Non-negative integer counts over the cross-product of two categorical variables."""
+    """Non-negative integer counts over the cross-product of two categorical variables.
 
-    counts: np.ndarray  # (row_arity, col_arity) int64
+    counts has shape (row_arity, col_arity), or (..., row_arity, col_arity)
+    for a stack of tables; total counts the records of the whole stack.
+    """
+
+    counts: np.ndarray  # (..., row_arity, col_arity) int64
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
-        if c.ndim != 2:
-            raise ValueError("counts must be a 2-d array")
+        if c.ndim < 2:
+            raise ValueError("counts must have at least 2 dimensions")
         if (c < 0).any():
             raise ValueError("counts must be non-negative")
         c.flags.writeable = False
@@ -34,11 +42,11 @@ class ContingencyTable:
 
     @property
     def row_arity(self) -> int:
-        return self.counts.shape[0]
+        return self.counts.shape[-2]
 
     @property
     def col_arity(self) -> int:
-        return self.counts.shape[1]
+        return self.counts.shape[-1]
 
     @property
     def total(self) -> int:
@@ -47,76 +55,99 @@ class ContingencyTable:
 
 @dataclass(frozen=True)
 class JointTable:
-    """Cell probabilities summing to one, possibly Laplace-smoothed."""
+    """Cell probabilities, each (R, C) table of the stack summing to one."""
 
-    probs: np.ndarray  # (row_arity, col_arity) float64
+    probs: np.ndarray  # (..., row_arity, col_arity) float64
     smoothing_alpha: float = 0.0
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 2 or (p < 0).any():
-            raise ValueError("probs must be a non-negative 2-d array")
-        total = 0.0
-        for v in p.ravel(order="C"):
-            total += v
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"cell probabilities sum to {total!r}, not 1")
+        if p.ndim < 2 or (p < 0).any():
+            raise ValueError("probs must be a non-negative array of at least 2 dimensions")
+        total = p.sum(axis=(-2, -1))
+        off = np.abs(total - 1.0) > 1e-12
+        if off.any():
+            raise ValueError(f"cell probabilities sum to {float(total[off].flat[0])!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
     @property
     def row_arity(self) -> int:
-        return self.probs.shape[0]
+        return self.probs.shape[-2]
 
     @property
     def col_arity(self) -> int:
-        return self.probs.shape[1]
+        return self.probs.shape[-1]
 
 
-@dataclass(frozen=True)
+class _Entries(Sequence):
+    """(key, ContingencyTable, weight) per retained stratum, built on access."""
+
+    def __init__(self, strata: "StratifiedTables"):
+        self._strata = strata
+
+    def __len__(self) -> int:
+        return len(self._strata.keys)
+
+    def __getitem__(self, i: int):
+        s = self._strata
+        return s.keys[i], ContingencyTable(s.table.counts[i]), float(s.weights[i])
+
+
 class StratifiedTables:
-    """Per-stratum contingency tables with weights summing (with dropped mass) to one."""
+    """The retained strata of one stratification as a single (G, R, C) count stack.
 
-    entries: tuple[tuple[tuple[int, ...], ContingencyTable, float], ...]
-    dropped_mass: float
-    min_count: int
+    keys[g] is stratum g's tuple of condition codes (lexicographic order),
+    table.counts[g] its counts and weights[g] its record fraction of the
+    whole dataset; the weights plus dropped_mass sum to one.
+    """
 
-    def __post_init__(self):
-        total = self.dropped_mass
-        for _, table, weight in self.entries:
-            if table.total < self.min_count:
-                raise ValueError("retained stratum below min_count")
-            total += weight
+    def __init__(self, entries, dropped_mass: float, min_count: int):
+        """Collect (key, ContingencyTable, weight) triples into one stack."""
+        keys, tables, weights = zip(*entries) if entries else ((), (), ())
+        counts = np.stack([table.counts for table in tables]) if tables else np.zeros((0, 1, 1))
+        self._set(list(keys), ContingencyTable(counts), np.array(weights, dtype=np.float64),
+                  dropped_mass, min_count)
+
+    @classmethod
+    def stacked(cls, keys, table: ContingencyTable, weights: np.ndarray,
+                dropped_mass: float, min_count: int) -> "StratifiedTables":
+        """From the keys, (G, R, C) table and weights of the retained strata."""
+        strata = cls.__new__(cls)
+        strata._set(keys, table, weights, dropped_mass, min_count)
+        return strata
+
+    def _set(self, keys, table, weights, dropped_mass, min_count):
+        if (table.counts.sum(axis=(-2, -1)) < min_count).any():
+            raise ValueError("retained stratum below min_count")
+        total = dropped_mass + float(weights.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights + dropped_mass sum to {total!r}, not 1")
+        self.keys, self.table, self.weights = keys, table, weights
+        self.dropped_mass, self.min_count = dropped_mass, min_count
+
+    @property
+    def entries(self) -> _Entries:
+        return _Entries(self)
 
 
 def contingency(dataset: Dataset, row_var: str, col_var: str) -> ContingencyTable:
     """Cross-tabulate two categorical columns of the dataset."""
-    if row_var == col_var:
-        raise SameVariable(f"row and column variable are both {row_var!r}")
-    row = dataset.column(row_var)
-    col = dataset.column(col_var)
-    if row is col:
-        raise SameVariable(f"{row_var!r} and {col_var!r} resolve to the same column")
-    r, c = row.arity, col.arity
-    flat = np.bincount(row.codes * c + col.codes, minlength=r * c)
-    return ContingencyTable(flat.reshape(r, c))
+    return marginal_table(stratified_contingency(dataset, row_var, col_var, [], min_count=1))
 
 
 def normalize(table: ContingencyTable, alpha: float = 0.0) -> JointTable:
-    """Empirical cell probabilities with optional Laplace smoothing.
+    """Empirical cell probabilities with optional Laplace smoothing, per table.
 
     p(i,j) = (count(i,j) + alpha) / (total + alpha * cells)
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     cells = table.row_arity * table.col_arity
-    denom = table.total + alpha * cells
-    if denom <= 0:
+    denom = table.counts.sum(axis=(-2, -1), keepdims=True) + alpha * cells
+    if (denom <= 0).any():
         raise EmptyTable("table is empty and alpha is 0")
-    probs = (table.counts + alpha) / denom
-    return JointTable(probs, smoothing_alpha=alpha)
+    return JointTable((table.counts + alpha) / denom, smoothing_alpha=alpha)
 
 
 def stratified_contingency(
@@ -138,29 +169,29 @@ def stratified_contingency(
         raise SameVariable(f"row and column variable are both {row_var!r}")
     row = dataset.column(row_var)
     col = dataset.column(col_var)
+    if row is col:
+        raise SameVariable(f"{row_var!r} and {col_var!r} resolve to the same column")
     r, c = row.arity, col.arity
     strata = stratify(dataset, condition_columns)
-
-    n = dataset.n
-    entries = []
-    dropped = 0
-    for key, idx in strata.items():
-        if idx.size < min_count:
-            dropped += idx.size
-            continue
-        flat = np.bincount(row.codes[idx] * c + col.codes[idx], minlength=r * c)
-        table = ContingencyTable(flat.reshape(r, c))
-        entries.append((key, table, idx.size / n))
-    if not entries:
+    groups = list(strata.values())
+    sizes = np.array([len(idx) for idx in groups], dtype=np.int64)
+    members = np.concatenate(groups)
+    stratum = np.repeat(np.arange(len(groups)), sizes)
+    flat = (stratum * r + row.codes[members]) * c + col.codes[members]
+    counts = np.bincount(flat, minlength=len(groups) * r * c).reshape(-1, r, c)
+    kept = sizes >= min_count
+    if not kept.any():
         raise AllStrataDropped(
             f"no stratum reaches min_count={min_count}; use soft conditioning"
         )
-    return StratifiedTables(tuple(entries), dropped_mass=dropped / n, min_count=min_count)
+    n = dataset.n
+    keys = [key for key, keep in zip(strata, kept.tolist()) if keep]
+    return StratifiedTables.stacked(
+        keys, ContingencyTable(counts[kept]), sizes[kept] / n,
+        dropped_mass=int(sizes[~kept].sum()) / n, min_count=min_count,
+    )
 
 
 def marginal_table(strata: StratifiedTables) -> ContingencyTable:
     """Count-wise sum of all retained strata (equals the unconditioned table when min_count=1)."""
-    acc = None
-    for _, table, _ in strata.entries:
-        acc = table.counts.copy() if acc is None else acc + table.counts
-    return ContingencyTable(acc)
+    return ContingencyTable(strata.table.counts.sum(axis=0))

@@ -188,6 +188,16 @@ def test_gamma_tail_known_quantiles():
         assert abs(chi2_sf(stat, dof) - scipy.stats.chi2.sf(stat, dof)) < 1e-10
 
 
+def test_chi2_tail_at_twenty_thousand_dof():
+    # near the mean this tail needs thousands of incomplete-gamma series
+    # terms; scipy's chdtrc evaluates it directly
+    got = chi2_sf(20000.0, 20000)
+    assert abs(got - scipy.stats.chi2.sf(20000.0, 20000)) < 1e-12
+    assert 0.4986 < got < 0.4988
+    with pytest.raises(ValueError):
+        chi2_sf(1.0, 0)
+
+
 def test_p_value_monotone_in_statistic():
     for dof in (1, 2, 5, 10):
         stats = np.linspace(0.0, 50.0, 200)

@@ -6,7 +6,7 @@ import numpy as np
 from fairaudit.cli import criteria_table, main
 from fairaudit.report import AuditConfig, canonical_json, parse_report, render, run_audit
 from fairaudit.scenarios import ScenarioSpec, generate, schema_config_for
-from fairaudit.dataset import save_csv
+from fairaudit.dataset import load_dataset, load_schema_config, save_csv
 
 FIXTURE = Path(__file__).parent / "data" / "criteria_registry.txt"
 
@@ -93,6 +93,34 @@ def test_audit_json_determinism(tmp_path):
     first.pop("timing")
     second.pop("timing")
     assert json.dumps(first) == json.dumps(second)
+
+
+def test_ftu_reuses_the_isp_evaluation(tmp_path, monkeypatch):
+    from fairaudit import report as report_module
+    from fairaudit.criteria import evaluate, evaluate_ftu, get_criterion
+
+    calls = []
+    for name in ("evaluate", "soft_evaluate"):
+        real = getattr(report_module, name)
+        monkeypatch.setattr(report_module, name, lambda ds, spec, *args, _real=real, **kw:
+                            calls.append(spec.id) or _real(ds, spec, *args, **kw))
+
+    data, schema, _ = _write_scenario(tmp_path, "direct_discrimination", n=3000)
+    both = run_audit(AuditConfig(data=data, schema=schema, criteria=["ftu", "isp"]))
+    assert calls == ["isp"]
+    ds = load_dataset(data, load_schema_config(schema)[0])
+    separate = [report_module._exact_result_dict(evaluate_ftu(ds)),
+                report_module._exact_result_dict(evaluate(ds, get_criterion("isp")))]
+    assert canonical_json(both.results) == canonical_json(separate)
+
+    calls.clear()
+    data, schema, _ = _write_scenario(tmp_path, "planted_unfair_cluster", n=2000)
+    soft = run_audit(AuditConfig(data=data, schema=schema, criteria=["isp", "ftu"]))
+    assert calls == ["isp"]
+    isp, ftu = soft.results
+    assert (ftu["id"], ftu["name"]) == ("ftu", "fairness through unawareness")
+    assert {**ftu, "id": "isp", "name": isp["name"]} == isp
+    assert [w.split(":")[0] for w in soft.warnings] == ["criterion isp", "criterion ftu"]
 
 
 def test_timing_is_isolated_per_criterion(tmp_path):
