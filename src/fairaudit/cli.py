@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -122,27 +123,9 @@ def _cmd_lipschitz(args) -> int:
         sampling=args.sampling, sample_count=args.sample_count,
         seed=args.seed, tol=args.tol,
     )
-    doc = {
-        "schema_version": 1,
-        "tool": {"name": "fairaudit", "version": __version__},
-        "max_ratio": report.max_ratio,
-        "passed": report.passed,
-        "violation_count": report.violation_count,
-        "infinite_count": report.infinite_count,
-        "pairs_examined": report.pairs_examined,
-        "skipped_coincident": report.skipped_coincident,
-        "sampling": report.sampling,
-        "sample_seed": report.sample_seed,
-        "tol": report.tol,
-        "violations": [
-            {
-                "i": v.i, "j": v.j,
-                "d_original": v.d_original, "d_mapped": v.d_mapped,
-                "ratio": v.ratio, "infinite": v.infinite,
-            }
-            for v in report.violations
-        ],
-    }
+    doc = {"schema_version": 1, "tool": {"name": "fairaudit", "version": __version__},
+           "max_ratio": report.max_ratio, "passed": report.passed, **asdict(report)}
+    doc["violations"] = doc.pop("violations")      # listed after the counts
     if args.format == "json":
         _emit(canonical_json(doc).encode("utf-8"), args.output)
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .dataset import Dataset
 from .errors import InvalidParams, NoFeatures
@@ -43,50 +44,28 @@ class FeatureSpace:
         dist = dist or DistanceSpec()
         self.n = dataset.n
         self.column_names = dataset.feature_names()
-        self.weights = np.array([dist.weight_for(c.name) for c in dataset.features])
-        if (self.weights < 0).any():
-            raise InvalidParams("distance weights must be non-negative")
+        self.weights = gower_weights([dist.weight_for(c.name) for c in dataset.features],
+                                     len(dataset.features))
         self.total_weight = float(self.weights.sum())
-        if self.total_weight <= 0:
-            raise InvalidParams("at least one distance weight must be positive")
 
         self._kinds = [c.kind for c in dataset.features]
-        self._columns = []
-        for c in dataset.features:
-            if c.kind == "numeric":
-                lo = float(c.values.min())
-                span = float(c.values.max()) - lo
-                if span > 0:
-                    scaled = (c.values - lo) / span
-                else:
-                    scaled = np.zeros(self.n)  # constant column: contributes 0
-                self._columns.append(scaled)
-            else:
-                self._columns.append(c.codes)
+        self._columns = [min_max_scale(c.values) if c.kind == "numeric" else c.codes
+                         for c in dataset.features]
         self.pure_numeric = all(k == "numeric" for k in self._kinds)
 
     def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distances for aligned index arrays a[i] <-> b[i]."""
-        acc = np.zeros(len(a))
-        for kind, col, w in zip(self._kinds, self._columns, self.weights):
-            if w == 0.0:
-                continue
-            if kind == "numeric":
-                acc += w * np.abs(col[a] - col[b])
-            else:
-                acc += w * (col[a] != col[b])
-        return acc / self.total_weight
+        return self._distances(a, b)
 
     def block_distances(self, query_idx: np.ndarray) -> np.ndarray:
         """Distances from each query record to all records; shape (len(query_idx), n)."""
-        acc = np.zeros((len(query_idx), self.n))
+        return self._distances(query_idx[:, None], np.arange(self.n))
+
+    def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        acc = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)))
         for kind, col, w in zip(self._kinds, self._columns, self.weights):
-            if w == 0.0:
-                continue
-            if kind == "numeric":
-                acc += w * np.abs(col[query_idx][:, None] - col[None, :])
-            else:
-                acc += w * (col[query_idx][:, None] != col[None, :])
+            if w > 0.0:
+                acc += w * (np.abs(col[a] - col[b]) if kind == "numeric" else col[a] != col[b])
         return acc / self.total_weight
 
     def tree_coordinates(self) -> np.ndarray:
@@ -102,24 +81,32 @@ class FeatureSpace:
         return np.stack(cols, axis=1)
 
 
+def min_max_scale(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Gower's scaling of finite values along `axis`: (x - lo) / span.
+
+    Values constant along `axis` (span 0) become 0, so they contribute
+    nothing.  This is the one scaling every Gower distance here uses.
+    """
+    lo = x.min(axis=axis, keepdims=True)
+    span = x.max(axis=axis, keepdims=True) - lo
+    return (x - lo) / np.where(span > 0, span, 1.0)
+
+
+def gower_weights(weights, p: int) -> np.ndarray:
+    """Per-column Gower weights for a p-column matrix (default all 1)."""
+    w = np.ones(p) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (p,) or not (w >= 0).all() or not 0 < w.sum() < np.inf:
+        raise InvalidParams(f"weights must be {p} non-negative values with positive total")
+    return w
+
+
 def gower_matrix_condensed(matrix: np.ndarray, weights=None) -> np.ndarray:
     """Condensed (i < j, row-major) pairwise distances for a raw numeric matrix.
 
-    Same normalization and weighting rules as FeatureSpace, for callers that
-    work on plain arrays rather than datasets.
+    Same scaling and weighting rules as FeatureSpace, for callers that work
+    on plain arrays rather than datasets.  pdist adds the weighted column
+    terms left to right, as `FeatureSpace.pair_distances` does.
     """
     x = np.asarray(matrix, dtype=np.float64)
-    n, p = x.shape
-    w = np.ones(p) if weights is None else np.asarray(weights, dtype=np.float64)
-    if (w < 0).any() or w.sum() <= 0:
-        raise InvalidParams("weights must be non-negative with positive total")
-    lo = x.min(axis=0)
-    span = x.max(axis=0) - lo
-    scaled = np.where(span > 0, (x - lo) / np.where(span > 0, span, 1.0), 0.0)
-    out = np.empty(n * (n - 1) // 2)
-    pos = 0
-    for i in range(n - 1):
-        block = (np.abs(scaled[i + 1:] - scaled[i]) * w).sum(axis=1) / w.sum()
-        out[pos:pos + block.size] = block
-        pos += block.size
-    return out
+    w = gower_weights(weights, x.shape[1])
+    return pdist(min_max_scale(x), "cityblock", w=w) / w.sum()

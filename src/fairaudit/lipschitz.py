@@ -16,19 +16,22 @@ than encoded as a float.
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .distance import gower_matrix_condensed
-from .errors import DegenerateInput, InvalidParams, NotAProbabilityVector
+from .distance import gower_matrix_condensed, gower_weights, min_max_scale
+from .errors import DegenerateInput, InvalidParams, NotAProbabilityVector, ParseError
 from .rng import CounterRng
 
 DEFAULT_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 2000        # n(n-1)/2 ~ 2e6 pairs
 DEFAULT_SAMPLE_COUNT = 2_000_000
 MAX_LISTED_VIOLATIONS = 100
+_PAIR_BLOCK = 1 << 16          # sampled pairs per block: the temporaries stay in cache
 
 ORIGINAL_METRICS = ("euclidean", "manhattan", "gower")
 MAPPED_METRICS = ORIGINAL_METRICS + ("total_variation",)
@@ -61,46 +64,46 @@ class LipschitzReport:
         return self.violation_count == 0
 
 
-def _condensed(matrix: np.ndarray, metric: str, weights) -> np.ndarray:
-    if metric == "euclidean":
-        return pdist(matrix, "euclidean")
-    if metric == "manhattan":
-        return pdist(matrix, "cityblock")
-    if metric == "total_variation":
-        return 0.5 * pdist(matrix, "cityblock")
-    if metric == "gower":
+def _distances(matrix, metric, weights, i=None, j=None) -> np.ndarray:
+    """Distances of all pairs in condensed order, or of the pairs (i[t], j[t]).
+
+    Both add each pair's column terms left to right, as pdist does, so a
+    sampled pair's distance is bit-identical to its exhaustive value.  The
+    sampled pairs go in blocks of _PAIR_BLOCK over 1-D gathers of contiguous
+    columns, so no (pairs, p) temporary is ever built.
+    """
+    if i is None and metric == "gower":
         return gower_matrix_condensed(matrix, weights)
-    raise InvalidParams(f"unknown metric {metric!r}")
-
-
-def _pair_distances(matrix, metric, weights, i, j) -> np.ndarray:
-    if metric == "gower":
-        # normalize against the full matrix, then evaluate the sampled pairs
-        x = np.asarray(matrix, dtype=np.float64)
-        lo = x.min(axis=0)
-        span = x.max(axis=0) - lo
-        scaled = np.where(span > 0, (x - lo) / np.where(span > 0, span, 1.0), 0.0)
-        w = np.ones(x.shape[1]) if weights is None else np.asarray(weights, dtype=np.float64)
-        return (np.abs(scaled[i] - scaled[j]) * w).sum(axis=1) / w.sum()
-    diff = np.asarray(matrix)[i] - np.asarray(matrix)[j]
+    if i is None:
+        acc = pdist(matrix, "sqeuclidean" if metric == "euclidean" else "cityblock")
+    else:
+        columns, w = np.ascontiguousarray(matrix.T), None
+        if metric == "gower":
+            w = gower_weights(weights, len(columns))
+            columns = min_max_scale(columns, axis=1)
+        acc = np.zeros(len(i))
+        for start in range(0, len(i), _PAIR_BLOCK):
+            a, b = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
+            block = acc[start:start + _PAIR_BLOCK]
+            for t, col in enumerate(columns):
+                d = col[a] - col[b]
+                if metric == "euclidean":
+                    block += d * d
+                else:
+                    np.abs(d, out=d)
+                    block += d if w is None else w[t] * d
     if metric == "euclidean":
-        return np.sqrt((diff ** 2).sum(axis=1))
-    if metric == "manhattan":
-        return np.abs(diff).sum(axis=1)
+        return np.sqrt(acc)
     if metric == "total_variation":
-        return 0.5 * np.abs(diff).sum(axis=1)
-    raise InvalidParams(f"unknown metric {metric!r}")
+        return 0.5 * acc
+    return acc if metric == "manhattan" else acc / w.sum()
 
 
-def _check_probability_rows(matrix: np.ndarray) -> None:
-    m = np.asarray(matrix, dtype=np.float64)
-    if (m < 0).any():
-        raise NotAProbabilityVector("mapped vectors contain negative entries")
-    sums = m.sum(axis=1)
-    bad = np.abs(sums - 1.0) > 1e-9
-    if bad.any():
-        row = int(np.nonzero(bad)[0][0])
-        raise NotAProbabilityVector(f"mapped row {row} sums to {sums[row]!r}, not 1")
+def _pair_index(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), i < j, of positions in the row-major condensed pair order."""
+    root = np.sqrt(-8.0 * flat + 4.0 * n * (n - 1) - 7.0)
+    i = (n - 2 - np.floor(root / 2.0 - 0.5)).astype(np.int64)
+    return i, flat + i + 1 - i * (2 * n - i - 1) // 2
 
 
 def audit_map(
@@ -134,35 +137,32 @@ def audit_map(
         raise InvalidParams(f"d_original must be one of {ORIGINAL_METRICS}")
     if d_mapped not in MAPPED_METRICS:
         raise InvalidParams(f"d_mapped must be one of {MAPPED_METRICS}")
+    for name, values in (("original", original), ("mapped", mapped)):
+        if not np.isfinite(values).all():
+            r, c = np.argwhere(~np.isfinite(values))[0]
+            raise DegenerateInput(f"{name} row {r}, column {c} is {values[r, c]!r}, not finite")
     if d_mapped == "total_variation":
-        _check_probability_rows(mapped)
+        sums = mapped.sum(axis=1)
+        bad = np.flatnonzero((mapped < 0).any(axis=1) | (np.abs(sums - 1.0) > 1e-9))
+        if len(bad):
+            raise NotAProbabilityVector(f"mapped row {bad[0]} has a negative entry or sums to "
+                                        f"{sums[bad[0]]!r}, not a probability vector")
 
     if sampling == "auto":
         sampling = "exhaustive" if n <= EXHAUSTIVE_LIMIT else "sampled"
     if sampling not in ("exhaustive", "sampled"):
         raise InvalidParams("sampling must be 'auto', 'exhaustive', or 'sampled'")
 
-    if sampling == "exhaustive":
-        d_orig = _condensed(original, d_original, weights)
-        d_map = _condensed(mapped, d_mapped, weights)
-        total_pairs = n * (n - 1) // 2
-        i_idx = j_idx = None
-        seed_used = None
-    else:
+    flat = i_idx = j_idx = seed_used = None
+    total_pairs = n * (n - 1) // 2
+    if sampling == "sampled":
         if seed is None:
             raise InvalidParams("sampled mode requires a seed")
-        total_pairs = sample_count
-        rng = CounterRng(seed)
-        flat = rng.integers(n * (n - 1) // 2, sample_count)
-        # invert the condensed index to (i, j), i < j
-        i_idx = (
-            n - 2
-            - np.floor(np.sqrt(-8.0 * flat + 4.0 * n * (n - 1) - 7.0) / 2.0 - 0.5)
-        ).astype(np.int64)
-        j_idx = (flat + i_idx + 1 - i_idx * (2 * n - i_idx - 1) // 2).astype(np.int64)
-        d_orig = _pair_distances(original, d_original, weights, i_idx, j_idx)
-        d_map = _pair_distances(mapped, d_mapped, weights, i_idx, j_idx)
-        seed_used = seed
+        total_pairs, seed_used = sample_count, seed
+        flat = CounterRng(seed).integers(n * (n - 1) // 2, sample_count)
+        i_idx, j_idx = _pair_index(flat, n)
+    d_orig = _distances(original, d_original, weights, i_idx, j_idx)
+    d_map = _distances(mapped, d_mapped, weights, i_idx, j_idx)
 
     both_zero = (d_orig == 0.0) & (d_map == 0.0)
     infinite = (d_orig == 0.0) & (d_map > 0.0)
@@ -173,30 +173,22 @@ def audit_map(
     violating = finite & (ratios > 1.0 + tol)
     violation_count = int(violating.sum()) + int(infinite.sum())
 
-    def pair_of(flat_pos: int) -> tuple[int, int]:
-        if i_idx is not None:
-            return int(i_idx[flat_pos]), int(j_idx[flat_pos])
-        i = int(n - 2 - np.floor(np.sqrt(-8.0 * flat_pos + 4 * n * (n - 1) - 7) / 2.0 - 0.5))
-        j = int(flat_pos + i + 1 - i * (2 * n - i - 1) // 2)
-        return i, j
-
-    listed: list[Violation] = []
-    for pos in np.nonzero(infinite)[0][:MAX_LISTED_VIOLATIONS]:
-        i, j = pair_of(int(pos))
-        listed.append(Violation(i, j, 0.0, float(d_map[pos]), 0.0, infinite=True))
-    room = MAX_LISTED_VIOLATIONS - len(listed)
-    if room > 0 and violating.any():
-        finite_pos = np.nonzero(violating)[0]
-        worst = finite_pos[np.argsort(-ratios[finite_pos], kind="stable")][:room]
-        for pos in worst:
-            i, j = pair_of(int(pos))
-            listed.append(
-                Violation(i, j, float(d_orig[pos]), float(d_map[pos]), float(ratios[pos]))
-            )
+    # infinite ratios first, then the worst finite ones; d_orig and the
+    # ratio of an infinite violation are both 0.0
+    listed = np.nonzero(infinite)[0][:MAX_LISTED_VIOLATIONS]
+    worst = np.nonzero(violating)[0]
+    worst = worst[np.argsort(-ratios[worst], kind="stable")]
+    listed = np.concatenate([listed, worst[:MAX_LISTED_VIOLATIONS - len(listed)]])
+    pairs = zip(*_pair_index(listed if flat is None else flat[listed], n))
+    violations = tuple(
+        Violation(int(i), int(j), float(d_orig[pos]), float(d_map[pos]), float(ratios[pos]),
+                  infinite=bool(infinite[pos]))
+        for (i, j), pos in zip(pairs, listed)
+    )
 
     return LipschitzReport(
         max_ratio=max_ratio,
-        violations=tuple(listed),
+        violations=violations,
         violation_count=violation_count,
         infinite_count=int(infinite.sum()),
         pairs_examined=total_pairs,
@@ -207,23 +199,61 @@ def audit_map(
     )
 
 
+def _column_order(header: list[str], prefix: str) -> list[int]:
+    cols = [pos for pos, h in enumerate(header) if h.startswith(prefix)]
+    for pos in cols:
+        if not header[pos][2:].isdecimal():
+            raise ParseError("column name needs an integer suffix", line=1, column=header[pos])
+    return sorted(cols, key=lambda pos: int(header[pos][2:]))
+
+
+def _parse_rows(reader, header: list[str], cols: list[int]) -> np.ndarray:
+    """The row-by-row parse: the table, or a ParseError at its first bad cell."""
+    next(reader)
+    values = []
+    for row in reader:
+        if not row:
+            continue                     # np.loadtxt skips blank lines too
+        for c in cols:
+            name, line, token = header[c], reader.line_num, row[c] if c < len(row) else None
+            if token is None:
+                raise ParseError(f"row has {len(row)} fields, header has {len(header)}",
+                                 line=line, column=name)
+            try:
+                values.append(float(token))
+            except ValueError:
+                msg = "missing value" if token == "" else f"non-numeric token {token!r}"
+                raise ParseError(msg, line=line, column=name) from None
+            if not math.isfinite(values[-1]):
+                raise ParseError(f"non-finite numeric token {token!r}", line=line, column=name)
+    return np.array(values).reshape(-1, len(cols))
+
+
 def load_mapped_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a CSV with header x_0..x_{p-1}, m_0..m_{q-1} into (original, mapped)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    """Read a CSV with header x_0..x_{p-1}, m_0..m_{q-1} into (original, mapped).
+
+    Columns go in the order of their integer suffix (x_10 after x_2); other
+    columns are ignored.  A short row, an empty cell, a non-numeric or a
+    non-finite token raises ParseError with the CSV line and column name.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        header = next(csv.reader(fh), None)
         if header is None:
             raise DegenerateInput("mapped-pairs CSV has no header")
-        x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
-        m_cols = [i for i, h in enumerate(header) if h.startswith("m_")]
+        x_cols, m_cols = _column_order(header, "x_"), _column_order(header, "m_")
         if not x_cols or not m_cols:
             raise DegenerateInput("header must contain x_* and m_* columns")
-        x_cols.sort(key=lambda i: int(header[i][2:]))
-        m_cols.sort(key=lambda i: int(header[i][2:]))
-        orig_rows, map_rows = [], []
-        for row in reader:
-            orig_rows.append([float(row[i]) for i in x_cols])
-            map_rows.append([float(row[i]) for i in m_cols])
-    if len(orig_rows) < 2:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)    # a file without rows
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                   usecols=x_cols + m_cols, ndmin=2)
+        except ValueError:
+            table = None
+        if table is None or not np.isfinite(table).all():
+            fh.seek(0)
+            table = _parse_rows(csv.reader(fh), header, x_cols + m_cols)
+    if len(table) < 2:
         raise DegenerateInput("need at least 2 records to form a pair")
-    return np.asarray(orig_rows), np.asarray(map_rows)
+    p = len(x_cols)
+    return np.ascontiguousarray(table[:, :p]), np.ascontiguousarray(table[:, p:])

@@ -1,9 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairaudit.errors import DegenerateInput, InvalidParams, NotAProbabilityVector
-from fairaudit.lipschitz import audit_map, load_mapped_csv
+from fairaudit import lipschitz
+from fairaudit.errors import DegenerateInput, InvalidParams, NotAProbabilityVector, ParseError
+from fairaudit.lipschitz import MAPPED_METRICS, _pair_index, audit_map, load_mapped_csv
 from fairaudit.rng import CounterRng
+
+_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def _points(seed, n, p):
@@ -117,3 +124,94 @@ def test_mapped_csv_loader(tmp_path):
     assert original.shape == (2, 2)
     assert mapped.shape == (2, 1)
     assert mapped[1, 0] == 1.5
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "pairs.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("which", ["original", "mapped"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_are_rejected(which, value):
+    x = _points(11, 50, 3)
+    m = x / x.sum(axis=1, keepdims=True)
+    arrays = {"original": x, "mapped": m}
+    arrays[which][7, 1] = value
+    for metrics in (("gower", "total_variation"), ("euclidean", "euclidean")):
+        with pytest.raises(DegenerateInput, match=f"{which} row 7, column 1"):
+            audit_map(arrays["original"], arrays["mapped"], *metrics)
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("x_0,x_1,m_0\n1,2,3\n4,5\n", 3, "m_0", "fields"),
+    ("x_0,x_1,m_0\n1,,3\n4,5,6\n", 2, "x_1", "missing value"),
+    ("x_0,x_1,m_0\n1,2,3\n4,abc,6\n", 3, "x_1", "non-numeric token 'abc'"),
+    ("x_0,x_1,m_0\n1,2,3\n4,5,nan\n", 3, "m_0", "non-finite"),
+    ("x_0,x_1,m_0\n1,2,3\n\n4,-inf,6\n", 4, "x_1", "non-finite"),
+    ("x_0,x_b,m_0\n1,2,3\n4,5,6\n", 1, "x_b", "integer suffix"),
+])
+def test_malformed_mapped_csv_names_line_and_column(tmp_path, text, line, column, message):
+    with pytest.raises(ParseError, match=message) as info:
+        load_mapped_csv(_write(tmp_path, text))
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_mapped_csv_quoting_ignored_columns_and_suffix_order(tmp_path):
+    text = ('\ufeffx_10,note,x_2,m_1,m_0\n'        # a byte-order mark must not hide x_10
+            '"1.5","a, b",2,0.25,0.75\n'
+            '3,zz,"4",1,0\n')
+    original, mapped = load_mapped_csv(_write(tmp_path, text))
+    assert original.tolist() == [[2.0, 1.5], [4.0, 3.0]]
+    assert mapped.tolist() == [[0.75, 0.25], [0.0, 1.0]]
+    assert original.flags.c_contiguous and mapped.flags.c_contiguous
+
+
+def test_mapped_csv_needs_two_rows(tmp_path):
+    for text in ("x_0,m_0\n", "x_0,m_0\n1,2\n"):
+        with pytest.raises(DegenerateInput):
+            load_mapped_csv(_write(tmp_path, text))
+
+
+def test_lipschitz_cli_reports_parse_errors_with_exit_2(tmp_path, capsys):
+    from fairaudit.cli import main
+
+    path = _write(tmp_path, "x_0,x_1,m_0,m_1\n0,1,0,1\n1,0\n")
+    assert main(["lipschitz", "--data", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "line 3" in err and "'m_0'" in err
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 17, 64, 301])
+def test_pair_index_inverts_the_condensed_order(n):
+    i, j = _pair_index(np.arange(n * (n - 1) // 2), n)
+    rows, cols = np.triu_indices(n, 1)
+    assert np.array_equal(i, rows) and np.array_equal(j, cols)
+
+
+@_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    width=st.integers(1, 12),
+    metric=st.sampled_from(MAPPED_METRICS),
+    block=st.sampled_from([1, 7, 64, lipschitz._PAIR_BLOCK]),
+    data=st.data(),
+)
+def test_sampled_pairs_match_exhaustive_bit_for_bit(seed, n, width, metric, block, data):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-3, 4, width)
+    constant = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    x[:, constant] = rng.standard_normal(width)[constant]
+    weights = None
+    if metric == "gower" and data.draw(st.booleans()):
+        weights = rng.integers(0, 3, width).astype(float)
+        weights[rng.integers(width)] = 0.5
+    exhaustive = lipschitz._distances(x, metric, weights)
+    flat = rng.permutation(n * (n - 1) // 2)
+    i, j = _pair_index(flat, n)
+    with mock.patch.object(lipschitz, "_PAIR_BLOCK", block):
+        sampled = lipschitz._distances(x, metric, weights, i, j)
+    assert np.array_equal(sampled.view(np.int64), exhaustive[flat].view(np.int64))
