@@ -157,26 +157,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("audit", help="run fairness criteria over a CSV")
+    d = AuditConfig(data="", schema="")    # the one source of audit defaults
     p.add_argument("--data", required=True, help="input CSV with header")
     p.add_argument("--schema", required=True, help="JSON column config")
-    p.add_argument("--criteria", default="sp,eo,suff,isp,ieo,isuff",
+    p.add_argument("--criteria", default=",".join(d.criteria),
                    help="comma-separated ids (sp,eo,suff,isp,ieo,isuff,ftu,situation_testing)")
     p.add_argument("--st-columns", default=None,
                    help="comma-separated feature columns for situation_testing")
-    p.add_argument("--measure", default="mi", choices=["mi", "chi2", "ber"])
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--min-count", type=int, default=5, dest="min_count")
-    p.add_argument("--min-neighborhood", type=int, default=10, dest="min_neighborhood")
-    p.add_argument("--alpha", type=float, default=0.0, help="Laplace smoothing")
-    p.add_argument("--soft-measure", default="mi", choices=["mi", "rate"], dest="soft_measure")
+    p.add_argument("--measure", default=d.measure, choices=["mi", "chi2", "ber"])
+    p.add_argument("--threshold", type=float, default=d.threshold)
+    p.add_argument("--epsilon", type=float, default=d.epsilon)
+    p.add_argument("--delta", type=float, default=d.delta)
+    p.add_argument("--min-count", type=int, default=d.min_count, dest="min_count")
+    p.add_argument("--min-neighborhood", type=int, default=d.min_neighborhood,
+                   dest="min_neighborhood")
+    p.add_argument("--alpha", type=float, default=d.alpha, help="Laplace smoothing")
+    p.add_argument("--soft-measure", default=d.soft_measure, choices=["mi", "rate"],
+                   dest="soft_measure")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--knn", type=int, default=50, metavar="K")
-    group.add_argument("--ball", type=float, default=None, metavar="R")
+    group.add_argument("--knn", type=int, default=d.k, metavar="K")
+    group.add_argument("--ball", type=float, default=d.radius, metavar="R")
     p.add_argument("--weights", default=None, help="per-column distance weights, col=w,col=w")
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", default="json", choices=["json", "markdown"])
+    p.add_argument("--output", default=d.output)
+    p.add_argument("--format", default=d.format, choices=["json", "markdown"])
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("generate", help="write a scenario dataset and ground truth")

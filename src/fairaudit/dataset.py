@@ -60,7 +60,6 @@ class Column:
     codes: np.ndarray | None = None        # int64, categorical only
     categories: tuple[str, ...] | None = None
     values: np.ndarray | None = None       # float64, numeric only
-    positive_label: str | None = None
 
     @property
     def arity(self) -> int:
@@ -190,14 +189,16 @@ def _validate_schema(schema: Sequence[ColumnSchema], threshold: float | None) ->
 
 
 def _as_text_stream(source):
+    # utf-8-sig drops a leading byte-order mark, which would otherwise become
+    # part of the first header name
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), str(source), True
+        return open(source, "r", encoding="utf-8-sig", newline=""), str(source), True
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8")), "<bytes>", False
+        return io.StringIO(source.decode("utf-8-sig")), "<bytes>", False
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")
         return io.StringIO(data), getattr(source, "name", "<stream>"), False
     raise TypeError(f"unsupported CSV source {type(source)!r}")
 
@@ -286,17 +287,14 @@ def load_dataset(
         tokens = raw[c.name]
         if c.kind == "categorical":
             codes, cats = _encode_categorical(tokens)
-            col = Column(c.name, "categorical", codes=codes, categories=cats,
-                         positive_label=c.positive_label)
+            col = Column(c.name, "categorical", codes=codes, categories=cats)
         else:
             values = _parse_numeric(tokens, c.name, lines)
             if c.role == "prediction" or (c.role == "score" and threshold is not None):
                 codes, cats = _binarize(values, threshold)
-                col = Column(c.name, "categorical", codes=codes, categories=cats,
-                             positive_label=c.positive_label)
+                col = Column(c.name, "categorical", codes=codes, categories=cats)
             else:
-                col = Column(c.name, "numeric", values=values,
-                             positive_label=c.positive_label)
+                col = Column(c.name, "numeric", values=values)
         columns[c.name] = col
 
     by_role = {c.role: columns[c.name] for c in used if c.role in _UNIQUE_ROLES}

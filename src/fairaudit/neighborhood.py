@@ -11,9 +11,10 @@ records is high enough.
 Queries are exact.  For pure-numeric features a KD-tree prunes candidates
 (L1 metric on weighted scaled coordinates equals the record distance), but
 final membership is always decided by the canonical distance kernel, so
-tree-backed and linear-scan results are identical.  Both engines select
-the k nearest of a whole block of records at once and fall back to a
-per-record sort only for rows with a tie at the k-th neighbor.
+tree-backed and linear-scan results are identical.  Each engine only
+proposes candidates for a whole block of records; one selection step picks
+the k nearest, and rows with a tie at the k-th neighbor are settled by one
+bulk ball query.
 
 A NeighborIndex computes every record's neighborhood once per
 neighborhood spec and caches it, so the soft criteria of one audit (isp,
@@ -26,6 +27,7 @@ memory stays bounded at any radius.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +107,9 @@ class NeighborIndex:
 
     def ball(self, i: int, radius: float, include_self: bool = True) -> np.ndarray:
         """All records within `radius` of record i, in ascending index order."""
-        return self._ball_block(np.array([i]), radius, include_self)[0]
+        if radius <= 0:
+            raise InvalidParams("radius must be positive")
+        return self._ball_block(np.array([i]), radius, include_self)[1]
 
     # -- batched queries ----------------------------------------------------
 
@@ -146,10 +150,8 @@ class NeighborIndex:
         queries = np.arange(self.n, dtype=np.int64)
         step = _block_rows(self.n)
         for lo in range(0, self.n, step):
-            balls = self._ball_block(queries[lo:lo + step], nspec.radius, nspec.include_self)
-            offsets = np.zeros(len(balls) + 1, dtype=np.int64)
-            np.cumsum([len(ball) for ball in balls], out=offsets[1:])
-            block = (lo, offsets, np.concatenate(balls))
+            block = (lo, *self._ball_block(queries[lo:lo + step], nspec.radius,
+                                           nspec.include_self))
             yield block
             total += len(block[2])
             if total > _BALL_MEMO_CELLS:
@@ -180,23 +182,38 @@ class NeighborIndex:
             raise InvalidParams(f"k={k} out of range for n={self.n}")
 
     def _knn_block(self, queries: np.ndarray, k: int, include_self: bool):
+        # The engine yields, per block, at least k candidates per row with
+        # their exact distances (self at inf when excluded).  Untied rows keep
+        # their first k by (distance, index).  A tied row's k-th candidate
+        # distance r bounds its true k-th, so the ball of radius r holds its
+        # k nearest; one bulk ball query settles every tied row exactly.
         self._check_k(k, include_self)
         members = np.empty((len(queries), k), dtype=np.int64)
         dists = np.empty((len(queries), k))
-        if self._tree is not None:
-            self._knn_tree(queries, k, include_self, members, dists)
-        else:
-            self._knn_linear(queries, k, include_self, members, dists)
+        engine = self._knn_tree if self._tree is not None else self._knn_linear
+        for lo, cand, d, tied in engine(queries, k, include_self):
+            order = np.lexsort((cand, d), axis=-1)[:, :k]
+            members[lo:lo + len(cand)] = np.take_along_axis(cand, order, axis=1)
+            dists[lo:lo + len(cand)] = np.take_along_axis(d, order, axis=1)
+            tied_rows = lo + np.flatnonzero(tied)
+            step = _block_rows(self.n)     # a ball of duplicates holds every record
+            for t in range(0, len(tied_rows), step):
+                rows = tied_rows[t:t + step]
+                offsets, ball = self._ball_block(queries[rows], dists[rows, k - 1], include_self)
+                owner = np.repeat(np.arange(len(rows)), np.diff(offsets))
+                d_ball = self.space.pair_distances(queries[rows][owner], ball)
+                first_k = np.lexsort((ball, d_ball, owner))[offsets[:-1, None] + np.arange(k)]
+                members[rows] = ball[first_k]
+                dists[rows] = d_ball[first_k]
         return members, dists
 
-    def _knn_linear(self, queries, k, include_self, members, dists):
-        # The k+1 smallest distances of each row, ordered by (distance, index),
-        # settle its k nearest unless the (k+1)-th ties the k-th; only those
-        # rows need a full-row sort.  The block loop stays here rather than in
-        # the caller: a block's arrays then live until the next block's are
-        # allocated, and the allocator reuses their pages instead of returning
-        # and re-faulting them on every block (measured 2x slower on a 4000-
-        # record mixed audit).
+    def _knn_linear(self, queries, k, include_self):
+        # The k+1 smallest distances of each row settle its k nearest unless
+        # the (k+1)-th ties the largest of the other k.  The block loop stays
+        # here rather than in the caller: a block's arrays then live until the
+        # next block's are allocated, and the allocator reuses their pages
+        # instead of returning and re-faulting them on every block (measured
+        # 2x slower on a 4000-record mixed audit).
         width = min(k + 1, self.n)
         step = _block_rows(self.n)
         for lo in range(0, len(queries), step):
@@ -206,78 +223,67 @@ class NeighborIndex:
                 d[np.arange(len(q)), q] = np.inf
             cand = np.argpartition(d, width - 1, axis=1)[:, :width]
             cand_d = np.take_along_axis(d, cand, axis=1)
-            order = np.lexsort((cand, cand_d), axis=-1)
-            cand = np.take_along_axis(cand, order, axis=1)
-            cand_d = np.take_along_axis(cand_d, order, axis=1)
-            members[lo:lo + step] = cand[:, :k]
-            dists[lo:lo + step] = cand_d[:, :k]
             if width == k:
-                continue
-            for row in np.nonzero(cand_d[:, k] == cand_d[:, k - 1])[0]:
-                full = np.lexsort((np.arange(self.n), d[row]))[:k]
-                members[lo + row] = full
-                dists[lo + row] = d[row][full]
+                tied = np.zeros(len(q), dtype=bool)
+            else:
+                tied = cand_d[:, k] == cand_d[:, :k].max(axis=1)
+            yield lo, cand, cand_d, tied
 
-    def _knn_tree(self, queries, k, include_self, members, dists):
+    def _knn_tree(self, queries, k, include_self):
         # One tree query returns each row's kq nearest plus the next one.  When
         # that extra neighbor lies beyond the slack radius of the kq-th, the kq
-        # are exactly the records the radius admits, so one kernel call and
-        # one row-wise sort finish the row.  Otherwise (a tie under the
-        # pruning metric) the row re-queries the whole radius.
+        # are exactly the records the radius admits.  Otherwise (a tie under
+        # the pruning metric, or self excluded but not among the kq) the row
+        # is marked tied.
         kq = k if include_self else k + 1
         step = _block_rows(kq + 1)
         for lo in range(0, len(queries), step):
             q = queries[lo:lo + step]
             tree_d, cand = self._tree.query(self._coords[q], k=kq + 1, p=1.0, workers=1)
-            radius = tree_d[:, kq - 1] * (1.0 + _TREE_SLACK) + 1e-12
             cand = cand[:, :kq]
             owners = np.broadcast_to(q[:, None], cand.shape)
             d = self.space.pair_distances(owners.ravel(), cand.ravel()).reshape(cand.shape)
             is_self = cand == owners
             if not include_self:
                 d[is_self] = np.inf
-            order = np.lexsort((cand, d), axis=-1)[:, :k]
-            members[lo:lo + step] = np.take_along_axis(cand, order, axis=1)
-            dists[lo:lo + step] = np.take_along_axis(d, order, axis=1)
             # the second slack factor absorbs rounding differences between the
             # tree's nearest-neighbor and radius searches
-            requery = tree_d[:, kq] <= radius * (1.0 + _TREE_SLACK)
+            radius = tree_d[:, kq - 1] * (1.0 + _TREE_SLACK) + 1e-12
+            tied = tree_d[:, kq] <= radius * (1.0 + _TREE_SLACK)
             if not include_self:
-                requery |= ~is_self.any(axis=1)
-            for row in np.nonzero(requery)[0]:
-                qi = q[row]
-                ball = self._tree.query_ball_point(self._coords[qi], radius[row], p=1.0)
-                ball = np.asarray(ball, dtype=np.int64)
-                if not include_self:
-                    ball = ball[ball != qi]
-                d_ball = self.space.pair_distances(np.full(ball.shape, qi), ball)
-                best = np.lexsort((ball, d_ball))[:k]
-                members[lo + row] = ball[best]
-                dists[lo + row] = d_ball[best]
+                tied |= ~is_self.any(axis=1)
+            yield lo, cand, d, tied
 
-    def _ball_block(self, queries: np.ndarray, radius: float, include_self: bool):
-        if radius <= 0:
-            raise InvalidParams("radius must be positive")
-        out = []
+    def _ball_block(self, queries: np.ndarray, radius, include_self: bool):
+        """Records within `radius` (a scalar or one per query) of each query.
+
+        Returns CSR arrays (offsets, members), each query's members in
+        ascending index order.  The radius may be 0 (exact duplicates only).
+        """
+        radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), queries.shape)
         if self._tree is not None:
             cands = self._tree.query_ball_point(
-                self._coords[queries], radius * (1.0 + _TREE_SLACK) + 1e-12, p=1.0, workers=1
-            )
-            for row, qi in enumerate(queries):
-                cand = np.sort(np.asarray(cands[row], dtype=np.int64))
-                d = self.space.pair_distances(np.full(cand.shape, qi), cand)
-                keep = cand[d <= radius]
-                if not include_self:
-                    keep = keep[keep != qi]
-                out.append(keep)
+                self._coords[queries], radius * (1.0 + _TREE_SLACK) + 1e-12, p=1.0,
+                workers=1, return_sorted=True)
+            sizes = np.fromiter(map(len, cands), dtype=np.int64, count=len(queries))
+            members = np.fromiter(itertools.chain.from_iterable(cands), dtype=np.int64,
+                                  count=sizes.sum())
+            row = np.repeat(np.arange(len(queries)), sizes)
+            owner = queries[row]
+            keep = self.space.pair_distances(owner, members) <= radius[row]
+            if not include_self:
+                keep &= members != owner
+            members = members[keep]
+            sizes = np.bincount(row[keep], minlength=len(queries))
         else:
-            d = self.space.block_distances(queries)
-            for row, qi in enumerate(queries):
-                keep = np.nonzero(d[row] <= radius)[0]
-                if not include_self:
-                    keep = keep[keep != qi]
-                out.append(keep.astype(np.int64))
-        return out
+            inside = self.space.block_distances(queries) <= radius[:, None]
+            if not include_self:
+                inside[np.arange(len(queries)), queries] = False
+            sizes = inside.sum(axis=1)
+            members = np.flatnonzero(inside) - np.repeat(np.arange(len(queries)) * self.n, sizes)
+        offsets = np.zeros(len(queries) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        return offsets, members
 
 
 def build_index(dataset: Dataset, dist: DistanceSpec | None = None) -> NeighborIndex:

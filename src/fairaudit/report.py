@@ -220,7 +220,7 @@ def _exact_result_dict(result: CriterionResult) -> dict:
     return entry
 
 
-def _soft_result_dict(result: SoftResult, threshold_note: str | None = None) -> dict:
+def _soft_result_dict(result: SoftResult) -> dict:
     nspec = result.neighborhood
     entry = {
         "id": result.criterion.id,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .criteria import list_criteria
 from .dataset import Column, Dataset, Provenance
 from .errors import InvalidParams, UnknownScenario
 from .measures import mi_nats
@@ -39,17 +40,6 @@ SCENARIO_NAMES = (
     "suff_holds_eo_fails",
     "illegal_proxy",
 )
-
-_CRITERION_AXES = {
-    # (left, right, given) in terms of axis roles; 'X' expands to all features
-    "sp": ("yhat", "s", ()),
-    "eo": ("yhat", "s", ("y",)),
-    "suff": ("y", "s", ("yhat",)),
-    "isp": ("yhat", "s", ("X",)),
-    "ieo": ("yhat", "s", ("y", "X")),
-    "isuff": ("y", "s", ("yhat", "X")),
-}
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -125,13 +115,10 @@ def _population_cmi(joint: np.ndarray, left: int, right: int, given: tuple) -> f
     p = np.moveaxis(p, keep, range(-len(keep), 0))
     p = p.reshape((-1,) + p.shape[-2:])
     weights = p.sum(axis=(1, 2))
-    total = 0.0
-    for g in range(p.shape[0]):
-        w = weights[g]
-        if w <= 0.0:
-            continue
-        total += w * float(mi_nats(p[g] / w))
-    return total
+    live = weights > 0.0
+    values = weights[live] * mi_nats(p[live] / weights[live, None, None])
+    # cumsum adds in stratum order, as a running total would
+    return float(np.cumsum(values)[-1])
 
 
 def _verdict_from_cmi(value: float) -> str:
@@ -145,18 +132,13 @@ def _verdict_from_cmi(value: float) -> str:
 def _verdicts_from_law(law: _DiscreteLaw) -> dict:
     joint = law.joint()
     m = len(law.features)
-    axis = {"s": 0, "y": m + 1, "yhat": m + 2}
-    feature_axes = tuple(range(1, m + 1))
+    axes = {"sensitive": (0,), "target": (m + 1,), "prediction": (m + 2,),
+            "features": tuple(range(1, m + 1))}
     verdicts = {}
-    for cid, (left, right, given) in _CRITERION_AXES.items():
-        given_axes = []
-        for token in given:
-            if token == "X":
-                given_axes.extend(feature_axes)
-            else:
-                given_axes.append(axis[token])
-        value = _population_cmi(joint, axis[left], axis[right], tuple(given_axes))
-        verdicts[cid] = _verdict_from_cmi(value)
+    for spec in list_criteria():
+        given = tuple(ax for token in spec.given for ax in axes[token])
+        value = _population_cmi(joint, *axes[spec.left], *axes[spec.right], given)
+        verdicts[spec.id] = _verdict_from_cmi(value)
     verdicts["ftu"] = verdicts["isp"]  # same formal condition
     return verdicts
 
@@ -300,7 +282,7 @@ def _merge_params(name: str, defaults: dict, params: dict) -> dict:
     return merged
 
 
-def _categorical_column(name: str, codes: np.ndarray, positive_label=None) -> Column:
+def _categorical_column(name: str, codes: np.ndarray) -> Column:
     # single-digit category names keep lexicographic order == numeric order,
     # so a CSV round trip reproduces the same encoding
     observed = np.unique(codes)
@@ -309,8 +291,7 @@ def _categorical_column(name: str, codes: np.ndarray, positive_label=None) -> Co
     remapped = np.searchsorted(observed, codes)
     categories = tuple(str(int(v)) for v in observed)
     remapped.flags.writeable = False
-    return Column(name, "categorical", codes=remapped, categories=categories,
-                  positive_label=positive_label)
+    return Column(name, "categorical", codes=remapped, categories=categories)
 
 
 def _numeric_column(name: str, values: np.ndarray) -> Column:
@@ -347,7 +328,7 @@ def _generate_planted(spec: ScenarioSpec, params: dict):
             f"scenario:{spec.name}(n={n},seed={spec.seed})", "error", None, 0
         ),
     )
-    verdicts = {cid: "unconstrained" for cid in _CRITERION_AXES}
+    verdicts = {c.id: "unconstrained" for c in list_criteria()}
     verdicts["isp"] = "violated"       # by construction, via soft conditioning
     verdicts["ftu"] = "violated"
     truth = GroundTruth(

@@ -192,3 +192,15 @@ def test_non_finite_numeric_token_rejected(token):
     assert err.value.line == 3
     assert err.value.column == "age"
     assert "non-finite" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "stream"])
+def test_byte_order_mark_is_not_part_of_the_first_header(kind, tmp_path):
+    blob = "\ufeffs,y,yhat\na,0,0\nb,1,1\n".encode("utf-8")
+    path = tmp_path / "bom.csv"
+    path.write_bytes(blob)
+    source = {"path": str(path), "bytes": blob, "stream": io.BytesIO(blob)}[kind]
+    ds = load_dataset(source, _schema())
+    assert ds.n == 2
+    assert ds.s.name == "s"
+    assert ds.s.categories == ("a", "b")

@@ -77,6 +77,7 @@ def _boundary_ties(sorted_d, k):
 def test_knn_engines_match_brute_force_oracle():
     requeried = []
     scan_ties = []
+    scan_fallbacks = []
 
     @_SETTINGS
     @given(
@@ -97,6 +98,9 @@ def test_knn_engines_match_brute_force_oracle():
         want_m, want_d, d = _oracle(tree, k, include_self)
 
         tree._tree = _BallCounter(tree._tree)
+        fallback_rows = []
+        ball_block = scan._ball_block
+        scan._ball_block = lambda q, r, s: fallback_rows.append(len(q)) or ball_block(q, r, s)
         queries = np.arange(n)
         for index in (tree, scan):
             members, dists = index._knn_block(queries, k, include_self)
@@ -104,10 +108,60 @@ def test_knn_engines_match_brute_force_oracle():
             assert np.array_equal(dists, want_d)
         requeried.append(tree._tree.ball_queries)
         scan_ties.append(_boundary_ties(np.sort(d, axis=1), k))
+        # every tied scan row, and only those, is settled by the bulk ball query
+        assert sum(fallback_rows) == scan_ties[-1]
+        scan_fallbacks.append(sum(fallback_rows))
 
     check()
     assert sum(requeried) > 0     # the tree engine's tie re-query path ran
     assert sum(scan_ties) > 0     # and so did the scan engine's full-row sort
+    assert sum(scan_fallbacks) > 0
+
+
+def test_ball_block_engines_match_brute_force_oracle():
+    zero_radius_duplicates = []
+
+    @_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1024, 1100),
+        levels=st.sampled_from([3, 8, 40]),
+        categorical=st.sampled_from([0, 1]),
+        include_self=st.booleans(),
+        data=st.data(),
+    )
+    def check(seed, n, levels, categorical, include_self, data):
+        ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=categorical)
+        tree = build_index(ds)
+        scan = build_index(ds)
+        scan._tree = None
+        engines = (tree, scan) if categorical == 0 else (scan,)
+        assert (tree._tree is not None) == (categorical == 0)
+        queries = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40),
+                                     label="queries"))
+        radius = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.0 / levels, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0),
+            min_size=len(queries), max_size=len(queries)), label="radius"))
+        d = scan.space.block_distances(queries)
+        want = [np.flatnonzero(row <= r) for row, r in zip(d, radius)]
+        if not include_self:
+            want = [w[w != q] for w, q in zip(want, queries)]
+        for index in engines:
+            offsets, members = index._ball_block(queries, radius, include_self)
+            assert offsets[0] == 0 and len(offsets) == len(queries) + 1
+            for row, w in enumerate(want):
+                assert np.array_equal(members[offsets[row]:offsets[row + 1]], w)
+            offsets, members = index._ball_block(queries, radius[0], include_self)
+            scalar = [np.flatnonzero(row <= radius[0]) for row in d]
+            if not include_self:
+                scalar = [w[w != q] for w, q in zip(scalar, queries)]
+            assert np.array_equal(members, np.concatenate(scalar))
+            assert np.array_equal(np.diff(offsets), [len(w) for w in scalar])
+        zero_radius_duplicates.append(sum(len(w) > include_self
+                                          for w, r in zip(want, radius) if r == 0.0))
+
+    check()
+    assert sum(zero_radius_duplicates) > 0   # radius 0 found exact duplicates
 
 
 def test_mixed_scan_matches_oracle_and_shared_index_matches_fresh():

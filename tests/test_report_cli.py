@@ -192,3 +192,15 @@ def test_situation_testing_via_cli(tmp_path):
     assert by_id["isp"]["passed"] is True
     assert by_id["situation_testing"]["passed"] is False
     assert by_id["situation_testing"]["condition"] == "Ŷ ⊥ S | x0"
+
+
+def test_bare_audit_command_parses_to_the_config_defaults(monkeypatch):
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise RuntimeError("stop before loading")
+
+    monkeypatch.setattr("fairaudit.cli.run_audit", capture)
+    assert main(["audit", "--data", "x.csv", "--schema", "y.json"]) == 2
+    assert seen == [AuditConfig(data="x.csv", schema="y.json")]
