@@ -29,6 +29,7 @@ from .errors import (
 )
 from .measures import (
     MeasureValue,
+    StratumValues,
     conditional_mutual_information,
     stratified_balanced_error_ratio,
     stratified_chi_square,
@@ -110,7 +111,7 @@ class CriterionResult:
     measure_kind: str
     passed: bool
     threshold: float
-    per_stratum: list | None
+    per_stratum: StratumValues | None
     dropped_mass: float
     mode: str = "exact"
 

@@ -10,11 +10,13 @@ always agree on the encoding.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -155,6 +157,10 @@ def load_schema_config(source) -> tuple[list[ColumnSchema], float | None, str]:
         cfg = json.load(source)
     if "columns" not in cfg or not cfg["columns"]:
         raise RoleViolation("config must declare a non-empty 'columns' list")
+    for i, c in enumerate(cfg["columns"]):
+        for key in ("name", "role", "kind"):
+            if not (isinstance(c, dict) and isinstance(c.get(key), str)):
+                raise RoleViolation(f"columns[{i}] needs a string {key!r}")
     schema = [
         ColumnSchema(
             name=c["name"],
@@ -165,6 +171,10 @@ def load_schema_config(source) -> tuple[list[ColumnSchema], float | None, str]:
         for c in cfg["columns"]
     ]
     threshold = cfg.get("threshold")
+    # type(), not isinstance(): a JSON true or false must not pass as 1 or 0
+    if threshold is not None and (type(threshold) not in (int, float)
+                                  or not math.isfinite(threshold)):
+        raise RoleViolation(f"'threshold' must be a finite number, got {threshold!r}")
     missing = cfg.get("missing", "error")
     if missing not in ("error", "drop"):
         raise RoleViolation(f"missing mode must be 'error' or 'drop', got {missing!r}")
@@ -255,6 +265,9 @@ def load_dataset(
         for col in schema:
             if col.name not in header:
                 raise MissingColumn(f"column {col.name!r} not in CSV header")
+            if header.count(col.name) > 1:
+                raise ParseError(f"header names column {col.name!r} {header.count(col.name)} "
+                                 "times", line=1)
             positions[col.name] = header.index(col.name)
 
         used = [c for c in schema if c.role != "ignore"]
@@ -346,7 +359,42 @@ def save_csv(dataset: Dataset, target) -> None:
             fh.close()
 
 
-def stratify(dataset: Dataset, condition_columns: Iterable[str]) -> dict[tuple[int, ...], np.ndarray]:
+class Strata(Mapping):
+    """Read-only view of a stratification: stratum key -> ascending record indices.
+
+    Strata are numbered in lexicographic key order: labels[i] is record i's
+    stratum g, sizes[g] its record count and codes[g] its key as a row of a
+    (G, m) int64 array.  Stratum g owns order[bounds[g]:bounds[g + 1]];
+    order, bounds and the index slices are computed only on access.
+    """
+
+    def __init__(self, labels: np.ndarray, sizes: np.ndarray, codes: np.ndarray):
+        self.labels, self.sizes, self.codes = labels, sizes, codes
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        return np.argsort(self.labels, kind="stable")
+
+    @functools.cached_property
+    def bounds(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.sizes)))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(tuple, self.codes.tolist())
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {key: g for g, key in enumerate(self)}
+
+    def __getitem__(self, key) -> np.ndarray:
+        g = self._index[key]
+        return self.order[self.bounds[g]:self.bounds[g + 1]]
+
+
+def stratify(dataset: Dataset, condition_columns: Iterable[str]) -> Strata:
     """Partition record indices by exact value combination of the given columns.
 
     Keys are tuples of category codes, iterated in lexicographic order; each
@@ -368,8 +416,13 @@ def stratify(dataset: Dataset, condition_columns: Iterable[str]) -> dict[tuple[i
             span = len(distinct)
         key = key * c.arity + c.codes
         span *= c.arity
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    bounds = starts.tolist() + [len(order)]
-    keys = zip(*(c.codes[order[starts]].tolist() for c in cols)) if cols else [()]
-    return {k: order[a:b] for k, a, b in zip(keys, bounds, bounds[1:])}
+    distinct, labels = np.unique(key, return_inverse=True)
+    member = np.empty(len(distinct), dtype=np.int64)
+    member[labels] = np.arange(dataset.n)      # any one record of each stratum
+    codes = np.empty((len(distinct), len(cols)), dtype=np.int64)
+    for j, c in enumerate(cols):
+        codes[:, j] = c.codes[member]
+    sizes = np.bincount(labels, minlength=len(distinct))
+    for arr in (labels, sizes, codes):
+        arr.flags.writeable = False
+    return Strata(labels, sizes, codes)

@@ -18,6 +18,7 @@ so every value equals the one a per-table loop gives, bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,18 +64,32 @@ def _in_stratum_order(terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
-def _per_stratum(strata: StratifiedTables, kind: str, values: np.ndarray, aux: dict,
-                 vacuous: np.ndarray | None = None, vacuous_aux: dict | None = None) -> list:
-    """(key, MeasureValue, weight) per stratum; vacuous strata get value 0 and vacuous_aux."""
-    names = list(aux)
-    rows = zip(*(aux[name].tolist() for name in names))
-    skips = vacuous.tolist() if vacuous is not None else [False] * len(values)
-    return [
-        (key, MeasureValue(kind, 0.0, dict(vacuous_aux)) if skip
-         else MeasureValue(kind, value, dict(zip(names, row))), weight)
-        for key, value, weight, skip, row in zip(
-            strata.keys, values.tolist(), strata.weights.tolist(), skips, rows)
-    ]
+class StratumValues(Sequence):
+    """(key, MeasureValue, weight) per stratum, built on access from columns.
+
+    keys is the (G, m) int64 code array; values, weights and each aux entry
+    are (G,) columns.  Vacuous strata read as value 0 with vacuous_aux.
+    `rendered` keeps writers' text of the rows, which ftu shares with isp.
+    """
+
+    def __init__(self, kind: str, keys: np.ndarray, values: np.ndarray, weights: np.ndarray,
+                 aux: dict, vacuous: np.ndarray | None = None, vacuous_aux: dict | None = None):
+        self.vacuous = np.zeros(len(values), dtype=bool) if vacuous is None else vacuous
+        self.kind, self.keys, self.weights, self.aux = kind, keys, weights, aux
+        self.values = np.where(self.vacuous, 0.0, values)
+        self.vacuous_aux = dict(vacuous_aux or {})
+        self.rendered: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int):
+        if self.vacuous[i]:
+            mv = MeasureValue(self.kind, 0.0, dict(self.vacuous_aux))
+        else:
+            mv = MeasureValue(self.kind, self.values[i].item(),
+                              {name: col[i].item() for name, col in self.aux.items()})
+        return tuple(self.keys[i].tolist()), mv, self.weights[i].item()
 
 
 def rate_gap(counts: np.ndarray) -> np.ndarray:
@@ -151,7 +166,8 @@ def conditional_mutual_information(strata: StratifiedTables, alpha: float = 0.0)
     return MeasureValue(
         kind="mutual_information",
         value=_in_stratum_order(strata.weights * values),
-        aux={"per_stratum": _per_stratum(strata, "mutual_information", values, aux),
+        aux={"per_stratum": StratumValues("mutual_information", strata.keys, values,
+                                          strata.weights, aux),
              "dropped_mass": strata.dropped_mass},
     )
 
@@ -211,8 +227,8 @@ def stratified_chi_square(strata: StratifiedTables, alpha: float = 0.0) -> Measu
     """
     stat, dof = _chi_square_core(strata.table.counts)
     vacuous = dof == 0
-    per_stratum = _per_stratum(
-        strata, "chi_square", stat,
+    per_stratum = StratumValues(
+        "chi_square", strata.keys, stat, strata.weights,
         {"dof": dof, "p_value": chi2_sf(stat, np.maximum(dof, 1)),
          "rate_gap": rate_gap(strata.table.counts)},
         vacuous, {"dof": 0, "degenerate": True},
@@ -293,8 +309,8 @@ def stratified_balanced_error_ratio(strata: StratifiedTables, alpha: float = 0.0
     max_ber = np.where(vacuous, 0.0, max_ber)
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = value / max_ber
-    per_stratum = _per_stratum(
-        strata, "balanced_error_ratio", value,
+    per_stratum = StratumValues(
+        "balanced_error_ratio", strata.keys, value, strata.weights,
         {"max_ber": max_ber, "normalized": normalized, "rate_gap": rate_gap(counts)},
         vacuous, {"degenerate": True},
     )

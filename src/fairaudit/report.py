@@ -13,6 +13,7 @@ from __future__ import annotations
 import json.encoder
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from .criteria import (
 from .dataset import Dataset, load_dataset, load_schema_config
 from .distance import DistanceSpec
 from .errors import EmptySelection, InvalidParams
+from .measures import StratumValues
 from .neighborhood import (
     DEFAULT_DELTA,
     DEFAULT_EPSILON,
@@ -105,6 +107,13 @@ class Report:
     all_passed: bool
 
     def to_dict(self) -> dict:
+        """The report as plain JSON values, per-stratum rows as lists of dicts."""
+        doc = self._document()
+        doc["results"] = [{k: list(v) if isinstance(v, _StratumRows) else v
+                           for k, v in entry.items()} for entry in self.results]
+        return doc
+
+    def _document(self) -> dict:
         return {
             "schema_version": 1,
             "tool": {"name": "fairaudit", "version": __version__},
@@ -128,6 +137,73 @@ def _fmt_float(x: float) -> str:
     if not any(c in s for c in ".eE"):
         s += ".0"
     return s
+
+
+def _column_text(values: np.ndarray, fmt) -> np.ndarray:
+    """fmt over a numeric column as an object array of str, once per distinct value.
+
+    Values are told apart by their bits, so -0.0 keeps its sign.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([fmt(x) for x in bits.view(values.dtype).tolist()], dtype=object)[inverse]
+
+
+class _StratumRows(Sequence):
+    """The per_stratum rows of an exact result, read from its StratumValues columns.
+
+    A row is {key, value, weight}, plus rate_gap where the stratum's aux has
+    one (vacuous strata have none) and degenerate: true on vacuous strata
+    that the measure marks so.  Row dicts are built on access; the JSON
+    writer writes the whole block from the columns at once.
+    """
+
+    def __init__(self, strata: StratumValues):
+        none = np.zeros(len(strata), dtype=bool)
+        self.strata = strata
+        self.gap = strata.aux.get("rate_gap")
+        self.has_gap = none if self.gap is None else ~strata.vacuous
+        self.degenerate = strata.vacuous if strata.vacuous_aux.get("degenerate") else none
+
+    def __len__(self) -> int:
+        return len(self.strata)
+
+    def __getitem__(self, i: int) -> dict:
+        s = self.strata
+        row = {"key": s.keys[i].tolist(), "value": s.values[i].item(),
+               "weight": s.weights[i].item()}
+        if self.has_gap[i]:
+            row["rate_gap"] = self.gap[i].item()
+        if self.degenerate[i]:
+            row["degenerate"] = True
+        return row
+
+    def json(self, indent: int, level: int) -> str:
+        """The text _write_json gives the list of these rows at `level`; kept on the strata."""
+        layout = ("json", indent, level)
+        if layout not in self.strata.rendered:
+            self.strata.rendered[layout] = self._json(indent, level) if len(self) else "[]"
+        return self.strata.rendered[layout]
+
+    def _json(self, indent: int, level: int) -> str:
+        s = self.strata
+        pad, p1, p2, p3 = (" " * (indent * (level + d)) for d in range(4))
+        m = s.keys.shape[1]
+        parts = [p1 + "{\n" + p2 + '"key": [' + ("\n" + p3 if m else "")]
+        for j, code in enumerate(s.keys.T):
+            parts += [_column_text(code, str), ",\n" + p3 if j < m - 1 else "\n" + p2]
+        parts += ["],\n" + p2 + '"value": ', _column_text(s.values, _fmt_float),
+                  ",\n" + p2 + '"weight": ',
+                  _column_text(s.weights, _fmt_float)]
+        if self.has_gap.any():
+            gap = np.where(self.has_gap, self.gap, 0.0)    # vacuous rows' gaps are not written
+            parts.append(np.where(self.has_gap, ",\n" + p2 + '"rate_gap": '
+                                  + _column_text(gap, _fmt_float), ""))
+        parts += [np.where(self.degenerate, ",\n" + p2 + '"degenerate": true', ""),
+                  "\n" + p1 + "},\n"]
+        table = np.empty((len(s), len(parts)), dtype=object)
+        for j, part in enumerate(parts):
+            table[:, j] = part
+        return "[\n" + "".join(table.ravel().tolist())[:-2] + "\n" + pad + "]"
 
 
 def _write_json(obj, out: list, indent: int, level: int) -> None:
@@ -170,6 +246,8 @@ def _write_json(obj, out: list, indent: int, level: int) -> None:
             _write_json(value, out, indent, level + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(pad + "]")
+    elif isinstance(obj, _StratumRows):
+        out.append(obj.json(indent, level))
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -182,10 +260,6 @@ def canonical_json(obj, indent: int = 2) -> str:
 
 
 # -- result serialization ----------------------------------------------------------
-
-def _round_key(key) -> list:
-    return [int(v) for v in key]
-
 
 def _exact_result_dict(result: CriterionResult) -> dict:
     mv = result.measure
@@ -208,15 +282,7 @@ def _exact_result_dict(result: CriterionResult) -> dict:
         "dropped_mass": result.dropped_mass,
     }
     if result.per_stratum is not None:
-        rows = []
-        for key, smv, weight in result.per_stratum:
-            row = {"key": _round_key(key), "value": smv.value, "weight": weight}
-            if "rate_gap" in smv.aux:
-                row["rate_gap"] = smv.aux["rate_gap"]
-            if smv.aux.get("degenerate"):
-                row["degenerate"] = True
-            rows.append(row)
-        entry["per_stratum"] = rows
+        entry["per_stratum"] = _StratumRows(result.per_stratum)
     return entry
 
 
@@ -280,6 +346,9 @@ def run_audit(config: AuditConfig, dataset: Dataset | None = None) -> Report:
         dataset = load_dataset(config.data, schema, threshold=threshold, missing=missing)
 
     warnings: list[str] = []
+    if dataset.provenance.dropped_rows:
+        warnings.append(f"load: dropped {dataset.provenance.dropped_rows} rows with missing "
+                        f"cells (missing={dataset.provenance.missing})")
     results: list[dict] = []
     timing: dict[str, float] = {}
     all_passed = True
@@ -354,7 +423,7 @@ def run_audit(config: AuditConfig, dataset: Dataset | None = None) -> Report:
 def render(report: Report, format: str = "json") -> bytes:
     """Serialize a report; JSON is canonical, markdown is for reading."""
     if format == "json":
-        return canonical_json(report.to_dict()).encode("utf-8")
+        return canonical_json(report._document()).encode("utf-8")
     if format == "markdown":
         return _render_markdown(report).encode("utf-8")
     raise InvalidParams(f"unknown report format {format!r}")

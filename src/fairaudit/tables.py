@@ -91,28 +91,29 @@ class _Entries(Sequence):
 
     def __getitem__(self, i: int):
         s = self._strata
-        return s.keys[i], ContingencyTable(s.table.counts[i]), float(s.weights[i])
+        return tuple(s.keys[i].tolist()), ContingencyTable(s.table.counts[i]), float(s.weights[i])
 
 
 class StratifiedTables:
     """The retained strata of one stratification as a single (G, R, C) count stack.
 
-    keys[g] is stratum g's tuple of condition codes (lexicographic order),
-    table.counts[g] its counts and weights[g] its record fraction of the
-    whole dataset; the weights plus dropped_mass sum to one.
+    keys[g] is stratum g's row of condition codes in a (G, m) int64 array
+    (lexicographic order), table.counts[g] its counts and weights[g] its
+    record fraction of the whole dataset; weights and dropped_mass sum to one.
     """
 
     def __init__(self, entries, dropped_mass: float, min_count: int):
         """Collect (key, ContingencyTable, weight) triples into one stack."""
         keys, tables, weights = zip(*entries) if entries else ((), (), ())
         counts = np.stack([table.counts for table in tables]) if tables else np.zeros((0, 1, 1))
-        self._set(list(keys), ContingencyTable(counts), np.array(weights, dtype=np.float64),
+        codes = np.array(keys, dtype=np.int64) if keys else np.zeros((0, 0), dtype=np.int64)
+        self._set(codes, ContingencyTable(counts), np.array(weights, dtype=np.float64),
                   dropped_mass, min_count)
 
     @classmethod
     def stacked(cls, keys, table: ContingencyTable, weights: np.ndarray,
                 dropped_mass: float, min_count: int) -> "StratifiedTables":
-        """From the keys, (G, R, C) table and weights of the retained strata."""
+        """From the (G, m) key codes, (G, R, C) table and weights of the retained strata."""
         strata = cls.__new__(cls)
         strata._set(keys, table, weights, dropped_mass, min_count)
         return strata
@@ -173,21 +174,17 @@ def stratified_contingency(
         raise SameVariable(f"{row_var!r} and {col_var!r} resolve to the same column")
     r, c = row.arity, col.arity
     strata = stratify(dataset, condition_columns)
-    groups = list(strata.values())
-    sizes = np.array([len(idx) for idx in groups], dtype=np.int64)
-    members = np.concatenate(groups)
-    stratum = np.repeat(np.arange(len(groups)), sizes)
-    flat = (stratum * r + row.codes[members]) * c + col.codes[members]
-    counts = np.bincount(flat, minlength=len(groups) * r * c).reshape(-1, r, c)
+    sizes = strata.sizes
+    flat = (strata.labels * r + row.codes) * c + col.codes
+    counts = np.bincount(flat, minlength=len(sizes) * r * c).reshape(-1, r, c)
     kept = sizes >= min_count
     if not kept.any():
         raise AllStrataDropped(
             f"no stratum reaches min_count={min_count}; use soft conditioning"
         )
     n = dataset.n
-    keys = [key for key, keep in zip(strata, kept.tolist()) if keep]
     return StratifiedTables.stacked(
-        keys, ContingencyTable(counts[kept]), sizes[kept] / n,
+        strata.codes[kept], ContingencyTable(counts[kept]), sizes[kept] / n,
         dropped_mass=int(sizes[~kept].sum()) / n, min_count=min_count,
     )
 

@@ -1,7 +1,10 @@
+import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit.dataset import ColumnSchema, load_dataset, load_schema_config, save_csv, stratify
 from fairaudit.errors import (
@@ -204,3 +207,78 @@ def test_byte_order_mark_is_not_part_of_the_first_header(kind, tmp_path):
     assert ds.n == 2
     assert ds.s.name == "s"
     assert ds.s.categories == ("a", "b")
+
+
+def _config(columns=None, **extra):
+    columns = columns or [
+        {"name": "s", "role": "sensitive", "kind": "categorical"},
+        {"name": "y", "role": "target", "kind": "categorical"},
+        {"name": "p", "role": "prediction", "kind": "numeric"},
+    ]
+    return {"columns": columns, **extra}
+
+
+@pytest.mark.parametrize("key", ["name", "role", "kind"])
+def test_schema_config_column_missing_a_field_rejected(key):
+    cfg = _config()
+    del cfg["columns"][1][key]
+    with pytest.raises(RoleViolation) as err:
+        load_schema_config(cfg)
+    assert "columns[1]" in str(err.value) and repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("key,value", [("name", 3), ("role", None), ("kind", ["numeric"])])
+def test_schema_config_non_string_column_field_rejected(key, value):
+    cfg = _config()
+    cfg["columns"][2][key] = value
+    with pytest.raises(RoleViolation) as err:
+        load_schema_config(cfg)
+    assert "columns[2]" in str(err.value) and repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("threshold", ["0.5", True, False, float("nan"), float("inf"), [0.5]])
+def test_schema_config_threshold_must_be_a_finite_number(threshold):
+    with pytest.raises(RoleViolation) as err:
+        load_schema_config(_config(threshold=threshold))
+    assert "'threshold'" in str(err.value)
+
+
+def test_schema_config_integer_threshold_accepted():
+    assert load_schema_config(_config(threshold=1))[1] == 1
+
+
+def test_duplicated_header_name_is_a_parse_error_at_line_1():
+    with pytest.raises(ParseError) as err:
+        _load("s,y,yhat,s\na,0,0,b\nb,1,1,a\n", _schema())
+    assert err.value.line == 1
+    assert "'s'" in str(err.value)
+
+
+def test_duplicated_unreferenced_header_name_is_allowed():
+    ds = _load("s,y,yhat,z,z\na,0,0,1,2\nb,1,1,3,4\n", _schema())
+    assert ds.n == 2
+
+
+_CELL = st.text(alphabet=st.sampled_from(list('ab,"\n\r \u00e9\u4e2d\ufeff')),
+                min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(_CELL, _CELL, _CELL), min_size=1, max_size=12),
+       s_first=st.sampled_from(["\ufeffa", " b ", 'c,"d"']))
+def test_csv_round_trip_with_quoting_and_unicode(rows, s_first):
+    # s needs two categories; the first row's sensitive cell varies the text
+    s = [s_first] + ["x" if i % 2 else "y" for i in range(1, len(rows) + 1)]
+    schema = _schema([ColumnSchema("x1", "feature", "categorical")])
+    lines = [["s", "y", "yhat", "x1"]] + [[s[i], *row] for i, row in enumerate(rows)]
+    buf = io.StringIO()
+    csv.writer(buf).writerows(lines + [["y", "0", "0", "0"]])
+    ds = load_dataset(io.BytesIO(buf.getvalue().encode("utf-8")), schema)
+    out = io.StringIO()
+    save_csv(ds, out)
+    again = load_dataset(io.BytesIO(out.getvalue().encode("utf-8")), schema)
+    assert ds.equals(again)
+    for name in ("sensitive", "target", "prediction", "x1"):
+        assert again.column(name).categories == ds.column(name).categories
+    assert ds.s.categories[ds.s.codes[0]] == s_first
+    assert ds.column("x1").categories[ds.column("x1").codes[0]] == rows[0][2]

@@ -12,10 +12,13 @@ intended output change:
 
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from fairaudit.dataset import ColumnSchema, load_dataset
-from fairaudit.report import AuditConfig, canonical_json, run_audit
+from fairaudit.report import AuditConfig, canonical_json, render, run_audit
 from fairaudit.rng import CounterRng
 
 DATA = Path(__file__).parent / "data"
@@ -43,11 +46,15 @@ def _dataset(n=900, seed=20260):
     return load_dataset(io.BytesIO(("\n".join(rows) + "\n").encode()), schema)
 
 
-def _report(measure: str) -> str:
+def _full_report(measure: str):
     config = AuditConfig(data="pinned.csv", schema="pinned_schema.json", criteria=CRITERIA,
                          situation_columns=["x0", "x2"], measure=measure,
                          alpha=MEASURES[measure])
-    doc = run_audit(config, dataset=_dataset()).to_dict()
+    return run_audit(config, dataset=_dataset())
+
+
+def _report(measure: str) -> str:
+    doc = _full_report(measure).to_dict()
     del doc["timing"]
     return canonical_json(doc)
 
@@ -86,6 +93,24 @@ def test_chi2_report_pinned_up_to_p_value_rounding():
     assert got == want    # statistics, dof, per-stratum rows and verdicts exactly
     assert len(got_p) == len(want_p) > 0
     assert all(abs(g - w) <= P_VALUE_TOL for g, w in zip(got_p, want_p))
+
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_render_writes_the_bytes_of_the_plain_document(measure):
+    report = _full_report(measure)
+    assert render(report, "json") == canonical_json(report.to_dict()).encode("utf-8")
+    # ftu shares isp's per-stratum values, whose rows were formatted once
+    entries = {entry["id"]: entry for entry in report.results}
+    assert entries["ftu"]["per_stratum"].strata is entries["isp"]["per_stratum"].strata
+    assert len(entries["isp"]["per_stratum"].strata.rendered) == 1
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_markdown_does_not_depend_on_the_row_views(measure):
+    report = _full_report(measure)
+    plain = replace(report, results=report.to_dict()["results"])
+    assert render(report, "markdown") == render(plain, "markdown")
 
 
 if __name__ == "__main__":

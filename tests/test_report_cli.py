@@ -204,3 +204,56 @@ def test_bare_audit_command_parses_to_the_config_defaults(monkeypatch):
     monkeypatch.setattr("fairaudit.cli.run_audit", capture)
     assert main(["audit", "--data", "x.csv", "--schema", "y.json"]) == 2
     assert seen == [AuditConfig(data="x.csv", schema="y.json")]
+
+
+def _drop_inputs(tmp_path, missing):
+    data = tmp_path / "gaps.csv"
+    rows = ["s,y,yhat,x"] + [f"{'ab'[i % 2]},{i % 3 % 2},{i % 5 % 2},{'uv'[i % 4 // 2]}"
+                             for i in range(40)]
+    rows[7] = "a,,1,u"
+    rows[12] = "b,1,0,"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    schema = tmp_path / "gaps_schema.json"
+    schema.write_text(json.dumps({"columns": [
+        {"name": "s", "role": "sensitive", "kind": "categorical"},
+        {"name": "y", "role": "target", "kind": "categorical"},
+        {"name": "yhat", "role": "prediction", "kind": "categorical"},
+        {"name": "x", "role": "feature", "kind": "categorical"},
+    ], "missing": missing}), encoding="utf-8")
+    return str(data), str(schema)
+
+
+def test_drop_mode_audit_reports_its_dropped_rows(tmp_path):
+    data, schema = _drop_inputs(tmp_path, "drop")
+    out = tmp_path / "rep.json"
+    assert main(["audit", "--data", data, "--schema", schema, "--criteria", "sp",
+                 "--output", str(out)]) in (0, 1)
+    rep = json.loads(out.read_text())
+    assert rep["warnings"][0] == "load: dropped 2 rows with missing cells (missing=drop)"
+    assert rep["schema_version"] == 1
+
+
+def test_error_mode_audit_adds_no_load_warning(tmp_path, capsys):
+    data, schema = _drop_inputs(tmp_path, "error")
+    assert main(["audit", "--data", data, "--schema", schema, "--criteria", "sp"]) == 2
+    assert "missing value" in capsys.readouterr().err
+
+    data, schema, _ = _write_scenario(tmp_path, "independent", n=300)
+    report = run_audit(AuditConfig(data=data, schema=schema, criteria=["sp", "isp"]))
+    assert not [w for w in report.warnings if w.startswith("load:")]
+
+
+def test_malformed_schema_config_exits_as_a_config_error(tmp_path, capsys):
+    data = tmp_path / "num.csv"
+    data.write_text("s,y,p\na,0,0.2\nb,1,0.9\na,1,0.7\n", encoding="utf-8")
+    columns = [{"name": "s", "role": "sensitive", "kind": "categorical"},
+               {"name": "y", "role": "target", "kind": "categorical"},
+               {"name": "p", "role": "prediction", "kind": "numeric"}]
+    for cfg in ({"columns": columns, "threshold": "0.5"},
+                {"columns": columns[:2] + [{"name": "p", "role": "prediction"}],
+                 "threshold": 0.5}):
+        schema = tmp_path / "bad_schema.json"
+        schema.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["audit", "--data", str(data), "--schema", str(schema)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fairaudit: error:") and "internal" not in err
