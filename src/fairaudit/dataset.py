@@ -39,7 +39,10 @@ _MAX_KEY_SPAN = 1 << 62   # stratify re-ranks its mixed-radix key past this
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """Declared name, role and kind of one CSV column."""
+    """Declared name, role and kind of one CSV column.
+
+    `positive_label` is accepted and stored, but every audit ignores it.
+    """
 
     name: str
     role: str

@@ -109,4 +109,6 @@ def gower_matrix_condensed(matrix: np.ndarray, weights=None) -> np.ndarray:
     """
     x = np.asarray(matrix, dtype=np.float64)
     w = gower_weights(weights, x.shape[1])
-    return pdist(min_max_scale(x), "cityblock", w=w) / w.sum()
+    d = pdist(min_max_scale(x), "cityblock", w=w)
+    d /= w.sum()                   # in place: no second condensed array
+    return d

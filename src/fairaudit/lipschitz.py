@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ DEFAULT_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 2000        # n(n-1)/2 ~ 2e6 pairs
 DEFAULT_SAMPLE_COUNT = 2_000_000
 MAX_LISTED_VIOLATIONS = 100
-_PAIR_BLOCK = 1 << 16          # sampled pairs per block: the temporaries stay in cache
+_PAIR_BLOCK = 1 << 16          # pairs per block: the temporaries stay in cache
 
 ORIGINAL_METRICS = ("euclidean", "manhattan", "gower")
 MAPPED_METRICS = ORIGINAL_METRICS + ("total_variation",)
@@ -64,39 +65,43 @@ class LipschitzReport:
         return self.violation_count == 0
 
 
-def _distances(matrix, metric, weights, i=None, j=None) -> np.ndarray:
-    """Distances of all pairs in condensed order, or of the pairs (i[t], j[t]).
+def _distances(matrix, metric, weights):
+    """A function: of pair index arrays (i, j), the distances of the pairs
+    (i[t], j[t]); of no arguments, those of all pairs in condensed order.
 
     Both add each pair's column terms left to right, as pdist does, so a
     sampled pair's distance is bit-identical to its exhaustive value.  The
-    sampled pairs go in blocks of _PAIR_BLOCK over 1-D gathers of contiguous
-    columns, so no (pairs, p) temporary is ever built.
+    columns are transposed and Gower-scaled once; pairs gather 1-D from
+    contiguous columns, so no (pairs, p) temporary is ever built.
     """
-    if i is None and metric == "gower":
-        return gower_matrix_condensed(matrix, weights)
-    if i is None:
-        acc = pdist(matrix, "sqeuclidean" if metric == "euclidean" else "cityblock")
-    else:
-        columns, w = np.ascontiguousarray(matrix.T), None
-        if metric == "gower":
-            w = gower_weights(weights, len(columns))
-            columns = min_max_scale(columns, axis=1)
-        acc = np.zeros(len(i))
-        for start in range(0, len(i), _PAIR_BLOCK):
-            a, b = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
-            block = acc[start:start + _PAIR_BLOCK]
+    columns, w = np.ascontiguousarray(matrix.T), None
+    if metric == "gower":
+        w = gower_weights(weights, len(columns))
+        columns = min_max_scale(columns, axis=1)
+
+    def distances(i=None, j=None) -> np.ndarray:
+        if i is None and metric == "gower":
+            return gower_matrix_condensed(matrix, weights)
+        if i is None:
+            acc = pdist(matrix, "sqeuclidean" if metric == "euclidean" else "cityblock")
+        else:
+            acc = np.zeros(len(i))
             for t, col in enumerate(columns):
-                d = col[a] - col[b]
+                d = col[i] - col[j]
                 if metric == "euclidean":
-                    block += d * d
+                    acc += d * d
                 else:
                     np.abs(d, out=d)
-                    block += d if w is None else w[t] * d
-    if metric == "euclidean":
-        return np.sqrt(acc)
-    if metric == "total_variation":
-        return 0.5 * acc
-    return acc if metric == "manhattan" else acc / w.sum()
+                    acc += d if w is None else w[t] * d
+        if metric == "euclidean":                  # the last step runs in place
+            return np.sqrt(acc, out=acc)
+        if metric == "total_variation":
+            acc *= 0.5
+        elif metric == "gower":
+            acc /= w.sum()
+        return acc
+
+    return distances
 
 
 def _pair_index(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,6 +109,64 @@ def _pair_index(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     root = np.sqrt(-8.0 * flat + 4.0 * n * (n - 1) - 7.0)
     i = (n - 2 - np.floor(root / 2.0 - 0.5)).astype(np.int64)
     return i, flat + i + 1 - i * (2 * n - i - 1) // 2
+
+
+def _blocks(original, mapped, metrics, weights, count, seed):
+    """(flat, d_orig, d_map) per block of _PAIR_BLOCK pairs.
+
+    Without a seed: all pairs.  With one: `count` uniform draws, the same as
+    one `integers` call (CounterRng draws do not depend on their chunking).
+    """
+    n = len(original)
+    dist_orig, dist_map = (_distances(x, m, weights) for x, m in zip((original, mapped), metrics))
+    if seed is None:
+        d_orig, d_map = dist_orig(), dist_map()
+        for start in range(0, len(d_orig), _PAIR_BLOCK):
+            stop = min(start + _PAIR_BLOCK, len(d_orig))
+            yield np.arange(start, stop), d_orig[start:stop], d_map[start:stop]
+        return
+    rng = CounterRng(seed)
+    for start in range(0, count, _PAIR_BLOCK):
+        flat = rng.integers(n * (n - 1) // 2, min(_PAIR_BLOCK, count - start))
+        i, j = _pair_index(flat, n)
+        yield flat, dist_orig(i, j), dist_map(i, j)
+
+
+def _fold(blocks, tol: float, n: int) -> dict:
+    """Fold blocks of (flat, d_orig, d_map) into the report's fields.
+
+    Only the listed violations are kept: infinite ones first, then by falling
+    ratio, ties in scan order (lexsort is stable, and kept ones come first).
+    """
+    max_ratio = 0.0
+    violation_count = infinite_count = coincident = 0
+    top = (np.empty(0, bool), np.empty(0), np.empty(0, np.int64), np.empty(0), np.empty(0))
+    for flat, d_orig, d_map in blocks:
+        zero = d_orig == 0.0
+        both_zero = zero & (d_map == 0.0)
+        infinite = zero & (d_map > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = d_map / d_orig
+        ratio[both_zero | infinite] = 0.0      # an infinite violation lists ratio 0.0
+        max_ratio = np.maximum(max_ratio, ratio.max())
+        hit = np.flatnonzero(infinite | (ratio > 1.0 + tol))
+        violation_count += len(hit)
+        infinite_count += int(np.count_nonzero(infinite))
+        coincident += int(np.count_nonzero(both_zero))
+        hit = hit[np.lexsort((-ratio[hit], ~infinite[hit]))[:MAX_LISTED_VIOLATIONS]]
+        top = tuple(np.concatenate([t, a[hit]])
+                    for t, a in zip(top, (infinite, ratio, flat, d_orig, d_map)))
+        keep = np.lexsort((-top[1], ~top[0]))[:MAX_LISTED_VIOLATIONS]
+        top = tuple(t[keep] for t in top)
+
+    infinite, ratio, flat, d_orig, d_map = top
+    violations = tuple(
+        Violation(int(i), int(j), float(o), float(m), float(r), infinite=bool(f))
+        for i, j, o, m, r, f in zip(*_pair_index(flat, n), d_orig, d_map, ratio, infinite)
+    )
+    return dict(max_ratio=float(max_ratio), violations=violations,
+                violation_count=violation_count, infinite_count=infinite_count,
+                skipped_coincident=coincident)
 
 
 def audit_map(
@@ -124,7 +187,10 @@ def audit_map(
     same record.  The scan is exhaustive up to n = 2000; beyond that pairs
     are sampled uniformly and a seed is mandatory (sampling='exhaustive'
     forces the full scan at any size).  A pair violates when
-    d_mapped / d_original > 1 + tol.
+    d_mapped / d_original > 1 + tol; `tol` must be finite and >= 0, and
+    `sample_count` an integer >= 1.  Beyond a column copy of the inputs, a
+    sampled scan holds O(_PAIR_BLOCK) memory, an exhaustive one two
+    condensed distance arrays.
     """
     original = np.asarray(original, dtype=np.float64)
     mapped = np.asarray(mapped, dtype=np.float64)
@@ -137,6 +203,10 @@ def audit_map(
         raise InvalidParams(f"d_original must be one of {ORIGINAL_METRICS}")
     if d_mapped not in MAPPED_METRICS:
         raise InvalidParams(f"d_mapped must be one of {MAPPED_METRICS}")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise InvalidParams(f"tol must be a finite number >= 0, not {tol!r}")
+    if not isinstance(sample_count, numbers.Integral) or sample_count < 1:
+        raise InvalidParams(f"sample_count must be an integer >= 1, not {sample_count!r}")
     for name, values in (("original", original), ("mapped", mapped)):
         if not np.isfinite(values).all():
             r, c = np.argwhere(~np.isfinite(values))[0]
@@ -153,46 +223,15 @@ def audit_map(
     if sampling not in ("exhaustive", "sampled"):
         raise InvalidParams("sampling must be 'auto', 'exhaustive', or 'sampled'")
 
-    flat = i_idx = j_idx = seed_used = None
-    total_pairs = n * (n - 1) // 2
+    total_pairs, seed_used = n * (n - 1) // 2, None
     if sampling == "sampled":
         if seed is None:
             raise InvalidParams("sampled mode requires a seed")
         total_pairs, seed_used = sample_count, seed
-        flat = CounterRng(seed).integers(n * (n - 1) // 2, sample_count)
-        i_idx, j_idx = _pair_index(flat, n)
-    d_orig = _distances(original, d_original, weights, i_idx, j_idx)
-    d_map = _distances(mapped, d_mapped, weights, i_idx, j_idx)
-
-    both_zero = (d_orig == 0.0) & (d_map == 0.0)
-    infinite = (d_orig == 0.0) & (d_map > 0.0)
-    finite = ~both_zero & ~infinite
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(finite, d_map / np.where(finite, d_orig, 1.0), 0.0)
-    max_ratio = float(ratios[finite].max()) if finite.any() else 0.0
-    violating = finite & (ratios > 1.0 + tol)
-    violation_count = int(violating.sum()) + int(infinite.sum())
-
-    # infinite ratios first, then the worst finite ones; d_orig and the
-    # ratio of an infinite violation are both 0.0
-    listed = np.nonzero(infinite)[0][:MAX_LISTED_VIOLATIONS]
-    worst = np.nonzero(violating)[0]
-    worst = worst[np.argsort(-ratios[worst], kind="stable")]
-    listed = np.concatenate([listed, worst[:MAX_LISTED_VIOLATIONS - len(listed)]])
-    pairs = zip(*_pair_index(listed if flat is None else flat[listed], n))
-    violations = tuple(
-        Violation(int(i), int(j), float(d_orig[pos]), float(d_map[pos]), float(ratios[pos]),
-                  infinite=bool(infinite[pos]))
-        for (i, j), pos in zip(pairs, listed)
-    )
-
+    blocks = _blocks(original, mapped, (d_original, d_mapped), weights, sample_count, seed_used)
     return LipschitzReport(
-        max_ratio=max_ratio,
-        violations=violations,
-        violation_count=violation_count,
-        infinite_count=int(infinite.sum()),
+        **_fold(blocks, tol, n),
         pairs_examined=total_pairs,
-        skipped_coincident=int(both_zero.sum()),
         sampling=sampling,
         sample_seed=seed_used,
         tol=tol,

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -209,9 +210,167 @@ def test_sampled_pairs_match_exhaustive_bit_for_bit(seed, n, width, metric, bloc
     if metric == "gower" and data.draw(st.booleans()):
         weights = rng.integers(0, 3, width).astype(float)
         weights[rng.integers(width)] = 0.5
-    exhaustive = lipschitz._distances(x, metric, weights)
+    distances = lipschitz._distances(x, metric, weights)
+    exhaustive = distances()
     flat = rng.permutation(n * (n - 1) // 2)
     i, j = _pair_index(flat, n)
-    with mock.patch.object(lipschitz, "_PAIR_BLOCK", block):
-        sampled = lipschitz._distances(x, metric, weights, i, j)
+    sampled = np.concatenate([distances(i[s:s + block], j[s:s + block])
+                              for s in range(0, len(flat), block)])
     assert np.array_equal(sampled.view(np.int64), exhaustive[flat].view(np.int64))
+
+
+def _whole_array_audit(original, mapped, d_original, d_mapped, *, weights=None,
+                       sampling, sample_count=0, seed=None, tol=lipschitz.DEFAULT_TOL):
+    """The whole-array audit: every pair's distances, masks and ratios at
+    once, then one stable sort.  The reference the blocked fold must equal.
+    """
+    n = len(original)
+    flat, total_pairs = None, n * (n - 1) // 2
+    if sampling == "sampled":
+        total_pairs = sample_count
+        flat = CounterRng(seed).integers(n * (n - 1) // 2, sample_count)
+        i_idx, j_idx = _pair_index(flat, n)
+        d_orig = lipschitz._distances(original, d_original, weights)(i_idx, j_idx)
+        d_map = lipschitz._distances(mapped, d_mapped, weights)(i_idx, j_idx)
+    else:
+        d_orig = lipschitz._distances(original, d_original, weights)()
+        d_map = lipschitz._distances(mapped, d_mapped, weights)()
+
+    both_zero = (d_orig == 0.0) & (d_map == 0.0)
+    infinite = (d_orig == 0.0) & (d_map > 0.0)
+    finite = ~both_zero & ~infinite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(finite, d_map / np.where(finite, d_orig, 1.0), 0.0)
+    max_ratio = float(ratios[finite].max()) if finite.any() else 0.0
+    violating = finite & (ratios > 1.0 + tol)
+
+    listed = np.nonzero(infinite)[0][:lipschitz.MAX_LISTED_VIOLATIONS]
+    worst = np.nonzero(violating)[0]
+    worst = worst[np.argsort(-ratios[worst], kind="stable")]
+    listed = np.concatenate([listed, worst[:lipschitz.MAX_LISTED_VIOLATIONS - len(listed)]])
+    pairs = zip(*_pair_index(listed if flat is None else flat[listed], n))
+    violations = tuple(
+        lipschitz.Violation(int(i), int(j), float(d_orig[pos]), float(d_map[pos]),
+                            float(ratios[pos]), infinite=bool(infinite[pos]))
+        for (i, j), pos in zip(pairs, listed)
+    )
+    return lipschitz.LipschitzReport(
+        max_ratio=max_ratio, violations=violations,
+        violation_count=int(violating.sum()) + int(infinite.sum()),
+        infinite_count=int(infinite.sum()), pairs_examined=total_pairs,
+        skipped_coincident=int(both_zero.sum()), sampling=sampling,
+        sample_seed=seed if sampling == "sampled" else None, tol=tol,
+    )
+
+
+_BLOCKS = [1, 7, 64, lipschitz._PAIR_BLOCK]
+
+
+def _assert_fold_matches_whole_array(x, m, metrics, sampling, count, seed, block):
+    kwargs = dict(sampling=sampling, sample_count=count, seed=seed)
+    want = _whole_array_audit(x, m, *metrics, **kwargs)
+    with mock.patch.object(lipschitz, "_PAIR_BLOCK", block):
+        got = audit_map(x, m, *metrics, **kwargs)
+    assert got == want
+    return want
+
+
+def _stretched_with_copies(n, copies, seed):
+    """Integer points stretched 2x, except rows 0..copies-1: one original,
+    images 0..copies-1 on a line, so each pair among them is infinite;
+    rows copies and copies+1 repeat row 0 on both sides (coincident).
+    """
+    x = np.floor(16 * _points(seed, n, 2))
+    m = 2.0 * x
+    x[:copies + 2] = x[0]
+    m[:copies] = np.arange(copies)[:, None] * [1.0, 0.0] + 100.0
+    m[copies:copies + 2] = m[0]
+    return x, m
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize("sampling, count", [("exhaustive", 1), ("sampled", 3000)])
+@pytest.mark.parametrize("case", ["infinite_and_coincident", "cap_split", "equal_ratios"])
+def test_fold_equals_whole_array_on_edge_cases(case, sampling, count, block):
+    if case == "equal_ratios":        # every pair violates with ratio 2.0, ties everywhere
+        x = _points(31, 60, 3)
+        m = 2.0 * x
+    else:
+        x, m = _stretched_with_copies(60, 6 if case == "cap_split" else 20, 32)
+    want = _assert_fold_matches_whole_array(x, m, ("euclidean", "euclidean"), sampling,
+                                            count, 5, block)
+    listed_infinite = sum(v.infinite for v in want.violations)
+    assert want.violation_count > lipschitz.MAX_LISTED_VIOLATIONS
+    assert len(want.violations) == lipschitz.MAX_LISTED_VIOLATIONS
+    if case == "equal_ratios":
+        assert want.infinite_count == 0 and {v.ratio for v in want.violations} == {2.0}
+    else:
+        assert want.infinite_count > 0 and want.skipped_coincident > 0
+    if case == "cap_split":
+        assert 0 < listed_infinite < lipschitz.MAX_LISTED_VIOLATIONS
+    if case == "infinite_and_coincident":
+        assert listed_infinite == lipschitz.MAX_LISTED_VIOLATIONS < want.infinite_count
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    width=st.integers(1, 3),
+    levels=st.sampled_from([2, 3, 1000]),
+    d_original=st.sampled_from(lipschitz.ORIGINAL_METRICS),
+    d_mapped=st.sampled_from(MAPPED_METRICS),
+    stretch=st.sampled_from([0.5, 1.0, 2.0]),
+    sampled=st.booleans(),
+    count=st.integers(1, 600),
+    block=st.sampled_from(_BLOCKS),
+)
+def test_fold_equals_whole_array(seed, n, width, levels, d_original, d_mapped, stretch,
+                                 sampled, count, block):
+    """Integer-valued points give coincident, infinite and tied pairs."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, (n, width)).astype(float)
+    m = stretch * x
+    moved = rng.random(n) < 0.2
+    m[moved] = rng.integers(0, levels, (moved.sum(), width))
+    if d_mapped == "total_variation":
+        m = (m + 1.0) / (m + 1.0).sum(axis=1, keepdims=True)
+    _assert_fold_matches_whole_array(x, m, (d_original, d_mapped),
+                                     "sampled" if sampled else "exhaustive", count, seed, block)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")}, {"tol": "0.1"},
+    {"sample_count": 0}, {"sample_count": -5}, {"sample_count": 2.5},
+])
+def test_bad_parameters_are_rejected(kwargs):
+    x = _points(33, 2500, 2)
+    with pytest.raises(InvalidParams):
+        audit_map(x, 1.5 * x, seed=1, **kwargs)
+
+
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--sample-count", "0", "--seed", "1"]])
+def test_lipschitz_cli_rejects_bad_parameters_with_exit_2(tmp_path, capsys, flags):
+    from fairaudit.cli import main
+
+    path = _write(tmp_path, "x_0,m_0\n0,0\n1,1.5\n2,3\n")
+    assert main(["lipschitz", "--data", str(path), "--output", str(tmp_path / "r.json")]) == 1
+    assert main(["lipschitz", "--data", str(path), "--sampling", "sampled", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and flags[0][2:].replace("-", "_") in err
+
+
+def test_sampled_audit_memory_is_bounded_by_the_block():
+    """2e6 sampled pairs hold a few blocks at a time, not full-length arrays."""
+    x = _points(34, 100_000, 2)
+    m = 1.1 * x                               # every pair violates: the fold's busiest path
+    tracemalloc.start()
+    try:
+        rep = audit_map(x, m, seed=3, sample_count=2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.violation_count == 2_000_000
+    bound = 16 * 8 * lipschitz._PAIR_BLOCK    # 8 MiB, half of one full-length float array
+    # beyond the kernels' column copies, which are the size of the inputs
+    assert peak - x.nbytes - m.nbytes < bound

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fairaudit.rng import GAMMA, _MASK, CounterRng, mix64
 
@@ -48,3 +49,16 @@ def test_integers_unbiased_and_in_range():
     assert draws.min() >= 0 and draws.max() <= 6
     freq = np.bincount(draws, minlength=7) / len(draws)
     assert np.allclose(freq, 1 / 7, atol=0.01)
+
+
+@pytest.mark.parametrize("bound", [3, 1_999_000, 5_000_000_000, 2**63 + 1])
+def test_integers_in_chunks_equal_one_call(bound):
+    """The blocked Lipschitz sampler draws pairs in chunks and relies on this."""
+    whole = CounterRng(8)
+    want = whole.integers(bound, 1000)
+    chunked = CounterRng(8)
+    got = np.concatenate([chunked.integers(bound, size) for size in (1, 7, 64, 300, 628)])
+    assert np.array_equal(got, want)
+    assert chunked.counter == whole.counter
+    if bound == 2**63 + 1:                    # about half the raw draws are rejected
+        assert whole.counter > 1500
