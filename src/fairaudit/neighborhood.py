@@ -16,13 +16,12 @@ proposes candidates for a whole block of records; one selection step picks
 the k nearest, and rows with a tie at the k-th neighbor are settled by one
 bulk ball query.
 
-A NeighborIndex computes every record's neighborhood once per
-neighborhood spec and caches it, so the soft criteria of one audit (isp,
-ftu, ieo, isuff), which differ only in how they restrict and count the
-members, share one neighbor query.  Ball neighborhoods are cached only up
-to a fixed member budget; past it (a large radius admits up to n^2
-members) they are queried afresh block by block for each criterion, so
-memory stays bounded at any radius.
+A NeighborIndex passes over every record's neighborhood once per
+neighborhood spec and keeps only counts: how many of the record's neighbors
+fall in each joint (target, prediction, sensitive) cell.  The soft criteria
+of one audit (isp, ftu, ieo, isuff) differ only in which of those cells they
+add up, so they share that one pass and slice its (n, cells) array.  Member
+lists are never kept, so memory stays O(n * cells) at any radius.
 """
 
 from __future__ import annotations
@@ -46,24 +45,15 @@ DEFAULT_MIN_NEIGHBORHOOD = 10
 _TREE_MIN_RECORDS = 1024     # below this a linear scan wins
 _TREE_SLACK = 1e-9           # relative candidate-radius inflation over the pruning metric
 _BLOCK_CELLS = 1 << 16       # cells in the widest per-row array of one vectorized block
-_BALL_MEMO_CELLS = 1 << 22   # ball members cached per spec (32 MiB); larger sets are streamed
 
 
 def _block_rows(width: int) -> int:
     """Rows per block when each row carries `width` cells.
 
-    Every chunked loop (kNN selection, ball queries, local counts) sizes its
+    Every chunked loop (kNN selection, ball queries, the count pass) sizes its
     blocks here, so one budget bounds their scratch memory.
     """
     return max(16, _BLOCK_CELLS // max(width, 1))
-
-
-def _join_blocks(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate consecutive CSR blocks (lo, offsets, members) into one."""
-    starts = np.cumsum([0] + [len(members) for _, _, members in blocks])
-    offsets = [offs[:-1] + start for (_, offs, _), start in zip(blocks, starts)]
-    return (np.concatenate(offsets + [starts[-1:]]).astype(np.int64),
-            np.concatenate([members for _, _, members in blocks]))
 
 
 @dataclass(frozen=True)
@@ -90,10 +80,15 @@ class NeighborIndex:
     """Immutable exact neighbor queries over a dataset's feature space."""
 
     def __init__(self, dataset: Dataset, dist: DistanceSpec | None = None):
+        self.dataset = dataset
         self.space = FeatureSpace(dataset, dist)
         self.n = self.space.n
+        # joint (Y, Ŷ, S) cell of every record: (y * |Ŷ| + ŷ) * |S| + s
+        self.cell_shape = (dataset.y.arity, dataset.y_hat.arity, dataset.s.arity)
+        self._cells = (dataset.y.codes * dataset.y_hat.arity
+                       + dataset.y_hat.codes) * dataset.s.arity + dataset.s.codes
+        self._counts: dict[NeighborhoodSpec, np.ndarray] = {}
         self._tree = None
-        self._hoods: dict[NeighborhoodSpec, tuple[np.ndarray, np.ndarray]] = {}
         if self.space.pure_numeric and self.n >= _TREE_MIN_RECORDS:
             self._coords = self.space.tree_coordinates()
             self._tree = cKDTree(self._coords)
@@ -103,7 +98,8 @@ class NeighborIndex:
     def knn(self, i: int, k: int, include_self: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """k nearest records to record i, ordered by (distance, record index)."""
         members, dists = self._knn_block(np.array([i]), k, include_self)
-        return members[0], dists[0]
+        order = np.lexsort((members[0], dists[0]))
+        return members[0, order], dists[0, order]
 
     def ball(self, i: int, radius: float, include_self: bool = True) -> np.ndarray:
         """All records within `radius` of record i, in ascending index order."""
@@ -113,93 +109,63 @@ class NeighborIndex:
 
     # -- batched queries ----------------------------------------------------
 
-    def neighborhoods(self, nspec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
-        """Every record's neighborhood as CSR arrays (offsets, members).
+    def cell_counts(self, nspec: NeighborhoodSpec) -> np.ndarray:
+        """Every record's neighbor count per joint (Y, Ŷ, S) cell, shape (n, cells).
 
-        Record i's neighborhood is members[offsets[i]:offsets[i + 1]], ordered
-        by (distance, record index) in knn mode and by record index in ball
-        mode.  Cached arrays are read-only.  This holds every member at once
-        (up to n^2 in ball mode); soft_evaluate streams neighborhood_blocks
-        instead.
+        Row i, reshaped to cell_shape, counts record i's neighbors by their
+        (target, prediction, sensitive) values.  One pass over the neighbor
+        blocks fills it, one bincount per block as the block is produced, so
+        no member list outlives its block.  Computed once per spec and cached
+        read-only.
         """
-        blocks = list(self.neighborhood_blocks(nspec))
-        hoods = self._hoods.get(nspec)
-        return hoods if hoods is not None else _join_blocks(blocks)
-
-    def neighborhood_blocks(self, nspec: NeighborhoodSpec):
-        """Yield every record's neighborhood as consecutive CSR blocks.
-
-        Each block is (lo, offsets, members): record lo + j's neighborhood is
-        members[offsets[j]:offsets[j + 1]].  knn lists (n * k members) are
-        computed once per spec and cached, so the soft criteria of one audit
-        share them.  Ball lists are cached only while their total stays within
-        _BALL_MEMO_CELLS members; a larger ball set is queried afresh, block
-        by block, on every pass, so memory stays bounded whatever the radius.
-        """
-        hoods = self._hoods.get(nspec)
-        if hoods is None and nspec.mode == "knn":
-            hoods = self._memo(nspec, self._knn_lists(nspec.k, nspec.include_self))
-        if hoods is not None:
-            offsets, members = hoods
-            step = _block_rows(len(members) // max(self.n, 1))
-            for lo in range(0, self.n, step):
-                hi = min(lo + step, self.n)
-                yield lo, offsets[lo:hi + 1] - offsets[lo], members[offsets[lo]:offsets[hi]]
-            return
-        kept, total = [], 0
+        counts = self._counts.get(nspec)
+        if counts is not None:
+            return counts
+        knn = nspec.mode == "knn"
+        # knn blocks are sized for their (rows, k) outputs; the scan engine
+        # splits them further into rows of width n
+        step = _block_rows(nspec.k + 2 if knn else self.n)
+        cells = int(np.prod(self.cell_shape))
+        counts = np.empty((self.n, cells), dtype=np.int64)
         queries = np.arange(self.n, dtype=np.int64)
-        step = _block_rows(self.n)
         for lo in range(0, self.n, step):
-            block = (lo, *self._ball_block(queries[lo:lo + step], nspec.radius,
-                                           nspec.include_self))
-            yield block
-            total += len(block[2])
-            if total > _BALL_MEMO_CELLS:
-                kept = None
-            elif kept is not None:
-                kept.append(block)
-        if kept is not None:
-            self._memo(nspec, _join_blocks(kept))
-
-    def _memo(self, nspec: NeighborhoodSpec, hoods: tuple[np.ndarray, np.ndarray]):
-        for arr in hoods:
-            arr.flags.writeable = False
-        self._hoods[nspec] = hoods
-        return hoods
-
-    def _knn_lists(self, k: int, include_self: bool) -> tuple[np.ndarray, np.ndarray]:
-        self._check_k(k, include_self)
-        members = np.empty((self.n, k), dtype=np.int64)
-        queries = np.arange(self.n, dtype=np.int64)
-        step = _block_rows(k + 2)    # sized for the (rows, k) outputs; the scan
-                                     # engine splits further into rows of width n
-        for lo in range(0, self.n, step):
-            members[lo:lo + step] = self._knn_block(queries[lo:lo + step], k, include_self)[0]
-        return np.arange(self.n + 1, dtype=np.int64) * k, members.ravel()
+            q = queries[lo:lo + step]
+            if knn:
+                members = self._knn_block(q, nspec.k, nspec.include_self)[0].ravel()
+                sizes = nspec.k
+            else:
+                offsets, members = self._ball_block(q, nspec.radius, nspec.include_self)
+                sizes = np.diff(offsets)
+            owner = np.repeat(np.arange(len(q), dtype=np.int64) * cells, sizes)
+            counts[lo:lo + len(q)] = np.bincount(
+                owner + self._cells[members], minlength=len(q) * cells).reshape(len(q), cells)
+        counts.flags.writeable = False
+        self._counts[nspec] = counts
+        return counts
 
     def _check_k(self, k: int, include_self: bool) -> None:
         if not (1 <= k <= self.n - (0 if include_self else 1)):
             raise InvalidParams(f"k={k} out of range for n={self.n}")
 
     def _knn_block(self, queries: np.ndarray, k: int, include_self: bool):
-        # The engine yields, per block, at least k candidates per row with
-        # their exact distances (self at inf when excluded).  Untied rows keep
-        # their first k by (distance, index).  A tied row's k-th candidate
-        # distance r bounds its true k-th, so the ball of radius r holds its
-        # k nearest; one bulk ball query settles every tied row exactly.
+        # The engine yields, per block, k candidates per row with their exact
+        # distances.  An untied row's candidates are its k nearest, kept in
+        # engine order.  A tied row's largest candidate distance r bounds its
+        # true k-th, so the ball of radius r holds its k nearest; one bulk
+        # ball query settles every tied row exactly, in (distance, index) order.
         self._check_k(k, include_self)
         members = np.empty((len(queries), k), dtype=np.int64)
         dists = np.empty((len(queries), k))
         engine = self._knn_tree if self._tree is not None else self._knn_linear
         for lo, cand, d, tied in engine(queries, k, include_self):
-            order = np.lexsort((cand, d), axis=-1)[:, :k]
-            members[lo:lo + len(cand)] = np.take_along_axis(cand, order, axis=1)
-            dists[lo:lo + len(cand)] = np.take_along_axis(d, order, axis=1)
+            members[lo:lo + len(cand)] = cand
+            dists[lo:lo + len(cand)] = d
             tied_rows = lo + np.flatnonzero(tied)
             step = _block_rows(self.n)     # a ball of duplicates holds every record
             for t in range(0, len(tied_rows), step):
                 rows = tied_rows[t:t + step]
-                offsets, ball = self._ball_block(queries[rows], dists[rows, k - 1], include_self)
+                offsets, ball = self._ball_block(queries[rows], dists[rows].max(axis=1),
+                                                 include_self)
                 owner = np.repeat(np.arange(len(rows)), np.diff(offsets))
                 d_ball = self.space.pair_distances(queries[rows][owner], ball)
                 first_k = np.lexsort((ball, d_ball, owner))[offsets[:-1, None] + np.arange(k)]
@@ -227,14 +193,15 @@ class NeighborIndex:
                 tied = np.zeros(len(q), dtype=bool)
             else:
                 tied = cand_d[:, k] == cand_d[:, :k].max(axis=1)
-            yield lo, cand, cand_d, tied
+            yield lo, cand[:, :k], cand_d[:, :k], tied
 
     def _knn_tree(self, queries, k, include_self):
         # One tree query returns each row's kq nearest plus the next one.  When
         # that extra neighbor lies beyond the slack radius of the kq-th, the kq
         # are exactly the records the radius admits.  Otherwise (a tie under
         # the pruning metric, or self excluded but not among the kq) the row
-        # is marked tied.
+        # is marked tied.  With self excluded the kq = k + 1 candidates lose
+        # their farthest: self, at inf, on every untied row.
         kq = k if include_self else k + 1
         step = _block_rows(kq + 1)
         for lo in range(0, len(queries), step):
@@ -252,6 +219,9 @@ class NeighborIndex:
             tied = tree_d[:, kq] <= radius * (1.0 + _TREE_SLACK)
             if not include_self:
                 tied |= ~is_self.any(axis=1)
+                keep = np.ones(cand.shape, dtype=bool)
+                keep[np.arange(len(q)), d.argmax(axis=1)] = False
+                cand, d = cand[keep].reshape(len(q), k), d[keep].reshape(len(q), k)
             yield lo, cand, d, tied
 
     def _ball_block(self, queries: np.ndarray, radius, include_self: bool):
@@ -337,6 +307,9 @@ def soft_evaluate(
     indeterminate: they are reported but excluded from the satisfied
     fraction's denominator.  The audit passes when
     satisfied_fraction >= 1 - delta.
+
+    A shared `index` must have been built for this dataset (the same object
+    or an equal one); its neighbor counts carry that dataset's labels.
     """
     if "features" not in spec.given:
         raise GroupCriterion(f"criterion {spec.id!r} does not condition on features")
@@ -349,48 +322,41 @@ def soft_evaluate(
     if measure_kind not in ("mi", "rate"):
         raise InvalidParams("soft measure kind must be 'mi' or 'rate'")
 
+    cond_tokens = [g for g in spec.given if g != "features"]
+    other = {"target": "prediction", "prediction": "target"}.get(spec.left)
+    if other is None or not set(cond_tokens) <= {other}:
+        raise InvalidParams(f"criterion {spec.id!r}: a soft criterion measures the target or "
+                            "the prediction, given the features and at most the other one")
     if index is None:
         index = build_index(dataset, dist)
+    elif index.dataset is not dataset and not index.dataset.equals(dataset):
+        raise InvalidParams("the neighbor index was built for a different dataset")
     n = dataset.n
-    left = dataset.column(spec.left)
-    s = dataset.s
-    r_arity, c_arity = left.arity, s.arity
-    cells = r_arity * c_arity
-    pair_code = left.codes * c_arity + s.codes
 
-    cond_tokens = [g for g in spec.given if g != "features"]
+    # (n, Y, Ŷ, S) neighbor counts -> (n, other label, left, S); then keep the
+    # record's own value of the other label when the criterion conditions on
+    # it, else add its values up.  Integer sums, so every table is exact.
+    table = index.cell_counts(nspec).reshape(n, *index.cell_shape)
+    if spec.left == "target":
+        table = table.swapaxes(1, 2)
     if cond_tokens:
-        cond_code = np.zeros(n, dtype=np.int64)
-        for token in cond_tokens:
-            col = dataset.column(token)
-            cond_code = cond_code * col.arity + col.codes
+        table = table[np.arange(n), dataset.column(other).codes]
     else:
-        cond_code = None
-
-    sizes = np.zeros(n, dtype=np.int64)
-    values = np.full(n, np.nan)
-    for lo, offsets, flat in index.neighborhood_blocks(nspec):
-        m = len(offsets) - 1
-        local = np.repeat(np.arange(m), np.diff(offsets))
-        if cond_code is not None:
-            keep = cond_code[flat] == cond_code[local + lo]
-            local = local[keep]
-            flat = flat[keep]
-        counts = np.bincount(local * cells + pair_code[flat], minlength=m * cells)
-        counts = counts.reshape(m, r_arity, c_arity).astype(np.float64)
-        tot = counts.sum(axis=(1, 2))
-        sizes[lo:lo + m] = tot.astype(np.int64)
-        ok = tot > 0
-        if measure_kind == "mi":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                probs = counts / tot[:, None, None]
-            # rows with an empty neighborhood get a placeholder uniform table;
-            # their value is discarded below
-            probs = np.where(ok[:, None, None], probs, 1.0 / cells)
-            chunk_vals = np.where(ok, mi_nats(probs), np.nan)
-        else:
-            chunk_vals = np.where(ok, rate_gap(counts), np.nan)
-        values[lo:lo + m] = chunk_vals
+        table = table.sum(axis=1)
+    counts = np.ascontiguousarray(table, dtype=np.float64)
+    cells = counts.shape[1] * counts.shape[2]
+    tot = counts.sum(axis=(1, 2))
+    sizes = tot.astype(np.int64)
+    ok = tot > 0
+    if measure_kind == "mi":
+        with np.errstate(invalid="ignore", divide="ignore"):
+            probs = counts / tot[:, None, None]
+        # rows with an empty neighborhood get a placeholder uniform table;
+        # their value is discarded below
+        probs = np.where(ok[:, None, None], probs, 1.0 / cells)
+        values = np.where(ok, mi_nats(probs), np.nan)
+    else:
+        values = np.where(ok, rate_gap(counts), np.nan)
 
     indeterminate = sizes < min_neighborhood
     values[indeterminate] = np.nan

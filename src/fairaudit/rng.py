@@ -79,9 +79,13 @@ class CounterRng:
         return np.searchsorted(cum, self.uniforms(count), side="right").astype(np.int64)
 
     def integers(self, bound: int, count: int) -> np.ndarray:
-        """Unbiased draws from {0, ..., bound-1} via rejection on u64."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Unbiased int64 draws from {0, ..., bound-1} via rejection on u64.
+
+        The bound must lie in [1, 2^63]: an int64 cannot hold a larger draw,
+        so a bound above 2^63 raises ValueError.
+        """
+        if not (0 < bound <= 1 << 63):
+            raise ValueError("bound must be in [1, 2^63]")
         limit = ((1 << 64) // bound) * bound   # 2^64 itself when bound divides evenly
         out = np.empty(count, dtype=np.int64)
         filled = 0

@@ -1,4 +1,4 @@
-"""Bulk kNN selection against a brute-force oracle, and the shared neighbor lists."""
+"""Bulk kNN selection against a brute-force oracle, and the shared neighbor counts."""
 
 import io
 import tracemalloc
@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit import neighborhood
-from fairaudit.criteria import get_criterion
+from fairaudit.criteria import FTU, CriterionSpec, get_criterion
 from fairaudit.dataset import ColumnSchema, load_dataset
 from fairaudit.distance import DistanceSpec
-from fairaudit.errors import InvalidParams
+from fairaudit.errors import AllIndeterminate, InvalidParams
+from fairaudit.measures import mi_nats, rate_gap
 from fairaudit.neighborhood import NeighborhoodSpec, build_index, soft_evaluate
 
 _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -67,6 +68,23 @@ def _oracle(index, k, include_self):
     return members, np.take_along_axis(d, members, axis=1), d
 
 
+def _by_distance_then_index(members, dists):
+    """Rows reordered by (distance, record index): the order knn(i) promises.
+
+    Bulk selection keeps an untied row's k nearest in engine order, so rows
+    compare against the oracle as sets, made exact by this canonical order.
+    """
+    order = np.lexsort((members, dists), axis=-1)
+    return np.take_along_axis(members, order, axis=1), np.take_along_axis(dists, order, axis=1)
+
+
+def _check_knn_order(index, rows, k, include_self, want_m, want_d):
+    for i in rows:
+        members, dists = index.knn(int(i), k, include_self)
+        assert np.array_equal(members, want_m[i])
+        assert np.array_equal(dists, want_d[i])
+
+
 def _boundary_ties(sorted_d, k):
     """Rows whose (k+1)-th nearest distance equals the k-th."""
     if k >= sorted_d.shape[1]:
@@ -103,14 +121,20 @@ def test_knn_engines_match_brute_force_oracle():
         scan._ball_block = lambda q, r, s: fallback_rows.append(len(q)) or ball_block(q, r, s)
         queries = np.arange(n)
         for index in (tree, scan):
-            members, dists = index._knn_block(queries, k, include_self)
+            members, dists = _by_distance_then_index(*index._knn_block(queries, k, include_self))
             assert np.array_equal(members, want_m)
             assert np.array_equal(dists, want_d)
         requeried.append(tree._tree.ball_queries)
-        scan_ties.append(_boundary_ties(np.sort(d, axis=1), k))
+        sorted_d = np.sort(d, axis=1)
+        scan_ties.append(_boundary_ties(sorted_d, k))
         # every tied scan row, and only those, is settled by the bulk ball query
         assert sum(fallback_rows) == scan_ties[-1]
         scan_fallbacks.append(sum(fallback_rows))
+        tied_rows = np.flatnonzero(sorted_d[:, min(k, n - 1)] == sorted_d[:, k - 1])[:5]
+        rows = np.concatenate([tied_rows, data.draw(st.lists(st.integers(0, n - 1), max_size=5),
+                                                     label="rows")]).astype(np.int64)
+        for index in (tree, scan):
+            _check_knn_order(index, rows, k, include_self, want_m, want_d)
 
     check()
     assert sum(requeried) > 0     # the tree engine's tie re-query path ran
@@ -181,9 +205,10 @@ def test_mixed_scan_matches_oracle_and_shared_index_matches_fresh():
         assert index._tree is None
         k = data.draw(st.integers(1, n if include_self else n - 1), label="k")
         want_m, want_d, d = _oracle(index, k, include_self)
-        members, dists = index._knn_block(np.arange(n), k, include_self)
+        members, dists = _by_distance_then_index(*index._knn_block(np.arange(n), k, include_self))
         assert np.array_equal(members, want_m)
         assert np.array_equal(dists, want_d)
+        _check_knn_order(index, range(n), k, include_self, want_m, want_d)
         ties.append(_boundary_ties(np.sort(d, axis=1), k))
 
         radius = data.draw(st.sampled_from([0.2, 0.5, 1.0]), label="radius")
@@ -213,9 +238,12 @@ def test_soft_criteria_share_one_neighbor_query():
     for cid in ("isp", "ieo", "isuff"):
         soft_evaluate(ds, get_criterion(cid), nspec, index=index)
     assert sum(queried) == ds.n
-    assert index.neighborhoods(nspec) is index.neighborhoods(nspec)
-    offsets, members = index.neighborhoods(nspec)
-    assert np.array_equal(members[offsets[7]:offsets[8]], index.knn(7, 30)[0])
+    counts = index.cell_counts(nspec)
+    assert counts is index.cell_counts(nspec)
+    assert counts.shape == (ds.n, 8)
+    joint = (ds.y.codes * ds.y_hat.arity + ds.y_hat.codes) * ds.s.arity + ds.s.codes
+    want = np.bincount(joint[index.knn(7, 30)[0]], minlength=8)
+    assert np.array_equal(counts[7], want)
 
 
 def test_knn_k_out_of_range_rejected_before_allocation():
@@ -224,26 +252,154 @@ def test_knn_k_out_of_range_rejected_before_allocation():
         soft_evaluate(ds, get_criterion("isp"), NeighborhoodSpec("knn", k=10**12))
 
 
-def test_large_ball_audit_streams_instead_of_materializing(monkeypatch):
+def test_large_ball_audit_streams_instead_of_materializing():
     n = 2000
     ds = _quantized_dataset(8, n, 30, numeric=1, categorical=2)
     nspec = NeighborhoodSpec("ball", radius=1.0)    # every record is in every ball
-    specs = [get_criterion(cid) for cid in ("isp", "ieo")]
-    cached = build_index(ds)
-    want = [soft_evaluate(ds, spec, nspec, index=cached) for spec in specs]
-    assert nspec in cached._hoods                   # n^2 members fit the default budget
-
-    monkeypatch.setattr(neighborhood, "_BALL_MEMO_CELLS", 1 << 14)
     index = build_index(ds)
+    queried = []
+    ball_block = index._ball_block
+    index._ball_block = lambda q, r, s: queried.append(len(q)) or ball_block(q, r, s)
     tracemalloc.start()
     try:
-        got = [soft_evaluate(ds, spec, nspec, index=index) for spec in specs]
+        got = {cid: soft_evaluate(ds, get_criterion(cid), nspec, index=index)
+               for cid in ("isp", "ieo", "isuff")}
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not index._hoods
+    assert sum(queried) == n                        # one count pass for all three criteria
     assert peak < n * n * 8 / 4
-    for a, b in zip(got, want):
-        assert np.array_equal(a.neighborhood_sizes, b.neighborhood_sizes)
-        assert np.array_equal(a.local_values, b.local_values, equal_nan=True)
-        assert np.array_equal(a.violated, b.violated)
+    assert np.array_equal(got["isp"].neighborhood_sizes, np.full(n, n))
+    own_y = np.bincount(ds.y.codes)[ds.y.codes]
+    assert np.array_equal(got["ieo"].neighborhood_sizes, own_y)
+    own_yhat = np.bincount(ds.y_hat.codes)[ds.y_hat.codes]
+    assert np.array_equal(got["isuff"].neighborhood_sizes, own_yhat)
+
+
+def _brute_force_neighborhoods(index, nspec):
+    """Every record's neighborhood as CSR arrays (offsets, members), from the full matrix."""
+    n = index.n
+    if nspec.mode == "knn":
+        members = _oracle(index, nspec.k, nspec.include_self)[0]
+        return np.arange(n + 1) * nspec.k, members.ravel()
+    inside = index.space.block_distances(np.arange(n)) <= nspec.radius
+    if not nspec.include_self:
+        inside[np.arange(n), np.arange(n)] = False
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(inside.sum(axis=1), out=offsets[1:])
+    return offsets, np.nonzero(inside)[1]
+
+
+def _member_list_soft_evaluate(ds, spec, offsets, members, measure_kind, epsilon, delta,
+                               min_neighborhood):
+    """The per-criterion member-list loop that the shared count pass replaced.
+
+    Restricts each record's members to those sharing its conditioning labels,
+    counts them per (outcome, sensitive) cell and measures the local table.
+    Returns (sizes, values, violated, satisfied_fraction).
+    """
+    n = ds.n
+    left = ds.column(spec.left)
+    r_arity, c_arity = left.arity, ds.s.arity
+    cells = r_arity * c_arity
+    pair_code = left.codes * c_arity + ds.s.codes
+    cond_code = None
+    for token in (g for g in spec.given if g != "features"):
+        col = ds.column(token)
+        cond_code = (0 if cond_code is None else cond_code * col.arity) + col.codes
+    local = np.repeat(np.arange(n), np.diff(offsets))
+    flat = members
+    if cond_code is not None:
+        keep = cond_code[flat] == cond_code[local]
+        local, flat = local[keep], flat[keep]
+    counts = np.bincount(local * cells + pair_code[flat], minlength=n * cells)
+    counts = counts.reshape(n, r_arity, c_arity).astype(np.float64)
+    tot = counts.sum(axis=(1, 2))
+    sizes = tot.astype(np.int64)
+    ok = tot > 0
+    if measure_kind == "mi":
+        with np.errstate(invalid="ignore", divide="ignore"):
+            probs = counts / tot[:, None, None]
+        probs = np.where(ok[:, None, None], probs, 1.0 / cells)
+        values = np.where(ok, mi_nats(probs), np.nan)
+    else:
+        values = np.where(ok, rate_gap(counts), np.nan)
+    indeterminate = sizes < min_neighborhood
+    values[indeterminate] = np.nan
+    determinate = int((~indeterminate).sum())
+    if determinate == 0:
+        raise AllIndeterminate("every restricted neighborhood is below min_neighborhood")
+    violated = np.zeros(n, dtype=bool)
+    violated[~indeterminate] = values[~indeterminate] > epsilon
+    return sizes, values, violated, (determinate - int(violated.sum())) / determinate
+
+
+def test_count_pass_matches_member_list_oracle():
+    engines = set()
+
+    @_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tree_sized=st.booleans(),
+        levels=st.sampled_from([3, 8, 40]),
+        categorical=st.sampled_from([0, 1]),
+        include_self=st.booleans(),
+        measure_kind=st.sampled_from(["mi", "rate"]),
+        min_neighborhood=st.sampled_from([1, 10]),
+        data=st.data(),
+    )
+    def check(seed, tree_sized, levels, categorical, include_self, measure_kind,
+              min_neighborhood, data):
+        lo = neighborhood._TREE_MIN_RECORDS if tree_sized else 30
+        n = data.draw(st.integers(lo, lo + 80), label="n")
+        ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=categorical)
+        index = build_index(ds)
+        engines.add("tree" if index._tree is not None else "scan")
+        radius = data.draw(st.sampled_from([None, 0.05, 0.3, 1.0]), label="radius")
+        if radius is None:
+            k = data.draw(st.integers(1, min(n - 1, 60)), label="k")
+            nspec = NeighborhoodSpec("knn", k=k, include_self=include_self)
+        else:
+            nspec = NeighborhoodSpec("ball", radius=radius, include_self=include_self)
+        offsets, members = _brute_force_neighborhoods(index, nspec)
+        for spec in [get_criterion(cid) for cid in ("isp", "ieo", "isuff")] + [FTU]:
+            try:
+                want = _member_list_soft_evaluate(ds, spec, offsets, members, measure_kind,
+                                                  0.05, 0.05, min_neighborhood)
+            except AllIndeterminate:
+                with pytest.raises(AllIndeterminate):
+                    soft_evaluate(ds, spec, nspec, measure_kind=measure_kind,
+                                  min_neighborhood=min_neighborhood, index=index)
+                continue
+            got = soft_evaluate(ds, spec, nspec, measure_kind=measure_kind,
+                                min_neighborhood=min_neighborhood, index=index)
+            sizes, values, violated, satisfied = want
+            assert np.array_equal(got.neighborhood_sizes, sizes)
+            assert np.array_equal(got.local_values, values, equal_nan=True)
+            assert np.array_equal(got.violated, violated)
+            assert got.satisfied_fraction == satisfied
+
+    check()
+    assert engines == {"tree", "scan"}
+
+
+def test_soft_evaluate_rejects_index_of_another_dataset():
+    ds = _quantized_dataset(9, 200, 8, numeric=1, categorical=1)
+    nspec = NeighborhoodSpec("knn", k=20)
+    isp = get_criterion("isp")
+    for other in (_quantized_dataset(10, 200, 8, numeric=1, categorical=1),
+                  _quantized_dataset(9, 150, 8, numeric=1, categorical=1)):
+        with pytest.raises(InvalidParams):
+            soft_evaluate(ds, isp, nspec, index=build_index(other))
+    twin = _quantized_dataset(9, 200, 8, numeric=1, categorical=1)   # equal, not the same object
+    got = soft_evaluate(ds, isp, nspec, index=build_index(twin))
+    want = soft_evaluate(ds, isp, nspec)
+    assert np.array_equal(got.local_values, want.local_values, equal_nan=True)
+
+
+def test_soft_evaluate_rejects_criteria_outside_the_label_cells():
+    ds = _quantized_dataset(11, 60, 8, numeric=1, categorical=1)
+    spec = CriterionSpec("iself", "self-conditioned parity", "prediction", "sensitive",
+                         ("prediction", "features"), "individual", "aware")
+    with pytest.raises(InvalidParams):
+        soft_evaluate(ds, spec, NeighborhoodSpec("knn", k=5))
