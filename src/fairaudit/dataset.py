@@ -277,7 +277,8 @@ def load_dataset(
         raw: dict[str, list[str]] = {c.name: [] for c in used}
         lines: list[int] = []  # CSV line number per kept row (header is line 1)
         dropped = 0
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num    # a quoted field may span lines
             if len(row) != len(header):
                 raise ParseError(
                     f"row has {len(row)} fields, header has {len(header)}", line=line_no

@@ -23,10 +23,16 @@ class DistanceSpec:
 
     weights: dict[str, float] | None = None
 
-    def weight_for(self, name: str) -> float:
-        if self.weights is None:
-            return 1.0
-        return float(self.weights.get(name, 1.0))
+    def column_weights(self, names: list[str]) -> np.ndarray:
+        """Gower weights of the named feature columns, in that order.
+
+        A weight for any other column is an error, not silently ignored.
+        """
+        weights = self.weights or {}
+        unknown = sorted(set(weights) - set(names))
+        if unknown:
+            raise InvalidParams(f"weights name columns that are not features: {unknown}")
+        return gower_weights([float(weights.get(name, 1.0)) for name in names], len(names))
 
 
 class FeatureSpace:
@@ -44,14 +50,12 @@ class FeatureSpace:
         dist = dist or DistanceSpec()
         self.n = dataset.n
         self.column_names = dataset.feature_names()
-        self.weights = gower_weights([dist.weight_for(c.name) for c in dataset.features],
-                                     len(dataset.features))
+        self.weights = dist.column_weights(self.column_names)
         self.total_weight = float(self.weights.sum())
 
         self._kinds = [c.kind for c in dataset.features]
         self._columns = [min_max_scale(c.values) if c.kind == "numeric" else c.codes
                          for c in dataset.features]
-        self.pure_numeric = all(k == "numeric" for k in self._kinds)
 
     def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distances for aligned index arrays a[i] <-> b[i]."""
@@ -68,14 +72,15 @@ class FeatureSpace:
                 acc += w * (np.abs(col[a] - col[b]) if kind == "numeric" else col[a] != col[b])
         return acc / self.total_weight
 
-    def tree_coordinates(self) -> np.ndarray:
+    def tree_coordinates(self) -> np.ndarray | None:
         """Weighted scaled coordinates in which L1 distance equals this distance.
 
-        Only valid for pure-numeric feature sets; used to prune candidates,
-        never as the final arbiter.
+        This is the one place that decides which feature sets a KD-tree can
+        index: all-numeric ones get coordinates, any other gets None.  The
+        coordinates only prune candidates, never decide membership.
         """
-        if not self.pure_numeric:
-            raise InvalidParams("tree coordinates need all-numeric features")
+        if any(kind != "numeric" for kind in self._kinds):
+            return None
         cols = [col * (w / self.total_weight)
                 for col, w in zip(self._columns, self.weights) if w > 0.0]
         return np.stack(cols, axis=1)

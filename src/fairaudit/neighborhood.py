@@ -8,13 +8,13 @@ between the outcome and the sensitive attribute is measured inside the
 neighborhood, and the audit passes when the fraction of non-violating
 records is high enough.
 
-Queries are exact.  For pure-numeric features a KD-tree prunes candidates
-(L1 metric on weighted scaled coordinates equals the record distance), but
-final membership is always decided by the canonical distance kernel, so
-tree-backed and linear-scan results are identical.  Each engine only
-proposes candidates for a whole block of records; one selection step picks
-the k nearest, and rows with a tie at the k-th neighbor are settled by one
-bulk ball query.
+Queries are exact.  Two engines propose candidates for a whole block of
+records: a KD-tree for all-numeric features at any n (L1 metric on weighted
+scaled coordinates equals the record distance), and a linear scan for mixed
+features.  Neither decides anything: the canonical distance kernel gives
+every candidate its exact distance, one selection step picks the k nearest
+under one tie rule, and rows tied at the k-th neighbor are settled by one
+bulk ball query, so tree-backed and linear-scan results are identical.
 
 A NeighborIndex passes over every record's neighborhood once per
 neighborhood spec and keeps only counts: how many of the record's neighbors
@@ -42,8 +42,9 @@ DEFAULT_EPSILON = 0.05
 DEFAULT_DELTA = 0.05
 DEFAULT_MIN_NEIGHBORHOOD = 10
 
-_TREE_MIN_RECORDS = 1024     # below this a linear scan wins
-_TREE_SLACK = 1e-9           # relative candidate-radius inflation over the pruning metric
+# relative margin over rounding: kNN rows whose (k+1)-th distance is within
+# it of the k-th are tied, and ball candidates are proposed out to it
+_TREE_SLACK = 1e-9
 _BLOCK_CELLS = 1 << 16       # cells in the widest per-row array of one vectorized block
 
 
@@ -88,10 +89,8 @@ class NeighborIndex:
         self._cells = (dataset.y.codes * dataset.y_hat.arity
                        + dataset.y_hat.codes) * dataset.s.arity + dataset.s.codes
         self._counts: dict[NeighborhoodSpec, np.ndarray] = {}
-        self._tree = None
-        if self.space.pure_numeric and self.n >= _TREE_MIN_RECORDS:
-            self._coords = self.space.tree_coordinates()
-            self._tree = cKDTree(self._coords)
+        self._coords = self.space.tree_coordinates()
+        self._tree = None if self._coords is None else cKDTree(self._coords)
 
     # -- single-record queries -------------------------------------------
 
@@ -134,7 +133,7 @@ class NeighborIndex:
                 members = self._knn_block(q, nspec.k, nspec.include_self)[0].ravel()
                 sizes = nspec.k
             else:
-                offsets, members = self._ball_block(q, nspec.radius, nspec.include_self)
+                offsets, members, _ = self._ball_block(q, nspec.radius, nspec.include_self)
                 sizes = np.diff(offsets)
             owner = np.repeat(np.arange(len(q), dtype=np.int64) * cells, sizes)
             counts[lo:lo + len(q)] = np.bincount(
@@ -148,112 +147,106 @@ class NeighborIndex:
             raise InvalidParams(f"k={k} out of range for n={self.n}")
 
     def _knn_block(self, queries: np.ndarray, k: int, include_self: bool):
-        # The engine yields, per block, k candidates per row with their exact
-        # distances.  An untied row's candidates are its k nearest, kept in
-        # engine order.  A tied row's largest candidate distance r bounds its
-        # true k-th, so the ball of radius r holds its k nearest; one bulk
-        # ball query settles every tied row exactly, in (distance, index) order.
+        # The one selection step for both engines.  An engine proposes each
+        # row's kq + 1 nearest records, self included, with exact distances.
+        # A row whose (kq+1)-th distance lies beyond the slack margin of its
+        # other kq keeps those kq, in engine order.  Any other row is tied:
+        # its largest kept distance r bounds its true k-th, so the ball of
+        # radius r holds its k nearest, and one bulk ball query settles every
+        # tied row exactly, in (distance, index) order.  The margin also covers
+        # the rounding by which the tree's pruning metric may misorder
+        # candidates.  Without self, kq is k + 1 and self is dropped; a row
+        # whose kept kq lack self is tied.
         self._check_k(k, include_self)
+        kq = k if include_self else k + 1
         members = np.empty((len(queries), k), dtype=np.int64)
         dists = np.empty((len(queries), k))
-        engine = self._knn_tree if self._tree is not None else self._knn_linear
-        for lo, cand, d, tied in engine(queries, k, include_self):
-            members[lo:lo + len(cand)] = cand
-            dists[lo:lo + len(cand)] = d
+        engine = self._propose_tree if self._tree is not None else self._propose_scan
+        for lo, cand, d in engine(queries, min(kq + 1, self.n)):
+            q = queries[lo:lo + len(cand)]
+            tied = np.zeros(len(q), dtype=bool)
+            if cand.shape[1] > kq:
+                tied = d[:, kq] <= d[:, :kq].max(axis=1) * (1.0 + _TREE_SLACK) + 1e-12
+                cand, d = cand[:, :kq], d[:, :kq]
+            if not include_self:
+                is_self = cand == q[:, None]
+                tied |= ~is_self.any(axis=1)
+                keep = np.ones(cand.shape, dtype=bool)
+                keep[np.arange(len(q)), is_self.argmax(axis=1)] = False
+                cand, d = cand[keep].reshape(len(q), k), d[keep].reshape(len(q), k)
+            members[lo:lo + len(q)] = cand
+            dists[lo:lo + len(q)] = d
             tied_rows = lo + np.flatnonzero(tied)
             step = _block_rows(self.n)     # a ball of duplicates holds every record
             for t in range(0, len(tied_rows), step):
                 rows = tied_rows[t:t + step]
-                offsets, ball = self._ball_block(queries[rows], dists[rows].max(axis=1),
-                                                 include_self)
+                offsets, ball, d_ball = self._ball_block(queries[rows], dists[rows].max(axis=1),
+                                                         include_self)
                 owner = np.repeat(np.arange(len(rows)), np.diff(offsets))
-                d_ball = self.space.pair_distances(queries[rows][owner], ball)
                 first_k = np.lexsort((ball, d_ball, owner))[offsets[:-1, None] + np.arange(k)]
                 members[rows] = ball[first_k]
                 dists[rows] = d_ball[first_k]
         return members, dists
 
-    def _knn_linear(self, queries, k, include_self):
-        # The k+1 smallest distances of each row settle its k nearest unless
-        # the (k+1)-th ties the largest of the other k.  The block loop stays
-        # here rather than in the caller: a block's arrays then live until the
-        # next block's are allocated, and the allocator reuses their pages
-        # instead of returning and re-faulting them on every block (measured
-        # 2x slower on a 4000-record mixed audit).
-        width = min(k + 1, self.n)
+    def _propose_scan(self, queries, width):
+        # Each row's `width` nearest by the exact distance, the width-th last.
+        # The block loop stays here rather than in the caller: a block's
+        # arrays then live until the next block's are allocated, and the
+        # allocator reuses their pages instead of returning and re-faulting
+        # them on every block (measured 2x slower on a 4000-record mixed audit).
         step = _block_rows(self.n)
         for lo in range(0, len(queries), step):
-            q = queries[lo:lo + step]
-            d = self.space.block_distances(q)
-            if not include_self:
-                d[np.arange(len(q)), q] = np.inf
+            d = self.space.block_distances(queries[lo:lo + step])
             cand = np.argpartition(d, width - 1, axis=1)[:, :width]
-            cand_d = np.take_along_axis(d, cand, axis=1)
-            if width == k:
-                tied = np.zeros(len(q), dtype=bool)
-            else:
-                tied = cand_d[:, k] == cand_d[:, :k].max(axis=1)
-            yield lo, cand[:, :k], cand_d[:, :k], tied
+            yield lo, cand, np.take_along_axis(d, cand, axis=1)
 
-    def _knn_tree(self, queries, k, include_self):
-        # One tree query returns each row's kq nearest plus the next one.  When
-        # that extra neighbor lies beyond the slack radius of the kq-th, the kq
-        # are exactly the records the radius admits.  Otherwise (a tie under
-        # the pruning metric, or self excluded but not among the kq) the row
-        # is marked tied.  With self excluded the kq = k + 1 candidates lose
-        # their farthest: self, at inf, on every untied row.
-        kq = k if include_self else k + 1
-        step = _block_rows(kq + 1)
+    def _propose_tree(self, queries, width):
+        # Each row's `width` nearest under the pruning metric, which differs
+        # from the exact distance only by rounding, then their exact distances.
+        step = _block_rows(width)
         for lo in range(0, len(queries), step):
             q = queries[lo:lo + step]
-            tree_d, cand = self._tree.query(self._coords[q], k=kq + 1, p=1.0, workers=1)
-            cand = cand[:, :kq]
-            owners = np.broadcast_to(q[:, None], cand.shape)
-            d = self.space.pair_distances(owners.ravel(), cand.ravel()).reshape(cand.shape)
-            is_self = cand == owners
-            if not include_self:
-                d[is_self] = np.inf
-            # the second slack factor absorbs rounding differences between the
-            # tree's nearest-neighbor and radius searches
-            radius = tree_d[:, kq - 1] * (1.0 + _TREE_SLACK) + 1e-12
-            tied = tree_d[:, kq] <= radius * (1.0 + _TREE_SLACK)
-            if not include_self:
-                tied |= ~is_self.any(axis=1)
-                keep = np.ones(cand.shape, dtype=bool)
-                keep[np.arange(len(q)), d.argmax(axis=1)] = False
-                cand, d = cand[keep].reshape(len(q), k), d[keep].reshape(len(q), k)
-            yield lo, cand, d, tied
+            # reshaped because a query for one neighbor returns 1-D arrays
+            cand = self._tree.query(self._coords[q], k=width, p=1.0,
+                                    workers=1)[1].reshape(len(q), width)
+            d = self.space.pair_distances(np.repeat(q, width), cand.ravel())
+            yield lo, cand, d.reshape(cand.shape)
 
     def _ball_block(self, queries: np.ndarray, radius, include_self: bool):
         """Records within `radius` (a scalar or one per query) of each query.
 
-        Returns CSR arrays (offsets, members), each query's members in
-        ascending index order.  The radius may be 0 (exact duplicates only).
+        Returns CSR arrays (offsets, members, distances), each query's
+        members in ascending index order with their exact distances.  The
+        radius may be 0 (exact duplicates only).
         """
         radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), queries.shape)
+        # the engines propose, per query, every record within the slack radius
+        # with its exact distance; those distances then decide membership
+        reach = radius * (1.0 + _TREE_SLACK) + 1e-12
         if self._tree is not None:
-            cands = self._tree.query_ball_point(
-                self._coords[queries], radius * (1.0 + _TREE_SLACK) + 1e-12, p=1.0,
-                workers=1, return_sorted=True)
+            cands = self._tree.query_ball_point(self._coords[queries], reach, p=1.0,
+                                                workers=1, return_sorted=True)
             sizes = np.fromiter(map(len, cands), dtype=np.int64, count=len(queries))
             members = np.fromiter(itertools.chain.from_iterable(cands), dtype=np.int64,
                                   count=sizes.sum())
-            row = np.repeat(np.arange(len(queries)), sizes)
-            owner = queries[row]
-            keep = self.space.pair_distances(owner, members) <= radius[row]
-            if not include_self:
-                keep &= members != owner
-            members = members[keep]
-            sizes = np.bincount(row[keep], minlength=len(queries))
+            d = self.space.pair_distances(np.repeat(queries, sizes), members)
         else:
-            inside = self.space.block_distances(queries) <= radius[:, None]
-            if not include_self:
-                inside[np.arange(len(queries)), queries] = False
-            sizes = inside.sum(axis=1)
-            members = np.flatnonzero(inside) - np.repeat(np.arange(len(queries)) * self.n, sizes)
+            d = self.space.block_distances(queries)
+            inside = d <= reach[:, None]
+            sizes = np.count_nonzero(inside, axis=1)
+            flat = np.flatnonzero(inside)
+            members = flat - np.repeat(np.arange(len(queries)) * self.n, sizes)
+            d = d.ravel()[flat]
+        keep = d <= np.repeat(radius, sizes)
+        if not include_self:
+            keep &= members != np.repeat(queries, sizes)
         offsets = np.zeros(len(queries) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        return offsets, members
+        if keep.all():              # the common case: every proposal is a member
+            return offsets, members, d
+        kept = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        return kept[offsets], members[keep], d[keep]
 
 
 def build_index(dataset: Dataset, dist: DistanceSpec | None = None) -> NeighborIndex:
@@ -309,7 +302,8 @@ def soft_evaluate(
     satisfied_fraction >= 1 - delta.
 
     A shared `index` must have been built for this dataset (the same object
-    or an equal one); its neighbor counts carry that dataset's labels.
+    or an equal one) and with the weights of `dist`; its neighbor counts
+    carry that dataset's labels and that distance.
     """
     if "features" not in spec.given:
         raise GroupCriterion(f"criterion {spec.id!r} does not condition on features")
@@ -331,6 +325,9 @@ def soft_evaluate(
         index = build_index(dataset, dist)
     elif index.dataset is not dataset and not index.dataset.equals(dataset):
         raise InvalidParams("the neighbor index was built for a different dataset")
+    elif not np.array_equal(index.space.weights,
+                            (dist or DistanceSpec()).column_weights(index.space.column_names)):
+        raise InvalidParams("the neighbor index was built with different distance weights")
     n = dataset.n
 
     # (n, Y, Ŷ, S) neighbor counts -> (n, other label, left, S); then keep the

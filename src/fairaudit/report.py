@@ -354,6 +354,8 @@ def run_audit(config: AuditConfig, dataset: Dataset | None = None) -> Report:
     all_passed = True
     shared_index = None
     dist = DistanceSpec(config.weights)
+    if config.weights:      # checked even when no criterion measures distance
+        dist.column_weights(dataset.feature_names())
     evaluated: dict[str, CriterionResult | SoftResult] = {}   # ftu reuses isp's
 
     def evaluate_once(cid: str) -> CriterionResult | SoftResult:

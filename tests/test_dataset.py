@@ -86,6 +86,19 @@ def test_missing_value_drop_mode():
     assert ds.provenance.dropped_rows == 1
 
 
+@pytest.mark.parametrize("bad_row, column", [("b,1,1", None), ("b,,1,2", "y"),
+                                             ("b,1,1,oops", "age")])
+def test_error_line_counts_the_lines_of_a_multi_line_field(bad_row, column):
+    # the quoted token on line 2 spans two lines, so the bad row is on line 4
+    schema = _schema([ColumnSchema("age", "feature", "numeric"),
+                      ColumnSchema("note", "ignore", "categorical")])
+    text = f's,y,yhat,age,note\na,0,0,12,"first\nsecond"\n{bad_row},x\n'
+    with pytest.raises(ParseError) as err:
+        _load(text, schema)
+    assert err.value.line == 4
+    assert err.value.column == column
+
+
 def test_numeric_prediction_binarized():
     schema = [
         ColumnSchema("s", "sensitive", "categorical"),

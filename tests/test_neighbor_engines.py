@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fairaudit import neighborhood
 from fairaudit.criteria import FTU, CriterionSpec, get_criterion
-from fairaudit.dataset import ColumnSchema, load_dataset
+from fairaudit.dataset import Column, ColumnSchema, Dataset, Provenance, load_dataset
 from fairaudit.distance import DistanceSpec
 from fairaudit.errors import AllIndeterminate, InvalidParams
 from fairaudit.measures import mi_nats, rate_gap
@@ -86,10 +86,11 @@ def _check_knn_order(index, rows, k, include_self, want_m, want_d):
 
 
 def _boundary_ties(sorted_d, k):
-    """Rows whose (k+1)-th nearest distance equals the k-th."""
+    """Rows whose (k+1)-th nearest distance is within the tie margin of the k-th."""
     if k >= sorted_d.shape[1]:
         return 0
-    return int((sorted_d[:, k] == sorted_d[:, k - 1]).sum())
+    margin = sorted_d[:, k - 1] * (1.0 + neighborhood._TREE_SLACK) + 1e-12
+    return int((sorted_d[:, k] <= margin).sum())
 
 
 def test_knn_engines_match_brute_force_oracle():
@@ -171,11 +172,12 @@ def test_ball_block_engines_match_brute_force_oracle():
         if not include_self:
             want = [w[w != q] for w, q in zip(want, queries)]
         for index in engines:
-            offsets, members = index._ball_block(queries, radius, include_self)
+            offsets, members, dists = index._ball_block(queries, radius, include_self)
             assert offsets[0] == 0 and len(offsets) == len(queries) + 1
             for row, w in enumerate(want):
                 assert np.array_equal(members[offsets[row]:offsets[row + 1]], w)
-            offsets, members = index._ball_block(queries, radius[0], include_self)
+                assert np.array_equal(dists[offsets[row]:offsets[row + 1]], d[row, w])
+            offsets, members, _ = index._ball_block(queries, radius[0], include_self)
             scalar = [np.flatnonzero(row <= radius[0]) for row in d]
             if not include_self:
                 scalar = [w[w != q] for w, q in zip(scalar, queries)]
@@ -340,7 +342,8 @@ def test_count_pass_matches_member_list_oracle():
     @_SETTINGS
     @given(
         seed=st.integers(0, 2**32 - 1),
-        tree_sized=st.booleans(),
+        large=st.booleans(),
+        scan=st.booleans(),
         levels=st.sampled_from([3, 8, 40]),
         categorical=st.sampled_from([0, 1]),
         include_self=st.booleans(),
@@ -348,12 +351,14 @@ def test_count_pass_matches_member_list_oracle():
         min_neighborhood=st.sampled_from([1, 10]),
         data=st.data(),
     )
-    def check(seed, tree_sized, levels, categorical, include_self, measure_kind,
+    def check(seed, large, scan, levels, categorical, include_self, measure_kind,
               min_neighborhood, data):
-        lo = neighborhood._TREE_MIN_RECORDS if tree_sized else 30
+        lo = 1024 if large else 30      # large inputs span several query blocks
         n = data.draw(st.integers(lo, lo + 80), label="n")
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=categorical)
         index = build_index(ds)
+        if scan:
+            index._tree = None
         engines.add("tree" if index._tree is not None else "scan")
         radius = data.draw(st.sampled_from([None, 0.05, 0.3, 1.0]), label="radius")
         if radius is None:
@@ -403,3 +408,63 @@ def test_soft_evaluate_rejects_criteria_outside_the_label_cells():
                          ("prediction", "features"), "individual", "aware")
     with pytest.raises(InvalidParams):
         soft_evaluate(ds, spec, NeighborhoodSpec("knn", k=5))
+
+
+def test_soft_evaluate_rejects_index_built_with_other_weights():
+    ds = _quantized_dataset(12, 300, 8, numeric=2, categorical=0)
+    nspec = NeighborhoodSpec("knn", k=30)
+    isp = get_criterion("isp")
+    weighted = build_index(ds, DistanceSpec({"f0": 20.0}))
+    for dist in (None, DistanceSpec(), DistanceSpec({"f0": 2.0})):
+        with pytest.raises(InvalidParams, match="weights"):
+            soft_evaluate(ds, isp, nspec, dist, index=weighted)
+    with pytest.raises(InvalidParams, match="weights"):
+        soft_evaluate(ds, isp, nspec, DistanceSpec({"f0": 20.0}), index=build_index(ds))
+    # the same weights, spelled differently, describe the same distance
+    for dist in (DistanceSpec({"f0": 20.0}), DistanceSpec({"f0": 20, "f1": 1.0})):
+        got = soft_evaluate(ds, isp, nspec, dist, index=weighted)
+        want = soft_evaluate(ds, isp, nspec, dist)
+        assert np.array_equal(got.local_values, want.local_values, equal_nan=True)
+
+
+def _tiny_dataset(n):
+    """n <= 3 records on two numeric features; records 0 and 1 are duplicates."""
+    def categorical(name, codes):
+        return Column(name, "categorical", codes=np.array(codes[:n]), categories=("0", "1"))
+    features = tuple(Column(name, "numeric", values=np.array(values[:n]))
+                     for name, values in (("f0", [0.5, 0.5, 0.2]), ("f1", [1.0, 1.0, 3.0])))
+    return Dataset(categorical("s", [0, 1, 0]), categorical("y", [0, 0, 1]),
+                   categorical("yhat", [1, 0, 1]), features, None,
+                   Provenance("tiny", "error", None, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiny_inputs_match_scan_and_oracle_on_the_tree(n):
+    ds = _tiny_dataset(n)
+    tree = build_index(ds)
+    assert tree._tree is not None          # the tree runs at any n
+    scan = build_index(ds)
+    scan._tree = None
+    queries = np.arange(n)
+    d = scan.space.block_distances(queries)
+    for include_self in (True, False):
+        for k in range(1, n + include_self):
+            want_m, want_d, _ = _oracle(tree, k, include_self)
+            for index in (tree, scan):
+                members, dists = _by_distance_then_index(*index._knn_block(queries, k,
+                                                                           include_self))
+                assert np.array_equal(members, want_m)
+                assert np.array_equal(dists, want_d)
+                _check_knn_order(index, queries, k, include_self, want_m, want_d)
+        for index in (tree, scan):
+            with pytest.raises(InvalidParams):
+                index._knn_block(queries, n + include_self, include_self)
+        for radius in (0.0, 0.5, 1.0):
+            for index in (tree, scan):
+                offsets, members, dists = index._ball_block(queries, radius, include_self)
+                for q in queries:
+                    want = np.flatnonzero(d[q] <= radius)
+                    if not include_self:
+                        want = want[want != q]
+                    assert np.array_equal(members[offsets[q]:offsets[q + 1]], want)
+                    assert np.array_equal(dists[offsets[q]:offsets[q + 1]], d[q, want])

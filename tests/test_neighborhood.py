@@ -5,7 +5,8 @@ import pytest
 
 from fairaudit.criteria import evaluate, get_criterion
 from fairaudit.dataset import ColumnSchema, load_dataset, stratify
-from fairaudit.errors import AllIndeterminate, GroupCriterion, NoFeatures
+from fairaudit.distance import DistanceSpec, FeatureSpace
+from fairaudit.errors import AllIndeterminate, GroupCriterion, InvalidParams, NoFeatures
 from fairaudit.measures import mi_nats
 from fairaudit.neighborhood import NeighborhoodSpec, build_index, soft_evaluate
 from fairaudit.rng import CounterRng
@@ -268,3 +269,12 @@ def test_soft_determinism():
     assert np.array_equal(a.local_values, b.local_values, equal_nan=True)
     assert np.array_equal(a.violated, b.violated)
     assert a.satisfied_fraction == b.satisfied_fraction
+
+
+def test_weights_must_name_feature_columns():
+    ds = _numeric_dataset([0.1, 0.4, 0.9, 0.3])
+    with pytest.raises(InvalidParams, match="x9"):
+        FeatureSpace(ds, DistanceSpec({"x9": 5.0}))
+    with pytest.raises(InvalidParams, match="x9"):
+        build_index(ds, DistanceSpec({"x1": 2.0, "x9": 5.0}))
+    assert FeatureSpace(ds, DistanceSpec({"x1": 2.0})).weights.tolist() == [2.0]

@@ -257,3 +257,12 @@ def test_malformed_schema_config_exits_as_a_config_error(tmp_path, capsys):
         assert main(["audit", "--data", str(data), "--schema", str(schema)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("fairaudit: error:") and "internal" not in err
+
+
+def test_weights_naming_no_feature_column_exit_2(tmp_path, capsys):
+    for scenario in ("independent", "planted_unfair_cluster"):    # exact, then soft
+        data, schema, _ = _write_scenario(tmp_path, scenario, n=300)
+        assert main(["audit", "--data", data, "--schema", schema, "--criteria", "sp,isp",
+                     "--weights", "x0=2,x9=5", "--output", str(tmp_path / "rep.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fairaudit: error:") and "x9" in err and "x0" not in err

@@ -17,8 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from fairaudit.neighborhood import _TREE_MIN_RECORDS
-
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
@@ -46,9 +44,9 @@ def test_workload_seams_are_tracer_seams():
         assert set(spec["seams"]) <= names, workload
 
 
-# all-numeric inputs big enough for the KD-tree engine, and mixed kinds that
-# force the linear scan
-@pytest.mark.parametrize("workload, n", [("soft_knn", _TREE_MIN_RECORDS + 200),
+# all-numeric inputs take the KD-tree engine, and mixed kinds force the linear
+# scan
+@pytest.mark.parametrize("workload, n", [("soft_knn", 1224),
                                          ("soft_mixed", 600)])
 def test_soft_audit_calls_its_workload_seams(workload, n, tmp_path):
     spec = _load("workloads")["WORKLOADS"][workload]
