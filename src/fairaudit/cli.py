@@ -19,7 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .criteria import list_criteria
+from .criteria import MEASURE_KINDS, list_criteria
 from .dataset import save_csv
 from .errors import FairauditError, InvalidParams
 from .lipschitz import (
@@ -30,7 +30,8 @@ from .lipschitz import (
     audit_map,
     load_mapped_csv,
 )
-from .report import AuditConfig, canonical_json, render, run_audit
+from .neighborhood import SOFT_MEASURE_KINDS
+from .report import SELECTABLE, AuditConfig, canonical_json, render, run_audit
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, generate, schema_config_for
 
 
@@ -161,10 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="input CSV with header")
     p.add_argument("--schema", required=True, help="JSON column config")
     p.add_argument("--criteria", default=",".join(d.criteria),
-                   help="comma-separated ids (sp,eo,suff,isp,ieo,isuff,ftu,situation_testing)")
+                   help=f"comma-separated ids ({','.join(SELECTABLE)})")
     p.add_argument("--st-columns", default=None,
                    help="comma-separated feature columns for situation_testing")
-    p.add_argument("--measure", default=d.measure, choices=["mi", "chi2", "ber"])
+    p.add_argument("--measure", default=d.measure, choices=list(MEASURE_KINDS))
     p.add_argument("--threshold", type=float, default=d.threshold)
     p.add_argument("--epsilon", type=float, default=d.epsilon)
     p.add_argument("--delta", type=float, default=d.delta)
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-neighborhood", type=int, default=d.min_neighborhood,
                    dest="min_neighborhood")
     p.add_argument("--alpha", type=float, default=d.alpha, help="Laplace smoothing")
-    p.add_argument("--soft-measure", default=d.soft_measure, choices=["mi", "rate"],
+    p.add_argument("--soft-measure", default=d.soft_measure, choices=SOFT_MEASURE_KINDS,
                    dest="soft_measure")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--knn", type=int, default=d.k, metavar="K")

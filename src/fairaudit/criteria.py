@@ -17,6 +17,7 @@ fairness through unawareness and situation testing are evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dataset import Dataset
@@ -24,6 +25,7 @@ from .errors import (
     ContinuousConditioning,
     DegenerateTable,
     EmptySelection,
+    InvalidParams,
     MissingColumn,
     NumericConditioning,
 )
@@ -36,14 +38,20 @@ from .measures import (
 )
 from .tables import DEFAULT_MIN_COUNT, stratified_contingency
 
-MEASURE_KINDS = ("mi", "chi2", "ber")
 
-_STRATIFIED_MEASURES = {"mi": conditional_mutual_information, "chi2": stratified_chi_square,
-                        "ber": stratified_balanced_error_ratio}
+def _ber_passes(measure: MeasureValue, threshold: float) -> bool:
+    max_ber = measure.aux["max_ber"]
+    normalized = measure.value / max_ber if max_ber > 0.0 else 1.0
+    return normalized >= 1.0 - threshold
 
-# decision thresholds when the caller does not override:
-# mi: value <= t, chi2: p_value >= t, ber: value/max_ber >= 1 - t
-DEFAULT_THRESHOLDS = {"mi": 0.01, "chi2": 0.05, "ber": 0.05}
+
+# kind -> (stratified measure, default threshold, pass rule).  The pass rule is
+# advisory; the measure value itself is authoritative.
+MEASURE_KINDS = {
+    "mi": (conditional_mutual_information, 0.01, lambda m, t: m.value <= t),
+    "chi2": (stratified_chi_square, 0.05, lambda m, t: m.aux["p_value"] >= t),
+    "ber": (stratified_balanced_error_ratio, 0.05, _ber_passes),
+}
 
 _SYMBOLS = {"prediction": "Ŷ", "target": "Y", "sensitive": "S", "features": "X"}
 
@@ -86,8 +94,12 @@ _REGISTRY = (
                   ("prediction", "features"), "individual", "aware"),
 )
 
+# Omitting the sensitive column from the model and conditioning the parity
+# check on everything else are the same formal condition: isp under its other name.
 FTU = CriterionSpec("ftu", "fairness through unawareness", "prediction", "sensitive",
                     ("features",), "individual", "unaware")
+
+_BY_ID = {spec.id: spec for spec in _REGISTRY + (FTU,)}
 
 
 def list_criteria() -> list[CriterionSpec]:
@@ -96,12 +108,9 @@ def list_criteria() -> list[CriterionSpec]:
 
 
 def get_criterion(criterion_id: str) -> CriterionSpec:
-    for spec in _REGISTRY:
-        if spec.id == criterion_id:
-            return spec
-    if criterion_id == "ftu":
-        return FTU
-    raise KeyError(f"unknown criterion id {criterion_id!r}")
+    if criterion_id not in _BY_ID:
+        raise KeyError(f"unknown criterion id {criterion_id!r}")
+    return _BY_ID[criterion_id]
 
 
 @dataclass
@@ -113,25 +122,19 @@ class CriterionResult:
     threshold: float
     per_stratum: StratumValues | None
     dropped_mass: float
-    mode: str = "exact"
 
 
-def decide(measure_kind: str, measure: MeasureValue, threshold: float) -> bool:
-    """Pass/fail rule per measure kind (advisory; the value itself is authoritative)."""
-    if measure_kind == "mi":
-        return measure.value <= threshold
-    if measure_kind == "chi2":
-        return measure.aux["p_value"] >= threshold
-    if measure_kind == "ber":
-        max_ber = measure.aux["max_ber"]
-        normalized = measure.value / max_ber if max_ber > 0.0 else 1.0
-        return normalized >= 1.0 - threshold
-    raise ValueError(f"unknown measure kind {measure_kind!r}")
-
-
-def _conditioning_columns(dataset: Dataset, given: tuple[str, ...]) -> list[str]:
+def _conditioning_columns(dataset: Dataset, spec: CriterionSpec) -> list[str]:
+    if spec.column_names is not None:
+        feature_names = set(dataset.feature_names())
+        for c in spec.column_names:
+            if c not in feature_names:
+                raise MissingColumn(f"{c!r} is not a feature column")
+            if dataset.column(c).kind != "categorical":
+                raise NumericConditioning(f"situation-testing column {c!r} is numeric")
+        return list(spec.column_names)
     cols: list[str] = []
-    for token in given:
+    for token in spec.given:
         if token == "features":
             names = dataset.feature_names()
             numeric = [c.name for c in dataset.features if c.kind == "numeric"]
@@ -146,46 +149,6 @@ def _conditioning_columns(dataset: Dataset, given: tuple[str, ...]) -> list[str]
     return cols
 
 
-def _evaluate_on(
-    dataset: Dataset,
-    spec: CriterionSpec,
-    condition_cols: list[str],
-    measure_kind: str,
-    threshold: float | None,
-    min_count: int,
-    alpha: float,
-) -> CriterionResult:
-    if measure_kind not in MEASURE_KINDS:
-        raise ValueError(f"unknown measure kind {measure_kind!r}")
-    if threshold is None:
-        threshold = DEFAULT_THRESHOLDS[measure_kind]
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-
-    unconditioned = not condition_cols
-    strata = stratified_contingency(
-        dataset, spec.left, spec.right, condition_cols, 1 if unconditioned else min_count
-    )
-    measure = _STRATIFIED_MEASURES[measure_kind](strata, alpha)
-    per_stratum = measure.aux["per_stratum"]
-    if unconditioned:
-        # one table: its own measure (with MI's normalized value) is the criterion's
-        ((_, measure, _),) = per_stratum
-        if measure.aux.get("degenerate"):
-            raise DegenerateTable("fewer than 2 non-empty rows or columns")
-        per_stratum = None
-
-    return CriterionResult(
-        criterion=spec,
-        measure=measure,
-        measure_kind=measure_kind,
-        passed=decide(measure_kind, measure, threshold),
-        threshold=threshold,
-        per_stratum=per_stratum,
-        dropped_mass=strata.dropped_mass,
-    )
-
-
 def evaluate(
     dataset: Dataset,
     spec: CriterionSpec,
@@ -196,11 +159,46 @@ def evaluate(
 ) -> CriterionResult:
     """Evaluate one criterion exactly (stratified when the condition is non-empty).
 
-    Feature conditioning requires all-categorical features; numeric features
-    raise ContinuousConditioning and should be routed to soft evaluation.
+    The condition is spec.column_names when set (situation testing), else
+    the columns spec.given names.  Feature conditioning requires
+    all-categorical features; numeric features raise ContinuousConditioning
+    and should be routed to soft evaluation.  The threshold must be finite
+    and positive, alpha finite and non-negative and min_count at least 1,
+    whether or not the condition is empty.
     """
-    cols = _conditioning_columns(dataset, spec.given)
-    return _evaluate_on(dataset, spec, cols, measure_kind, threshold, min_count, alpha)
+    if measure_kind not in MEASURE_KINDS:
+        raise InvalidParams(f"unknown measure kind {measure_kind!r}")
+    stratified_measure, default_threshold, passes = MEASURE_KINDS[measure_kind]
+    if threshold is None:
+        threshold = default_threshold
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise InvalidParams("threshold must be finite and positive")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise InvalidParams("alpha must be finite and non-negative")
+    if min_count < 1:
+        raise InvalidParams("min_count must be >= 1")
+
+    cols = _conditioning_columns(dataset, spec)
+    strata = stratified_contingency(dataset, spec.left, spec.right, cols,
+                                    min_count if cols else 1)
+    measure = stratified_measure(strata, alpha)
+    per_stratum = measure.aux["per_stratum"]
+    if not cols:
+        # one table: its own measure (with MI's normalized value) is the criterion's
+        ((_, measure, _),) = per_stratum
+        if measure.aux.get("degenerate"):
+            raise DegenerateTable("fewer than 2 non-empty rows or columns")
+        per_stratum = None
+
+    return CriterionResult(
+        criterion=spec,
+        measure=measure,
+        measure_kind=measure_kind,
+        passed=passes(measure, threshold),
+        threshold=threshold,
+        per_stratum=per_stratum,
+        dropped_mass=strata.dropped_mass,
+    )
 
 
 def evaluate_ftu(
@@ -210,16 +208,8 @@ def evaluate_ftu(
     min_count: int = DEFAULT_MIN_COUNT,
     alpha: float = 0.0,
 ) -> CriterionResult:
-    """Fairness through unawareness.
-
-    Omitting the sensitive column from the model and conditioning the
-    parity check on everything else are the same formal condition, so this
-    is individual statistical parity surfaced under its other name; the
-    measure value is bit-identical to evaluate(isp).
-    """
-    result = evaluate(dataset, get_criterion("isp"), measure_kind, threshold, min_count, alpha)
-    result.criterion = FTU
-    return result
+    """Fairness through unawareness: bit-identical to evaluate(isp) under its own name."""
+    return evaluate(dataset, FTU, measure_kind, threshold, min_count, alpha)
 
 
 def situation_testing_evaluate(
@@ -236,17 +226,11 @@ def situation_testing_evaluate(
     would match on; selecting every feature column reproduces individual
     statistical parity exactly.
     """
-    cols = list(legally_grounded_columns)
+    cols = tuple(legally_grounded_columns)
     if not cols:
         raise EmptySelection("situation testing needs at least one conditioning column")
-    feature_names = set(dataset.feature_names())
-    for c in cols:
-        if c not in feature_names:
-            raise MissingColumn(f"{c!r} is not a feature column")
-        if dataset.column(c).kind != "categorical":
-            raise NumericConditioning(f"situation-testing column {c!r} is numeric")
     spec = CriterionSpec(
         "situation_testing", "situation testing", "prediction", "sensitive",
-        ("features",), "individual", "aware", column_names=tuple(cols),
+        ("features",), "individual", "aware", column_names=cols,
     )
-    return _evaluate_on(dataset, spec, cols, measure_kind, threshold, min_count, alpha)
+    return evaluate(dataset, spec, measure_kind, threshold, min_count, alpha)

@@ -27,6 +27,7 @@ lists are never kept, so memory stays O(n * cells) at any radius.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from .measures import mi_nats, rate_gap
 DEFAULT_EPSILON = 0.05
 DEFAULT_DELTA = 0.05
 DEFAULT_MIN_NEIGHBORHOOD = 10
+SOFT_MEASURE_KINDS = ("mi", "rate")
 
 # relative margin over rounding: kNN rows whose (k+1)-th distance is within
 # it of the k-th are tied, and ball candidates are proposed out to it
@@ -307,14 +309,14 @@ def soft_evaluate(
     """
     if "features" not in spec.given:
         raise GroupCriterion(f"criterion {spec.id!r} does not condition on features")
-    if epsilon <= 0:
-        raise InvalidParams("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidParams("epsilon must be finite and positive")
     if not (0.0 <= delta < 1.0):
         raise InvalidParams("delta must be in [0, 1)")
     if min_neighborhood < 1:
         raise InvalidParams("min_neighborhood must be >= 1")
-    if measure_kind not in ("mi", "rate"):
-        raise InvalidParams("soft measure kind must be 'mi' or 'rate'")
+    if measure_kind not in SOFT_MEASURE_KINDS:
+        raise InvalidParams(f"soft measure kind must be one of {SOFT_MEASURE_KINDS}")
 
     cond_tokens = [g for g in spec.given if g != "features"]
     other = {"target": "prediction", "prediction": "target"}.get(spec.left)

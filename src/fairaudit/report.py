@@ -22,6 +22,7 @@ from . import __version__
 from .criteria import (
     FTU,
     CriterionResult,
+    CriterionSpec,
     evaluate,
     get_criterion,
     list_criteria,
@@ -42,8 +43,8 @@ from .neighborhood import (
 )
 from .tables import DEFAULT_MIN_COUNT
 
-CRITERION_IDS = ("sp", "eo", "suff", "isp", "ieo", "isuff")
-SELECTABLE = CRITERION_IDS + ("ftu", "situation_testing")
+CRITERION_IDS = tuple(spec.id for spec in list_criteria())
+SELECTABLE = CRITERION_IDS + (FTU.id, "situation_testing")
 
 
 @dataclass
@@ -261,6 +262,12 @@ def canonical_json(obj, indent: int = 2) -> str:
 
 # -- result serialization ----------------------------------------------------------
 
+def _criterion_keys(spec: CriterionSpec, mode: str) -> dict:
+    """The keys every result entry opens with, in report order."""
+    return {"id": spec.id, "name": spec.name, "condition": spec.condition(),
+            "unit": spec.unit, "awareness": spec.awareness, "mode": mode}
+
+
 def _exact_result_dict(result: CriterionResult) -> dict:
     mv = result.measure
     details = {}
@@ -268,12 +275,7 @@ def _exact_result_dict(result: CriterionResult) -> dict:
         if name in mv.aux:
             details[name] = mv.aux[name]
     entry = {
-        "id": result.criterion.id,
-        "name": result.criterion.name,
-        "condition": result.criterion.condition(),
-        "unit": result.criterion.unit,
-        "awareness": result.criterion.awareness,
-        "mode": "exact",
+        **_criterion_keys(result.criterion, "exact"),
         "measure": result.measure_kind,
         "value": mv.value,
         "threshold": result.threshold,
@@ -288,13 +290,8 @@ def _exact_result_dict(result: CriterionResult) -> dict:
 
 def _soft_result_dict(result: SoftResult) -> dict:
     nspec = result.neighborhood
-    entry = {
-        "id": result.criterion.id,
-        "name": result.criterion.name,
-        "condition": result.criterion.condition(),
-        "unit": result.criterion.unit,
-        "awareness": result.criterion.awareness,
-        "mode": "soft",
+    return {
+        **_criterion_keys(result.criterion, "soft"),
         "soft_measure": result.measure_kind,
         "epsilon": result.epsilon,
         "delta": result.delta,
@@ -311,7 +308,6 @@ def _soft_result_dict(result: SoftResult) -> dict:
         },
         "min_neighborhood": result.min_neighborhood,
     }
-    return entry
 
 
 # -- orchestration ------------------------------------------------------------------

@@ -69,14 +69,22 @@ class CounterRng:
         n = count if count is not None else p.shape[0]
         return (self.uniforms(n) < p).astype(np.int64)
 
-    def categorical(self, probs, count: int) -> np.ndarray:
-        """Index draws from a fixed probability vector."""
+    def categorical(self, probs, count: int | None = None) -> np.ndarray:
+        """Index draws from one probability vector (`count` draws) or one draw
+        per row of a (count, K) probability matrix.
+
+        Each draw takes one uniform u and returns how many cumulative
+        probabilities of its vector are <= u.
+        """
         probs = np.asarray(probs, dtype=np.float64)
-        if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
+        if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
             raise ValueError("probabilities must be non-negative and sum to 1")
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0  # guard against cumulative rounding
-        return np.searchsorted(cum, self.uniforms(count), side="right").astype(np.int64)
+        if probs.ndim == 2 and count not in (None, len(probs)):
+            raise ValueError("a probability matrix gives one draw per row")
+        cum = np.cumsum(probs, axis=-1)
+        cum[..., -1] = 1.0  # guard against cumulative rounding
+        u = self.uniforms(len(probs) if probs.ndim == 2 else count)
+        return (cum <= u[:, None]).sum(axis=-1).astype(np.int64)
 
     def integers(self, bound: int, count: int) -> np.ndarray:
         """Unbiased int64 draws from {0, ..., bound-1} via rejection on u64.

@@ -93,18 +93,10 @@ class _DiscreteLaw:
     def sample(self, rng: CounterRng, n: int):
         """Draw n records; returns (s, [x_i...], y, yhat) as int arrays."""
         s = rng.categorical(self.s_probs, n)
-        xs = [_draw_rows(rng, cpt[s]) for _, cpt in self.features]
-        y = _draw_rows(rng, self.y_cpt[(s, *xs)])
-        yhat = _draw_rows(rng, self.yhat_cpt[(s, *xs, y)])
+        xs = [rng.categorical(cpt[s]) for _, cpt in self.features]
+        y = rng.categorical(self.y_cpt[(s, *xs)])
+        yhat = rng.categorical(self.yhat_cpt[(s, *xs, y)])
         return s, xs, y, yhat
-
-
-def _draw_rows(rng: CounterRng, prob_rows: np.ndarray) -> np.ndarray:
-    """One categorical draw per row of a (n, K) probability matrix."""
-    cum = np.cumsum(prob_rows, axis=1)
-    cum[:, -1] = 1.0
-    u = rng.uniforms(prob_rows.shape[0])
-    return (cum <= u[:, None]).sum(axis=1).astype(np.int64)
 
 
 def _population_cmi(joint: np.ndarray, left: int, right: int, given: tuple) -> float:

@@ -142,8 +142,8 @@ def normalize(table: ContingencyTable, alpha: float = 0.0) -> JointTable:
 
     p(i,j) = (count(i,j) + alpha) / (total + alpha * cells)
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError("alpha must be finite and non-negative")
     cells = table.row_arity * table.col_arity
     denom = table.counts.sum(axis=(-2, -1), keepdims=True) + alpha * cells
     if (denom <= 0).any():

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fairaudit.cli import criteria_table, main
 from fairaudit.report import AuditConfig, canonical_json, parse_report, render, run_audit
@@ -266,3 +267,26 @@ def test_weights_naming_no_feature_column_exit_2(tmp_path, capsys):
                      "--weights", "x0=2,x9=5", "--output", str(tmp_path / "rep.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("fairaudit: error:") and "x9" in err and "x0" not in err
+
+
+@pytest.mark.parametrize("scenario, args, message", [
+    ("independent", ["--measure", "mi", "--alpha", "nan"], "alpha"),
+    ("independent", ["--measure", "ber", "--alpha", "-1"], "alpha"),
+    ("independent", ["--measure", "chi2", "--alpha", "-5"], "alpha"),
+    ("independent", ["--criteria", "sp", "--alpha", "inf"], "alpha"),
+    ("independent", ["--criteria", "sp", "--min-count", "-3"], "min_count"),
+    ("independent", ["--threshold", "inf"], "threshold"),
+    ("independent", ["--criteria", "sp", "--threshold", "nan"], "threshold"),
+    ("independent", ["--criteria", "st", "--st-columns", "x0", "--threshold", "inf"],
+     "threshold"),
+    ("planted_unfair_cluster", ["--criteria", "isp", "--epsilon", "nan"], "epsilon"),
+    ("planted_unfair_cluster", ["--criteria", "isp", "--epsilon", "inf"], "epsilon"),
+])
+def test_bad_decision_parameters_exit_2_before_a_verdict(tmp_path, capsys, scenario, args,
+                                                         message):
+    data, schema, _ = _write_scenario(tmp_path, scenario, n=3000)
+    assert main(["audit", "--data", data, "--schema", schema, "--format", "markdown",
+                 *args]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("fairaudit: error:") and message in captured.err

@@ -44,6 +44,23 @@ def test_categorical_frequencies():
     assert np.allclose(freq, probs, atol=0.01)
 
 
+def test_categorical_matrix_draws_one_per_row():
+    probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5], [0.5, 0.5, 0.0]])
+    rows = np.tile(probs, (2500, 1))
+    draws = CounterRng(9).categorical(rows)
+    u = CounterRng(9).uniforms(len(rows))
+    want = [np.searchsorted(np.cumsum(p)[:-1], x, side="right") for p, x in zip(rows, u)]
+    assert draws.dtype == np.int64 and draws.tolist() == want
+    assert (draws[0::4] == 0).all() and (draws[1::4] == 2).all() and (draws[3::4] < 2).all()
+    # a matrix of one repeated vector gives the vector's draws
+    vector = CounterRng(9).categorical([0.2, 0.3, 0.5], 1000)
+    assert np.array_equal(CounterRng(9).categorical(np.tile([0.2, 0.3, 0.5], (1000, 1))), vector)
+    with pytest.raises(ValueError):
+        CounterRng(9).categorical(rows, 7)
+    with pytest.raises(ValueError):
+        CounterRng(9).categorical([[0.5, 0.5], [0.5, 0.6]])
+
+
 def test_integers_unbiased_and_in_range():
     draws = CounterRng(6).integers(7, 100000)
     assert draws.min() >= 0 and draws.max() <= 6

@@ -44,28 +44,48 @@ def test_workload_seams_are_tracer_seams():
         assert set(spec["seams"]) <= names, workload
 
 
+def _assert_workload_seams_called(workload, sizes, tmp_path):
+    """Trace one perfbench audit process on the workload's inputs resized by
+    `sizes` and require a call of every seam the workload lists.
+
+    The inputs come from perfbench's own generator and the job from its own
+    `make_job`, so the test runs what the benchmark runs, only smaller.
+    """
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    prepare = (f"import json, sys; sys.path.insert(0, {str(PERFBENCH)!r})\n"
+               "from pathlib import Path\nimport numpy as np\n"
+               "from gen import GENERATORS\nfrom run import make_job\n"
+               "from workloads import WORKLOADS\n"
+               f"spec = dict(WORKLOADS[{workload!r}], **{sizes!r})\n"
+               f"out = Path({str(tmp_path)!r})\n"
+               f"GENERATORS[{workload!r}](spec, np.random.default_rng(1), out)\n"
+               f"job = make_job({workload!r}, spec, 1, out, out, True)\n"
+               "job['result'] = str(out / 'result.json')\n"
+               "(out / 'job.json').write_text(json.dumps(job), encoding='utf-8')\n")
+    subprocess.run([sys.executable, "-c", prepare], check=True, env=env)
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "audit.py"), str(tmp_path / "job.json")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode in (0, 1), proc.stderr    # 1: an audit failed, as planted
+    stats = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))["trace"]["stats"]
+    seams = _load("workloads")["WORKLOADS"][workload]["seams"]
+    uncalled = [seam for seam in seams if stats.get(seam, {}).get("calls", 0) == 0]
+    assert not uncalled, f"{workload} seams never called: {uncalled}"
+
+
 # all-numeric inputs take the KD-tree engine, and mixed kinds force the linear
 # scan
 @pytest.mark.parametrize("workload, n", [("soft_knn", 1224),
                                          ("soft_mixed", 600)])
 def test_soft_audit_calls_its_workload_seams(workload, n, tmp_path):
-    spec = _load("workloads")["WORKLOADS"][workload]
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    generate = (f"import sys; sys.path.insert(0, {str(PERFBENCH)!r})\n"
-                "from pathlib import Path\nimport numpy as np\n"
-                "from gen import planted_cluster\nfrom workloads import WORKLOADS\n"
-                f"planted_cluster(dict(WORKLOADS[{workload!r}], n={n}), "
-                f"np.random.default_rng(1), Path({str(tmp_path)!r}))\n")
-    subprocess.run([sys.executable, "-c", generate], check=True, env=env)
-    job = {"kind": "audit", "src": str(ROOT / "src"), "trace": True, "run_id": workload,
-           "data": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json"),
-           "criteria": list(spec["criteria"]), "k": spec["k"], "weights": spec["weights"],
-           "report": str(tmp_path / "report.json"), "result": str(tmp_path / "result.json")}
-    job_path = tmp_path / "job.json"
-    job_path.write_text(json.dumps(job), encoding="utf-8")
-    proc = subprocess.run([sys.executable, str(PERFBENCH / "audit.py"), str(job_path)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode in (0, 1), proc.stderr    # 1: an audit failed, as planted
-    stats = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))["trace"]["stats"]
-    uncalled = [seam for seam in spec["seams"] if stats.get(seam, {}).get("calls", 0) == 0]
-    assert not uncalled, f"{workload} seams never called: {uncalled}"
+    _assert_workload_seams_called(workload, {"n": n}, tmp_path)
+
+
+# exact_strata keeps an even arity, and few enough cells that strata survive
+# min_count; the lipschitz files lie on either side of the 2,000-row
+# exhaustive limit, so both the exhaustive and the sampled scan run
+@pytest.mark.parametrize("workload, sizes", [
+    ("exact_strata", {"n": 3000, "arities": (4, 3, 2)}),
+    ("lipschitz", {"n_exhaustive": 300, "n_sampled": 2500, "sample_count": 5000}),
+], ids=["exact_strata", "lipschitz"])
+def test_exact_and_lipschitz_audits_call_their_workload_seams(workload, sizes, tmp_path):
+    _assert_workload_seams_called(workload, sizes, tmp_path)

@@ -62,6 +62,12 @@ def test_normalize_empty_rejected():
         normalize(ContingencyTable(np.zeros((2, 2), dtype=int)), 0.0)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+def test_normalize_rejects_alpha_outside_finite_non_negative(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        normalize(ContingencyTable(np.array([[3, 1], [1, 3]])), alpha)
+
+
 def test_normalize_times_total_recovers_counts():
     rng = np.random.default_rng(0)
     for _ in range(200):
