@@ -149,6 +149,27 @@ def _conditioning_columns(dataset: Dataset, spec: CriterionSpec) -> list[str]:
     return cols
 
 
+def check_exact_params(measure_kind: str, threshold: float | None, min_count: int,
+                       alpha: float) -> float:
+    """Raise InvalidParams unless these exact-evaluation parameters are valid.
+
+    The measure kind must be in MEASURE_KINDS, the threshold finite and
+    positive, alpha finite and non-negative and min_count at least 1.
+    Returns the threshold to apply: the kind's default when None.
+    """
+    if measure_kind not in MEASURE_KINDS:
+        raise InvalidParams(f"unknown measure kind {measure_kind!r}")
+    if threshold is None:
+        threshold = MEASURE_KINDS[measure_kind][1]
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise InvalidParams("threshold must be finite and positive")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise InvalidParams("alpha must be finite and non-negative")
+    if min_count < 1:
+        raise InvalidParams("min_count must be >= 1")
+    return threshold
+
+
 def evaluate(
     dataset: Dataset,
     spec: CriterionSpec,
@@ -162,22 +183,11 @@ def evaluate(
     The condition is spec.column_names when set (situation testing), else
     the columns spec.given names.  Feature conditioning requires
     all-categorical features; numeric features raise ContinuousConditioning
-    and should be routed to soft evaluation.  The threshold must be finite
-    and positive, alpha finite and non-negative and min_count at least 1,
-    whether or not the condition is empty.
+    and should be routed to soft evaluation.  The parameters are checked by
+    check_exact_params up front, whether or not the condition is empty.
     """
-    if measure_kind not in MEASURE_KINDS:
-        raise InvalidParams(f"unknown measure kind {measure_kind!r}")
-    stratified_measure, default_threshold, passes = MEASURE_KINDS[measure_kind]
-    if threshold is None:
-        threshold = default_threshold
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise InvalidParams("threshold must be finite and positive")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise InvalidParams("alpha must be finite and non-negative")
-    if min_count < 1:
-        raise InvalidParams("min_count must be >= 1")
-
+    threshold = check_exact_params(measure_kind, threshold, min_count, alpha)
+    stratified_measure, _, passes = MEASURE_KINDS[measure_kind]
     cols = _conditioning_columns(dataset, spec)
     strata = stratified_contingency(dataset, spec.left, spec.right, cols,
                                     min_count if cols else 1)

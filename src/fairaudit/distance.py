@@ -42,6 +42,16 @@ class FeatureSpace:
     through `pair_distances` / `block_distances`, which accumulate column
     contributions in dataset feature order, so distances are bit-identical
     no matter which query strategy produced the candidate pairs.
+
+    Both take numpy's `out=` idiom: given a float64 array of the result's
+    shape, they write the distances there and return it; without one they
+    allocate the result.  The kernel works in place either way, one scratch
+    array per call: each weighted column term is built in it (difference,
+    absolute value, or mismatch as 0/1, then times the weight), added to
+    the zeroed result, and the sum divided by the total weight at the end.
+    Those are the operations, in the order, of
+    `sum(w * |a - b| or w * (a != b)) / total_weight` over the columns, so
+    the in-place result is bit-identical to that formula.
     """
 
     def __init__(self, dataset: Dataset, dist: DistanceSpec | None = None):
@@ -57,20 +67,38 @@ class FeatureSpace:
         self._columns = [min_max_scale(c.values) if c.kind == "numeric" else c.codes
                          for c in dataset.features]
 
-    def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def pair_distances(self, a: np.ndarray, b: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
         """Distances for aligned index arrays a[i] <-> b[i]."""
-        return self._distances(a, b)
+        return self._distances(a, b, out)
 
-    def block_distances(self, query_idx: np.ndarray) -> np.ndarray:
+    def block_distances(self, query_idx: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """Distances from each query record to all records; shape (len(query_idx), n)."""
-        return self._distances(query_idx[:, None], np.arange(self.n))
+        return self._distances(query_idx[:, None], np.arange(self.n), out)
 
-    def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        acc = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)))
+    def _distances(self, a: np.ndarray, b: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        if out is None:
+            acc = np.zeros(shape)
+        elif out.shape != shape or out.dtype != np.float64:
+            raise ValueError(f"out must be a float64 array of shape {shape}")
+        else:
+            acc = out
+            acc.fill(0.0)
+        term = np.empty(shape)
         for kind, col, w in zip(self._kinds, self._columns, self.weights):
             if w > 0.0:
-                acc += w * (np.abs(col[a] - col[b]) if kind == "numeric" else col[a] != col[b])
-        return acc / self.total_weight
+                if kind == "numeric":
+                    np.subtract(col[a], col[b], out=term)
+                    np.abs(term, out=term)
+                else:
+                    np.not_equal(col[a], col[b], out=term)
+                term *= w
+                acc += term
+        acc /= self.total_weight
+        return acc
 
     def tree_coordinates(self) -> np.ndarray | None:
         """Weighted scaled coordinates in which L1 distance equals this distance.

@@ -23,6 +23,7 @@ from .criteria import (
     FTU,
     CriterionResult,
     CriterionSpec,
+    check_exact_params,
     evaluate,
     get_criterion,
     list_criteria,
@@ -39,6 +40,7 @@ from .neighborhood import (
     NeighborhoodSpec,
     SoftResult,
     build_index,
+    check_soft_params,
     soft_evaluate,
 )
 from .tables import DEFAULT_MIN_COUNT
@@ -312,6 +314,27 @@ def _soft_result_dict(result: SoftResult) -> dict:
 
 # -- orchestration ------------------------------------------------------------------
 
+def _checked_selection(config: AuditConfig) -> list[str]:
+    """The selected criterion ids, once every parameter of the request is checked.
+
+    Exact and soft parameters and the neighborhood are checked whichever
+    criteria are selected, by the same checks `evaluate` and `soft_evaluate`
+    apply, so a bad value fails the run before any data is read.
+    """
+    selection = _parse_selection(config.criteria)
+    check_exact_params(config.measure, config.threshold, config.min_count, config.alpha)
+    check_soft_params(config.soft_measure, config.epsilon, config.delta,
+                      config.min_neighborhood)
+    config.neighborhood_spec()
+    if "situation_testing" in selection:
+        if not config.situation_columns:
+            raise EmptySelection("situation_testing selected without columns")
+    elif config.situation_columns:
+        raise InvalidParams("situation testing columns given but situation_testing "
+                            "is not selected")
+    return selection
+
+
 def _parse_selection(tokens) -> list[str]:
     seen = []
     for tok in tokens:
@@ -334,9 +357,10 @@ def run_audit(config: AuditConfig, dataset: Dataset | None = None) -> Report:
 
     Feature-conditioned criteria are evaluated exactly on all-categorical
     features and switch to soft neighborhood evaluation (with a warning
-    naming the switch) when numeric features are present.
+    naming the switch) when numeric features are present.  Every parameter
+    is checked before the dataset is loaded.
     """
-    selection = _parse_selection(config.criteria)
+    selection = _checked_selection(config)
     if dataset is None:
         schema, threshold, missing = load_schema_config(config.schema)
         dataset = load_dataset(config.data, schema, threshold=threshold, missing=missing)
@@ -357,8 +381,6 @@ def run_audit(config: AuditConfig, dataset: Dataset | None = None) -> Report:
     def evaluate_once(cid: str) -> CriterionResult | SoftResult:
         nonlocal shared_index
         if cid == "situation_testing":
-            if not config.situation_columns:
-                raise EmptySelection("situation_testing selected without columns")
             return situation_testing_evaluate(
                 dataset, config.situation_columns, config.measure,
                 config.threshold, config.min_count, config.alpha,

@@ -1,0 +1,132 @@
+"""The in-place distance kernel against its one-line formula, and scan buffer reuse."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairaudit.dataset import Column, Dataset, Provenance
+from fairaudit.distance import DistanceSpec, FeatureSpace, min_max_scale
+from fairaudit.neighborhood import NeighborhoodSpec, build_index
+
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_WEIGHTS = (0.0, 0.02, 0.3, 1.0, 1.0 / 3.0, 2.5)
+
+
+def _categorical(name, codes):
+    codes = np.asarray(codes, dtype=np.int64)
+    return Column(name, "categorical", codes=codes,
+                  categories=tuple(str(c) for c in range(int(codes.max()) + 1)))
+
+
+@st.composite
+def _spaces(draw):
+    """A FeatureSpace over mixed, possibly constant columns, some weighted zero."""
+    n = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = []
+    for j, kind in enumerate(kinds):
+        constant = draw(st.booleans())
+        if kind == "numeric":
+            values = rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 3))
+            if draw(st.booleans()):
+                values = np.round(values, 1)          # ties
+            features.append(Column(f"f{j}", "numeric",
+                                   values=np.full(n, values[0]) if constant else values))
+        else:
+            codes = rng.integers(0, draw(st.integers(1, 4)), n)
+            features.append(_categorical(f"f{j}", np.zeros(n) if constant else codes))
+    weights = [draw(st.sampled_from(_WEIGHTS)) for _ in kinds]
+    if not any(weights):
+        weights[draw(st.integers(0, len(kinds) - 1))] = 1.0
+    labels = _categorical("s", np.arange(n) % 2)
+    dataset = Dataset(labels, labels, labels, tuple(features), None,
+                      Provenance("kernel", "error", None, 0))
+    space = FeatureSpace(dataset, DistanceSpec({f"f{j}": w for j, w in enumerate(weights)}))
+    return dataset, space, rng
+
+
+def _reference(dataset, space, a, b):
+    """The kernel as one formula: weighted column terms added in feature order."""
+    acc = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)))
+    for c, w in zip(dataset.features, space.weights):
+        col = min_max_scale(c.values) if c.kind == "numeric" else c.codes
+        if w > 0.0:
+            acc += w * (np.abs(col[a] - col[b]) if c.kind == "numeric" else col[a] != col[b])
+    return acc / space.total_weight
+
+
+def _assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@_SETTINGS
+@given(_spaces(), st.integers(0, 60))
+def test_pair_distances_bit_equal_to_the_formula(case, m):
+    dataset, space, rng = case
+    a, b = rng.integers(0, space.n, (2, m))
+    want = _reference(dataset, space, a, b)
+    _assert_bits_equal(space.pair_distances(a, b), want)
+    out = np.full(m, np.nan)
+    assert space.pair_distances(a, b, out=out) is out
+    _assert_bits_equal(out, want)
+
+
+@_SETTINGS
+@given(_spaces())
+def test_block_distances_bit_equal_to_the_formula_with_one_reused_out(case):
+    dataset, space, rng = case
+    n = space.n
+    buf = np.full((n + 3, n), np.nan)          # garbage that a stale cell would keep
+    buf[-1] = -1.0
+    # row counts that shrink and grow again, so each block lands on cells
+    # an earlier, larger block wrote
+    for rows in (n, 1, n + 3, max(n // 2, 1), 2, n + 1):
+        q = rng.integers(0, n, rows)
+        want = _reference(dataset, space, q[:, None], np.arange(n))
+        _assert_bits_equal(space.block_distances(q), want)
+        d = space.block_distances(q, out=buf[:rows])
+        assert d.base is buf
+        _assert_bits_equal(d, want)
+
+
+def test_out_of_the_wrong_shape_or_dtype_is_rejected():
+    labels = _categorical("s", [0, 1, 0])
+    dataset = Dataset(labels, labels, labels, (Column("x", "numeric", values=np.arange(3.0)),),
+                      None, Provenance("kernel", "error", None, 0))
+    space = FeatureSpace(dataset)
+    q = np.array([0, 2])
+    for out in (np.empty((3, 3)), np.empty((2, 2)), np.empty((2, 3), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            space.block_distances(q, out=out)
+    with pytest.raises(ValueError):
+        space.pair_distances(q, q, out=np.empty(3))
+
+
+def test_a_knn_scan_pass_fills_views_of_one_buffer(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 700                  # several scan blocks of _block_rows(n) rows each
+    x = rng.normal(size=n)
+    dataset = Dataset(_categorical("s", rng.integers(0, 2, n)),
+                      _categorical("y", rng.integers(0, 2, n)),
+                      _categorical("yhat", rng.integers(0, 2, n)),
+                      (Column("x", "numeric", values=x), _categorical("c", rng.integers(0, 3, n))),
+                      None, Provenance("scan", "error", None, 0))
+    index = build_index(dataset)
+    assert index._tree is None              # mixed kinds take the linear scan
+    outs = []
+    block_distances = FeatureSpace.block_distances
+
+    def recording(self, query_idx, out=None):
+        outs.append(out)
+        return block_distances(self, query_idx, out=out)
+
+    monkeypatch.setattr(FeatureSpace, "block_distances", recording)
+    index.cell_counts(NeighborhoodSpec("knn", k=5))
+    # ball fallbacks for tied rows allocate their own; the scan blocks share one
+    scan_outs = [out for out in outs if out is not None]
+    bases = {id(out.base) for out in scan_outs}
+    assert len(scan_outs) > 1 and len(bases) == 1
+    assert all(out.base is not None and out.base.shape[1] == n for out in scan_outs)

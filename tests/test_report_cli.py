@@ -281,6 +281,19 @@ def test_weights_naming_no_feature_column_exit_2(tmp_path, capsys):
      "threshold"),
     ("planted_unfair_cluster", ["--criteria", "isp", "--epsilon", "nan"], "epsilon"),
     ("planted_unfair_cluster", ["--criteria", "isp", "--epsilon", "inf"], "epsilon"),
+    # checked whichever criteria are selected
+    ("planted_unfair_cluster", ["--criteria", "isp", "--alpha", "nan", "--threshold", "inf",
+                                "--min-count", "-3"], "threshold"),
+    ("planted_unfair_cluster", ["--criteria", "isp", "--alpha", "nan"], "alpha"),
+    ("planted_unfair_cluster", ["--criteria", "isp", "--min-count", "-3"], "min_count"),
+    ("planted_unfair_cluster", ["--criteria", "sp", "--epsilon", "nan"], "epsilon"),
+    ("planted_unfair_cluster", ["--criteria", "sp", "--delta", "1"], "delta"),
+    ("planted_unfair_cluster", ["--criteria", "sp", "--min-neighborhood", "0"],
+     "min_neighborhood"),
+    ("planted_unfair_cluster", ["--criteria", "sp", "--knn", "0"], "k >= 1"),
+    ("planted_unfair_cluster", ["--criteria", "sp", "--ball", "2"], "radius"),
+    ("planted_unfair_cluster", ["--criteria", "sp", "--st-columns", "x0"],
+     "situation_testing is not selected"),
 ])
 def test_bad_decision_parameters_exit_2_before_a_verdict(tmp_path, capsys, scenario, args,
                                                          message):
@@ -290,3 +303,13 @@ def test_bad_decision_parameters_exit_2_before_a_verdict(tmp_path, capsys, scena
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err.startswith("fairaudit: error:") and message in captured.err
+
+
+def test_bad_parameters_fail_before_the_data_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "absent.csv")
+    for args, message in ((["--criteria", "sp", "--epsilon", "nan"], "epsilon"),
+                          (["--criteria", "isp", "--alpha", "-1"], "alpha"),
+                          (["--criteria", "st"], "without columns")):
+        assert main(["audit", "--data", missing, "--schema", missing, *args]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and message in captured.err, captured.err
