@@ -222,6 +222,23 @@ def evaluate_ftu(
     return evaluate(dataset, FTU, measure_kind, threshold, min_count, alpha)
 
 
+def check_situation_columns(columns) -> tuple[str, ...]:
+    """The situation-testing columns as a tuple, once they are checked.
+
+    At least one column must be named (else EmptySelection), and no name may
+    be empty or repeated (else InvalidParams).
+    """
+    cols = tuple(columns or ())
+    if not cols:
+        raise EmptySelection("situation testing without columns: name at least one feature")
+    if "" in cols:
+        raise InvalidParams("situation testing column names must not be empty")
+    repeated = sorted({c for c in cols if cols.count(c) > 1})
+    if repeated:
+        raise InvalidParams(f"situation testing columns repeated: {', '.join(repeated)}")
+    return cols
+
+
 def situation_testing_evaluate(
     dataset: Dataset,
     legally_grounded_columns,
@@ -236,9 +253,7 @@ def situation_testing_evaluate(
     would match on; selecting every feature column reproduces individual
     statistical parity exactly.
     """
-    cols = tuple(legally_grounded_columns)
-    if not cols:
-        raise EmptySelection("situation testing needs at least one conditioning column")
+    cols = check_situation_columns(legally_grounded_columns)
     spec = CriterionSpec(
         "situation_testing", "situation testing", "prediction", "sensitive",
         ("features",), "individual", "aware", column_names=cols,

@@ -39,15 +39,11 @@ _MAX_KEY_SPAN = 1 << 62   # stratify re-ranks its mixed-radix key past this
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """Declared name, role and kind of one CSV column.
-
-    `positive_label` is accepted and stored, but every audit ignores it.
-    """
+    """Declared name, role and kind of one CSV column."""
 
     name: str
     role: str
     kind: str
-    positive_label: str | None = None
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -58,13 +54,23 @@ class ColumnSchema:
 
 @dataclass(frozen=True)
 class Column:
-    """One loaded column: categorical (codes + category table) or numeric."""
+    """One loaded column: categorical (codes + category table) or numeric.
+
+    The codes or values are frozen on construction.
+    """
 
     name: str
     kind: str
     codes: np.ndarray | None = None        # int64, categorical only
     categories: tuple[str, ...] | None = None
     values: np.ndarray | None = None       # float64, numeric only
+
+    def __post_init__(self):
+        field, dtype = (("codes", np.int64) if self.kind == "categorical"
+                        else ("values", np.float64))
+        data = np.asarray(getattr(self, field), dtype=dtype)
+        data.flags.writeable = False
+        object.__setattr__(self, field, data)
 
     @property
     def arity(self) -> int:
@@ -148,7 +154,7 @@ class Dataset:
 def load_schema_config(source) -> tuple[list[ColumnSchema], float | None, str]:
     """Parse a JSON config with keys `columns`, optional `threshold`, `missing`.
 
-    Each entry of `columns` is {name, role, kind, positive_label?}.
+    Each entry of `columns` is {name, role, kind}; other keys are ignored.
     Returns (schema list, threshold, missing mode).
     """
     if isinstance(source, (str, Path)):
@@ -164,15 +170,7 @@ def load_schema_config(source) -> tuple[list[ColumnSchema], float | None, str]:
         for key in ("name", "role", "kind"):
             if not (isinstance(c, dict) and isinstance(c.get(key), str)):
                 raise RoleViolation(f"columns[{i}] needs a string {key!r}")
-    schema = [
-        ColumnSchema(
-            name=c["name"],
-            role=c["role"],
-            kind=c["kind"],
-            positive_label=c.get("positive_label"),
-        )
-        for c in cfg["columns"]
-    ]
+    schema = [ColumnSchema(c["name"], c["role"], c["kind"]) for c in cfg["columns"]]
     threshold = cfg.get("threshold")
     # type(), not isinstance(): a JSON true or false must not pass as 1 or 0
     if threshold is not None and (type(threshold) not in (int, float)
@@ -321,10 +319,6 @@ def load_dataset(
     if by_role["sensitive"].arity < 2:
         raise RoleViolation("sensitive column must have at least 2 categories")
 
-    for col in columns.values():
-        arr = col.codes if col.kind == "categorical" else col.values
-        arr.flags.writeable = False
-
     return Dataset(
         s=by_role["sensitive"],
         y=by_role["target"],
@@ -368,11 +362,14 @@ class Strata(Mapping):
 
     Strata are numbered in lexicographic key order: labels[i] is record i's
     stratum g, sizes[g] its record count and codes[g] its key as a row of a
-    (G, m) int64 array.  Stratum g owns order[bounds[g]:bounds[g + 1]];
-    order, bounds and the index slices are computed only on access.
+    (G, m) int64 array, all three frozen on construction.  Stratum g owns
+    order[bounds[g]:bounds[g + 1]]; order, bounds and the index slices are
+    computed only on access.
     """
 
     def __init__(self, labels: np.ndarray, sizes: np.ndarray, codes: np.ndarray):
+        for arr in (labels, sizes, codes):
+            arr.flags.writeable = False
         self.labels, self.sizes, self.codes = labels, sizes, codes
 
     @functools.cached_property
@@ -426,7 +423,4 @@ def stratify(dataset: Dataset, condition_columns: Iterable[str]) -> Strata:
     codes = np.empty((len(distinct), len(cols)), dtype=np.int64)
     for j, c in enumerate(cols):
         codes[:, j] = c.codes[member]
-    sizes = np.bincount(labels, minlength=len(distinct))
-    for arr in (labels, sizes, codes):
-        arr.flags.writeable = False
-    return Strata(labels, sizes, codes)
+    return Strata(labels, np.bincount(labels, minlength=len(distinct)), codes)

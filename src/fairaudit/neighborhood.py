@@ -129,13 +129,16 @@ class NeighborIndex:
         cells = int(np.prod(self.cell_shape))
         counts = np.empty((self.n, cells), dtype=np.int64)
         queries = np.arange(self.n, dtype=np.int64)
+        # the scan's ball blocks reuse one distance buffer, for _propose_scan's reason
+        buf = None if knn or self._tree is not None else np.empty((min(step, self.n), self.n))
         for lo in range(0, self.n, step):
             q = queries[lo:lo + step]
             if knn:
                 members = self._knn_block(q, nspec.k, nspec.include_self)[0].ravel()
                 sizes = nspec.k
             else:
-                offsets, members, _ = self._ball_block(q, nspec.radius, nspec.include_self)
+                offsets, members, _ = self._ball_block(
+                    q, nspec.radius, nspec.include_self, out=None if buf is None else buf[:len(q)])
                 sizes = np.diff(offsets)
             owner = np.repeat(np.arange(len(q), dtype=np.int64) * cells, sizes)
             counts[lo:lo + len(q)] = np.bincount(
@@ -218,12 +221,13 @@ class NeighborIndex:
             d = self.space.pair_distances(np.repeat(q, width), cand.ravel())
             yield lo, cand, d.reshape(cand.shape)
 
-    def _ball_block(self, queries: np.ndarray, radius, include_self: bool):
+    def _ball_block(self, queries: np.ndarray, radius, include_self: bool, out=None):
         """Records within `radius` (a scalar or one per query) of each query.
 
         Returns CSR arrays (offsets, members, distances), each query's
         members in ascending index order with their exact distances.  The
-        radius may be 0 (exact duplicates only).
+        radius may be 0 (exact duplicates only).  Given `out`, the scan
+        engine writes the block's distances there, as block_distances does.
         """
         radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), queries.shape)
         # the engines propose, per query, every record within the slack radius
@@ -237,7 +241,7 @@ class NeighborIndex:
                                   count=sizes.sum())
             d = self.space.pair_distances(np.repeat(queries, sizes), members)
         else:
-            d = self.space.block_distances(queries)
+            d = self.space.block_distances(queries, out=out)
             inside = d <= reach[:, None]
             sizes = np.count_nonzero(inside, axis=1)
             flat = np.flatnonzero(inside)

@@ -24,6 +24,7 @@ from .criteria import (
     CriterionResult,
     CriterionSpec,
     check_exact_params,
+    check_situation_columns,
     evaluate,
     get_criterion,
     list_criteria,
@@ -327,8 +328,7 @@ def _checked_selection(config: AuditConfig) -> list[str]:
                       config.min_neighborhood)
     config.neighborhood_spec()
     if "situation_testing" in selection:
-        if not config.situation_columns:
-            raise EmptySelection("situation_testing selected without columns")
+        check_situation_columns(config.situation_columns)
     elif config.situation_columns:
         raise InvalidParams("situation testing columns given but situation_testing "
                             "is not selected")

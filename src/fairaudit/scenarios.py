@@ -282,14 +282,20 @@ def _categorical_column(name: str, codes: np.ndarray) -> Column:
         raise InvalidParams("scenario categorical arity above 10 is unsupported")
     remapped = np.searchsorted(observed, codes)
     categories = tuple(str(int(v)) for v in observed)
-    remapped.flags.writeable = False
     return Column(name, "categorical", codes=remapped, categories=categories)
 
 
-def _numeric_column(name: str, values: np.ndarray) -> Column:
-    values = np.asarray(values, dtype=np.float64)
-    values.flags.writeable = False
-    return Column(name, "numeric", values=values)
+def _dataset(spec: ScenarioSpec, s, y, yhat, features) -> Dataset:
+    return Dataset(
+        s=_categorical_column("s", s),
+        y=_categorical_column("y", y),
+        y_hat=_categorical_column("yhat", yhat),
+        features=tuple(features),
+        score=None,
+        provenance=Provenance(
+            f"scenario:{spec.name}(n={spec.n},seed={spec.seed})", "error", None, 0
+        ),
+    )
 
 
 def _generate_planted(spec: ScenarioSpec, params: dict):
@@ -310,16 +316,8 @@ def _generate_planted(spec: ScenarioSpec, params: dict):
     rate = 0.3 + 0.4 * x0                             # smooth, S-independent outside
     rate[planted] = 0.5 + gap * (s[planted] - 0.5)    # S-dependent inside
     yhat = rng.bernoulli(rate)
-    dataset = Dataset(
-        s=_categorical_column("s", s),
-        y=_categorical_column("y", y),
-        y_hat=_categorical_column("yhat", yhat),
-        features=(_numeric_column("x0", x0), _numeric_column("x1", x1)),
-        score=None,
-        provenance=Provenance(
-            f"scenario:{spec.name}(n={n},seed={spec.seed})", "error", None, 0
-        ),
-    )
+    dataset = _dataset(spec, s, y, yhat, (Column("x0", "numeric", values=x0),
+                                          Column("x1", "numeric", values=x1)))
     verdicts = {c.id: "unconstrained" for c in list_criteria()}
     verdicts["isp"] = "violated"       # by construction, via soft conditioning
     verdicts["ftu"] = "violated"
@@ -349,20 +347,8 @@ def generate(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
     law = builder(params)
     rng = CounterRng(spec.seed)
     s, xs, y, yhat = law.sample(rng, spec.n)
-    features = tuple(
-        _categorical_column(name, vals)
-        for (name, _), vals in zip(law.features, xs)
-    )
-    dataset = Dataset(
-        s=_categorical_column("s", s),
-        y=_categorical_column("y", y),
-        y_hat=_categorical_column("yhat", yhat),
-        features=features,
-        score=None,
-        provenance=Provenance(
-            f"scenario:{spec.name}(n={spec.n},seed={spec.seed})", "error", None, 0
-        ),
-    )
+    dataset = _dataset(spec, s, y, yhat, (_categorical_column(name, vals)
+                                          for (name, _), vals in zip(law.features, xs)))
     notes = dict(params)
     if spec.name == "illegal_proxy":
         notes["proxy_column"] = "x1"

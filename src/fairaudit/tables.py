@@ -100,30 +100,18 @@ class StratifiedTables:
     keys[g] is stratum g's row of condition codes in a (G, m) int64 array
     (lexicographic order), table.counts[g] its counts and weights[g] its
     record fraction of the whole dataset; weights and dropped_mass sum to one.
+    keys and weights are frozen on construction, like the table's counts.
     """
 
-    def __init__(self, entries, dropped_mass: float, min_count: int):
-        """Collect (key, ContingencyTable, weight) triples into one stack."""
-        keys, tables, weights = zip(*entries) if entries else ((), (), ())
-        counts = np.stack([table.counts for table in tables]) if tables else np.zeros((0, 1, 1))
-        codes = np.array(keys, dtype=np.int64) if keys else np.zeros((0, 0), dtype=np.int64)
-        self._set(codes, ContingencyTable(counts), np.array(weights, dtype=np.float64),
-                  dropped_mass, min_count)
-
-    @classmethod
-    def stacked(cls, keys, table: ContingencyTable, weights: np.ndarray,
-                dropped_mass: float, min_count: int) -> "StratifiedTables":
-        """From the (G, m) key codes, (G, R, C) table and weights of the retained strata."""
-        strata = cls.__new__(cls)
-        strata._set(keys, table, weights, dropped_mass, min_count)
-        return strata
-
-    def _set(self, keys, table, weights, dropped_mass, min_count):
+    def __init__(self, keys: np.ndarray, table: ContingencyTable, weights: np.ndarray,
+                 dropped_mass: float, min_count: int):
         if (table.counts.sum(axis=(-2, -1)) < min_count).any():
             raise ValueError("retained stratum below min_count")
         total = dropped_mass + float(weights.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights + dropped_mass sum to {total!r}, not 1")
+        for arr in (keys, weights):
+            arr.flags.writeable = False
         self.keys, self.table, self.weights = keys, table, weights
         self.dropped_mass, self.min_count = dropped_mass, min_count
 
@@ -183,7 +171,7 @@ def stratified_contingency(
             f"no stratum reaches min_count={min_count}; use soft conditioning"
         )
     n = dataset.n
-    return StratifiedTables.stacked(
+    return StratifiedTables(
         strata.codes[kept], ContingencyTable(counts[kept]), sizes[kept] / n,
         dropped_mass=int(sizes[~kept].sum()) / n, min_count=min_count,
     )

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit.dataset import ColumnSchema, load_dataset, load_schema_config, save_csv, stratify
+from fairaudit.dataset import (
+    Column,
+    ColumnSchema,
+    load_dataset,
+    load_schema_config,
+    save_csv,
+    stratify,
+)
 from fairaudit.errors import (
     EmptyData,
     MissingColumn,
@@ -14,6 +21,8 @@ from fairaudit.errors import (
     ParseError,
     RoleViolation,
 )
+from fairaudit.scenarios import ScenarioSpec, generate
+from fairaudit.tables import stratified_contingency
 
 
 def _schema(extra=()):
@@ -181,6 +190,25 @@ def test_stratify_numeric_column_rejected():
         stratify(ds, ["x1"])
 
 
+def test_core_types_freeze_their_arrays_on_every_route():
+    loaded = _load("s,y,yhat,x1,x2\na,0,0,u,0.5\nb,1,1,v,1.5\na,1,0,u,2.5\n",
+                   _schema([ColumnSchema("x1", "feature", "categorical"),
+                            ColumnSchema("x2", "feature", "numeric")]))
+    planted, _ = generate(ScenarioSpec("planted_unfair_cluster", 50, 1))
+    discrete, _ = generate(ScenarioSpec("illegal_proxy", 50, 1))
+    columns = [Column("c", "categorical", codes=np.array([0, 1, 0]), categories=("0", "1")),
+               Column("v", "numeric", values=[1, 2, 3])]
+    for ds in (loaded, planted, discrete):
+        columns += [ds.s, ds.y, ds.y_hat, *ds.features]
+    strata = stratify(loaded, ["x1"])
+    tables = stratified_contingency(loaded, "prediction", "sensitive", ["x1"], min_count=1)
+    arrays = [c.codes if c.kind == "categorical" else c.values for c in columns]
+    arrays += [strata.labels, strata.sizes, strata.codes,
+               tables.keys, tables.weights, tables.table.counts]
+    assert not any(a.flags.writeable for a in arrays)
+    assert columns[1].values.dtype == np.float64
+
+
 def test_schema_config_parsing():
     cfg = {
         "columns": [
@@ -196,7 +224,6 @@ def test_schema_config_parsing():
     assert len(schema) == 3
     assert threshold == 0.7
     assert missing == "drop"
-    assert schema[2].positive_label == "1"
 
 
 @pytest.mark.parametrize("token", ["nan", "NaN", "NAN", "inf", "Inf", "-inf", "-INF",

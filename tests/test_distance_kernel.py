@@ -105,7 +105,9 @@ def test_out_of_the_wrong_shape_or_dtype_is_rejected():
         space.pair_distances(q, q, out=np.empty(3))
 
 
-def test_a_knn_scan_pass_fills_views_of_one_buffer(monkeypatch):
+@pytest.mark.parametrize("nspec", [NeighborhoodSpec("knn", k=5),
+                                   NeighborhoodSpec("ball", radius=0.2)], ids=["knn", "ball"])
+def test_a_scan_count_pass_fills_views_of_one_buffer(monkeypatch, nspec):
     rng = np.random.default_rng(5)
     n = 700                  # several scan blocks of _block_rows(n) rows each
     x = rng.normal(size=n)
@@ -124,8 +126,9 @@ def test_a_knn_scan_pass_fills_views_of_one_buffer(monkeypatch):
         return block_distances(self, query_idx, out=out)
 
     monkeypatch.setattr(FeatureSpace, "block_distances", recording)
-    index.cell_counts(NeighborhoodSpec("knn", k=5))
-    # ball fallbacks for tied rows allocate their own; the scan blocks share one
+    index.cell_counts(nspec)
+    # the kNN pass's ball fallbacks for tied rows allocate their own; the
+    # blocks of either pass share one
     scan_outs = [out for out in outs if out is not None]
     bases = {id(out.base) for out in scan_outs}
     assert len(scan_outs) > 1 and len(bases) == 1

@@ -104,10 +104,10 @@ def test_mi_symmetry():
 # -- conditional mutual information ---------------------------------------------------
 
 def _strata(tables_and_weights, dropped=0.0, min_count=1):
-    entries = tuple(
-        ((i,), ContingencyTable(t), w) for i, (t, w) in enumerate(tables_and_weights)
-    )
-    return StratifiedTables(entries, dropped_mass=dropped, min_count=min_count)
+    tables, weights = zip(*tables_and_weights)
+    keys = np.arange(len(tables), dtype=np.int64).reshape(-1, 1)
+    return StratifiedTables(keys, ContingencyTable(np.stack(tables)),
+                            np.array(weights, dtype=np.float64), dropped, min_count)
 
 
 def test_cmi_single_stratum_equals_mi():

@@ -261,7 +261,7 @@ def test_large_ball_audit_streams_instead_of_materializing():
     index = build_index(ds)
     queried = []
     ball_block = index._ball_block
-    index._ball_block = lambda q, r, s: queried.append(len(q)) or ball_block(q, r, s)
+    index._ball_block = lambda q, *a, **kw: queried.append(len(q)) or ball_block(q, *a, **kw)
     tracemalloc.start()
     try:
         got = {cid: soft_evaluate(ds, get_criterion(cid), nspec, index=index)

@@ -309,7 +309,9 @@ def test_bad_parameters_fail_before_the_data_is_read(tmp_path, capsys):
     missing = str(tmp_path / "absent.csv")
     for args, message in ((["--criteria", "sp", "--epsilon", "nan"], "epsilon"),
                           (["--criteria", "isp", "--alpha", "-1"], "alpha"),
-                          (["--criteria", "st"], "without columns")):
+                          (["--criteria", "st"], "without columns"),
+                          (["--criteria", "st", "--st-columns", "x0,x0"], "repeated: x0"),
+                          (["--criteria", "st", "--st-columns", "x0,"], "must not be empty")):
         assert main(["audit", "--data", missing, "--schema", missing, *args]) == 2
         captured = capsys.readouterr()
         assert not captured.out and message in captured.err, captured.err
