@@ -73,7 +73,8 @@ def _cmd_audit(args) -> int:
         data=args.data,
         schema=args.schema,
         criteria=[t for t in args.criteria.split(",") if t],
-        situation_columns=args.st_columns.split(",") if args.st_columns else None,
+        situation_columns=([c.strip() for c in args.st_columns.split(",")]
+                           if args.st_columns else None),
         measure=args.measure,
         threshold=args.threshold,
         epsilon=args.epsilon,
@@ -82,7 +83,6 @@ def _cmd_audit(args) -> int:
         min_neighborhood=args.min_neighborhood,
         alpha=args.alpha,
         soft_measure=args.soft_measure,
-        neighborhood_mode="ball" if args.ball is not None else "knn",
         k=args.knn,
         radius=args.ball,
         weights=_parse_weights(args.weights),

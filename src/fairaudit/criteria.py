@@ -39,18 +39,12 @@ from .measures import (
 from .tables import DEFAULT_MIN_COUNT, stratified_contingency
 
 
-def _ber_passes(measure: MeasureValue, threshold: float) -> bool:
-    max_ber = measure.aux["max_ber"]
-    normalized = measure.value / max_ber if max_ber > 0.0 else 1.0
-    return normalized >= 1.0 - threshold
-
-
 # kind -> (stratified measure, default threshold, pass rule).  The pass rule is
 # advisory; the measure value itself is authoritative.
 MEASURE_KINDS = {
     "mi": (conditional_mutual_information, 0.01, lambda m, t: m.value <= t),
     "chi2": (stratified_chi_square, 0.05, lambda m, t: m.aux["p_value"] >= t),
-    "ber": (stratified_balanced_error_ratio, 0.05, _ber_passes),
+    "ber": (stratified_balanced_error_ratio, 0.05, lambda m, t: m.aux["normalized"] >= 1.0 - t),
 }
 
 _SYMBOLS = {"prediction": "Ŷ", "target": "Y", "sensitive": "S", "features": "X"}

@@ -53,7 +53,7 @@ def _masked_sum(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     packed = np.take_along_axis(np.where(valid, values.reshape(valid.shape), 0.0), order, -1)
     width = valid.sum(axis=-1)
     out = np.zeros(len(width))
-    for w in np.unique(width):
+    for w in np.flatnonzero(np.bincount(width)):
         rows = width == w
         out[rows] = packed[rows, :w].sum(axis=-1)
     return out.reshape(lead)

@@ -61,12 +61,16 @@ def _block_rows(width: int) -> int:
 
 @dataclass(frozen=True)
 class NeighborhoodSpec:
-    """knn(k) or ball(radius in (0, 1]); include_self keeps the record itself."""
+    """knn(k) or ball(radius in (0, 1]), taken over all records.
+
+    The record itself is one candidate like any other: a ball always holds
+    it, and a kNN neighborhood holds it unless exact duplicates of it come
+    first in (distance, index) order.
+    """
 
     mode: str                  # 'knn' or 'ball'
     k: int | None = None
     radius: float | None = None
-    include_self: bool = True
 
     def __post_init__(self):
         if self.mode == "knn":
@@ -96,17 +100,17 @@ class NeighborIndex:
 
     # -- single-record queries -------------------------------------------
 
-    def knn(self, i: int, k: int, include_self: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    def knn(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest records to record i, ordered by (distance, record index)."""
-        members, dists = self._knn_block(np.array([i]), k, include_self)
+        members, dists = self._knn_block(np.array([i]), k)
         order = np.lexsort((members[0], dists[0]))
         return members[0, order], dists[0, order]
 
-    def ball(self, i: int, radius: float, include_self: bool = True) -> np.ndarray:
+    def ball(self, i: int, radius: float) -> np.ndarray:
         """All records within `radius` of record i, in ascending index order."""
         if radius <= 0:
             raise InvalidParams("radius must be positive")
-        return self._ball_block(np.array([i]), radius, include_self)[1]
+        return self._ball_block(np.array([i]), radius)[1]
 
     # -- batched queries ----------------------------------------------------
 
@@ -134,11 +138,11 @@ class NeighborIndex:
         for lo in range(0, self.n, step):
             q = queries[lo:lo + step]
             if knn:
-                members = self._knn_block(q, nspec.k, nspec.include_self)[0].ravel()
+                members = self._knn_block(q, nspec.k)[0].ravel()
                 sizes = nspec.k
             else:
                 offsets, members, _ = self._ball_block(
-                    q, nspec.radius, nspec.include_self, out=None if buf is None else buf[:len(q)])
+                    q, nspec.radius, out=None if buf is None else buf[:len(q)])
                 sizes = np.diff(offsets)
             owner = np.repeat(np.arange(len(q), dtype=np.int64) * cells, sizes)
             counts[lo:lo + len(q)] = np.bincount(
@@ -147,46 +151,32 @@ class NeighborIndex:
         self._counts[nspec] = counts
         return counts
 
-    def _check_k(self, k: int, include_self: bool) -> None:
-        if not (1 <= k <= self.n - (0 if include_self else 1)):
-            raise InvalidParams(f"k={k} out of range for n={self.n}")
-
-    def _knn_block(self, queries: np.ndarray, k: int, include_self: bool):
+    def _knn_block(self, queries: np.ndarray, k: int):
         # The one selection step for both engines.  An engine proposes each
-        # row's kq + 1 nearest records, self included, with exact distances.
-        # A row whose (kq+1)-th distance lies beyond the slack margin of its
-        # other kq keeps those kq, in engine order.  Any other row is tied:
-        # its largest kept distance r bounds its true k-th, so the ball of
-        # radius r holds its k nearest, and one bulk ball query settles every
-        # tied row exactly, in (distance, index) order.  The margin also covers
-        # the rounding by which the tree's pruning metric may misorder
-        # candidates.  Without self, kq is k + 1 and self is dropped; a row
-        # whose kept kq lack self is tied.
-        self._check_k(k, include_self)
-        kq = k if include_self else k + 1
+        # row's k + 1 nearest records with exact distances.  A row whose
+        # (k+1)-th distance lies beyond the slack margin of its other k keeps
+        # those k, in engine order.  Any other row is tied: its largest kept
+        # distance r bounds its true k-th, so the ball of radius r holds its
+        # k nearest, and one bulk ball query settles every tied row exactly,
+        # in (distance, index) order.  The margin also covers the rounding by
+        # which the tree's pruning metric may misorder candidates.
+        if not (1 <= k <= self.n):
+            raise InvalidParams(f"k={k} out of range for n={self.n}")
         members = np.empty((len(queries), k), dtype=np.int64)
         dists = np.empty((len(queries), k))
         engine = self._propose_tree if self._tree is not None else self._propose_scan
-        for lo, cand, d in engine(queries, min(kq + 1, self.n)):
-            q = queries[lo:lo + len(cand)]
-            tied = np.zeros(len(q), dtype=bool)
-            if cand.shape[1] > kq:
-                tied = d[:, kq] <= d[:, :kq].max(axis=1) * (1.0 + _TREE_SLACK) + 1e-12
-                cand, d = cand[:, :kq], d[:, :kq]
-            if not include_self:
-                is_self = cand == q[:, None]
-                tied |= ~is_self.any(axis=1)
-                keep = np.ones(cand.shape, dtype=bool)
-                keep[np.arange(len(q)), is_self.argmax(axis=1)] = False
-                cand, d = cand[keep].reshape(len(q), k), d[keep].reshape(len(q), k)
-            members[lo:lo + len(q)] = cand
-            dists[lo:lo + len(q)] = d
+        for lo, cand, d in engine(queries, min(k + 1, self.n)):
+            tied = np.zeros(len(cand), dtype=bool)
+            if cand.shape[1] > k:
+                tied = d[:, k] <= d[:, :k].max(axis=1) * (1.0 + _TREE_SLACK) + 1e-12
+                cand, d = cand[:, :k], d[:, :k]
+            members[lo:lo + len(cand)] = cand
+            dists[lo:lo + len(cand)] = d
             tied_rows = lo + np.flatnonzero(tied)
             step = _block_rows(self.n)     # a ball of duplicates holds every record
             for t in range(0, len(tied_rows), step):
                 rows = tied_rows[t:t + step]
-                offsets, ball, d_ball = self._ball_block(queries[rows], dists[rows].max(axis=1),
-                                                         include_self)
+                offsets, ball, d_ball = self._ball_block(queries[rows], dists[rows].max(axis=1))
                 owner = np.repeat(np.arange(len(rows)), np.diff(offsets))
                 first_k = np.lexsort((ball, d_ball, owner))[offsets[:-1, None] + np.arange(k)]
                 members[rows] = ball[first_k]
@@ -221,7 +211,7 @@ class NeighborIndex:
             d = self.space.pair_distances(np.repeat(q, width), cand.ravel())
             yield lo, cand, d.reshape(cand.shape)
 
-    def _ball_block(self, queries: np.ndarray, radius, include_self: bool, out=None):
+    def _ball_block(self, queries: np.ndarray, radius, out=None):
         """Records within `radius` (a scalar or one per query) of each query.
 
         Returns CSR arrays (offsets, members, distances), each query's
@@ -248,8 +238,6 @@ class NeighborIndex:
             members = flat - np.repeat(np.arange(len(queries)) * self.n, sizes)
             d = d.ravel()[flat]
         keep = d <= np.repeat(radius, sizes)
-        if not include_self:
-            keep &= members != np.repeat(queries, sizes)
         offsets = np.zeros(len(queries) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         if keep.all():              # the common case: every proposal is a member

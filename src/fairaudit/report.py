@@ -66,7 +66,6 @@ class AuditConfig:
     min_neighborhood: int = DEFAULT_MIN_NEIGHBORHOOD
     alpha: float = 0.0
     soft_measure: str = "mi"
-    neighborhood_mode: str = "knn"
     k: int = 50
     radius: float | None = None
     weights: dict[str, float] | None = None
@@ -74,7 +73,8 @@ class AuditConfig:
     format: str = "json"
 
     def neighborhood_spec(self) -> NeighborhoodSpec:
-        if self.neighborhood_mode == "knn":
+        """ball(radius) when a radius is given, else knn(k)."""
+        if self.radius is None:
             return NeighborhoodSpec("knn", k=self.k)
         return NeighborhoodSpec("ball", radius=self.radius)
 
@@ -93,9 +93,9 @@ class AuditConfig:
             "alpha": self.alpha,
             "soft_measure": self.soft_measure,
             "neighborhood": {
-                "mode": self.neighborhood_mode,
-                "k": self.k if self.neighborhood_mode == "knn" else None,
-                "radius": self.radius if self.neighborhood_mode == "ball" else None,
+                "mode": "knn" if self.radius is None else "ball",
+                "k": self.k if self.radius is None else None,
+                "radius": self.radius,
             },
             "output": self.output,
             "format": self.format,
@@ -307,7 +307,7 @@ def _soft_result_dict(result: SoftResult) -> dict:
             "mode": nspec.mode,
             "k": nspec.k,
             "radius": nspec.radius,
-            "include_self": nspec.include_self,
+            "include_self": True,       # the record is always one of its candidates
         },
         "min_neighborhood": result.min_neighborhood,
     }

@@ -58,7 +58,6 @@ class JointTable:
     """Cell probabilities, each (R, C) table of the stack summing to one."""
 
     probs: np.ndarray  # (..., row_arity, col_arity) float64
-    smoothing_alpha: float = 0.0
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -136,7 +135,7 @@ def normalize(table: ContingencyTable, alpha: float = 0.0) -> JointTable:
     denom = table.counts.sum(axis=(-2, -1), keepdims=True) + alpha * cells
     if (denom <= 0).any():
         raise EmptyTable("table is empty and alpha is 0")
-    return JointTable((table.counts + alpha) / denom, smoothing_alpha=alpha)
+    return JointTable((table.counts + alpha) / denom)
 
 
 def stratified_contingency(

@@ -59,11 +59,9 @@ class _BallCounter:
         return self.tree.query_ball_point(*args, **kwargs)
 
 
-def _oracle(index, k, include_self):
+def _oracle(index, k):
     n = index.n
     d = index.space.block_distances(np.arange(n))
-    if not include_self:
-        d[np.arange(n), np.arange(n)] = np.inf
     members = np.stack([np.lexsort((np.arange(n), row))[:k] for row in d])
     return members, np.take_along_axis(d, members, axis=1), d
 
@@ -78,9 +76,9 @@ def _by_distance_then_index(members, dists):
     return np.take_along_axis(members, order, axis=1), np.take_along_axis(dists, order, axis=1)
 
 
-def _check_knn_order(index, rows, k, include_self, want_m, want_d):
+def _check_knn_order(index, rows, k, want_m, want_d):
     for i in rows:
-        members, dists = index.knn(int(i), k, include_self)
+        members, dists = index.knn(int(i), k)
         assert np.array_equal(members, want_m[i])
         assert np.array_equal(dists, want_d[i])
 
@@ -104,25 +102,24 @@ def test_knn_engines_match_brute_force_oracle():
         n=st.integers(1024, 1100),
         levels=st.sampled_from([3, 8, 40]),
         weights=st.sampled_from([None, {"f0": 0.3, "f1": 2.5}]),
-        include_self=st.booleans(),
         data=st.data(),
     )
-    def check(seed, n, levels, weights, include_self, data):
+    def check(seed, n, levels, weights, data):
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=0)
         tree = build_index(ds, DistanceSpec(weights))
         assert tree._tree is not None
         scan = build_index(ds, DistanceSpec(weights))
         scan._tree = None
-        k = data.draw(st.integers(1, n if include_self else n - 1), label="k")
-        want_m, want_d, d = _oracle(tree, k, include_self)
+        k = data.draw(st.integers(1, n), label="k")
+        want_m, want_d, d = _oracle(tree, k)
 
         tree._tree = _BallCounter(tree._tree)
         fallback_rows = []
         ball_block = scan._ball_block
-        scan._ball_block = lambda q, r, s: fallback_rows.append(len(q)) or ball_block(q, r, s)
+        scan._ball_block = lambda q, r: fallback_rows.append(len(q)) or ball_block(q, r)
         queries = np.arange(n)
         for index in (tree, scan):
-            members, dists = _by_distance_then_index(*index._knn_block(queries, k, include_self))
+            members, dists = _by_distance_then_index(*index._knn_block(queries, k))
             assert np.array_equal(members, want_m)
             assert np.array_equal(dists, want_d)
         requeried.append(tree._tree.ball_queries)
@@ -135,7 +132,7 @@ def test_knn_engines_match_brute_force_oracle():
         rows = np.concatenate([tied_rows, data.draw(st.lists(st.integers(0, n - 1), max_size=5),
                                                      label="rows")]).astype(np.int64)
         for index in (tree, scan):
-            _check_knn_order(index, rows, k, include_self, want_m, want_d)
+            _check_knn_order(index, rows, k, want_m, want_d)
 
     check()
     assert sum(requeried) > 0     # the tree engine's tie re-query path ran
@@ -152,10 +149,9 @@ def test_ball_block_engines_match_brute_force_oracle():
         n=st.integers(1024, 1100),
         levels=st.sampled_from([3, 8, 40]),
         categorical=st.sampled_from([0, 1]),
-        include_self=st.booleans(),
         data=st.data(),
     )
-    def check(seed, n, levels, categorical, include_self, data):
+    def check(seed, n, levels, categorical, data):
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=categorical)
         tree = build_index(ds)
         scan = build_index(ds)
@@ -169,22 +165,17 @@ def test_ball_block_engines_match_brute_force_oracle():
             min_size=len(queries), max_size=len(queries)), label="radius"))
         d = scan.space.block_distances(queries)
         want = [np.flatnonzero(row <= r) for row, r in zip(d, radius)]
-        if not include_self:
-            want = [w[w != q] for w, q in zip(want, queries)]
         for index in engines:
-            offsets, members, dists = index._ball_block(queries, radius, include_self)
+            offsets, members, dists = index._ball_block(queries, radius)
             assert offsets[0] == 0 and len(offsets) == len(queries) + 1
             for row, w in enumerate(want):
                 assert np.array_equal(members[offsets[row]:offsets[row + 1]], w)
                 assert np.array_equal(dists[offsets[row]:offsets[row + 1]], d[row, w])
-            offsets, members, _ = index._ball_block(queries, radius[0], include_self)
+            offsets, members, _ = index._ball_block(queries, radius[0])
             scalar = [np.flatnonzero(row <= radius[0]) for row in d]
-            if not include_self:
-                scalar = [w[w != q] for w, q in zip(scalar, queries)]
             assert np.array_equal(members, np.concatenate(scalar))
             assert np.array_equal(np.diff(offsets), [len(w) for w in scalar])
-        zero_radius_duplicates.append(sum(len(w) > include_self
-                                          for w, r in zip(want, radius) if r == 0.0))
+        zero_radius_duplicates.append(sum(len(w) > 1 for w, r in zip(want, radius) if r == 0.0))
 
     check()
     assert sum(zero_radius_duplicates) > 0   # radius 0 found exact duplicates
@@ -198,23 +189,22 @@ def test_mixed_scan_matches_oracle_and_shared_index_matches_fresh():
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(20, 300),
         levels=st.sampled_from([2, 5, 30]),
-        include_self=st.booleans(),
         data=st.data(),
     )
-    def check(seed, n, levels, include_self, data):
+    def check(seed, n, levels, data):
         ds = _quantized_dataset(seed, n, levels, numeric=1, categorical=2)
         index = build_index(ds)
         assert index._tree is None
-        k = data.draw(st.integers(1, n if include_self else n - 1), label="k")
-        want_m, want_d, d = _oracle(index, k, include_self)
-        members, dists = _by_distance_then_index(*index._knn_block(np.arange(n), k, include_self))
+        k = data.draw(st.integers(1, n), label="k")
+        want_m, want_d, d = _oracle(index, k)
+        members, dists = _by_distance_then_index(*index._knn_block(np.arange(n), k))
         assert np.array_equal(members, want_m)
         assert np.array_equal(dists, want_d)
-        _check_knn_order(index, range(n), k, include_self, want_m, want_d)
+        _check_knn_order(index, range(n), k, want_m, want_d)
         ties.append(_boundary_ties(np.sort(d, axis=1), k))
 
         radius = data.draw(st.sampled_from([0.2, 0.5, 1.0]), label="radius")
-        for nspec in (NeighborhoodSpec("knn", k=k, include_self=include_self),
+        for nspec in (NeighborhoodSpec("knn", k=k),
                       NeighborhoodSpec("ball", radius=radius)):
             for cid in ("isp", "ieo", "isuff"):
                 spec = get_criterion(cid)
@@ -234,8 +224,7 @@ def test_soft_criteria_share_one_neighbor_query():
     index = build_index(ds)
     queried = []
     knn_block = index._knn_block
-    index._knn_block = lambda q, k, include_self: queried.append(len(q)) or knn_block(
-        q, k, include_self)
+    index._knn_block = lambda q, k: queried.append(len(q)) or knn_block(q, k)
     nspec = NeighborhoodSpec("knn", k=30)
     for cid in ("isp", "ieo", "isuff"):
         soft_evaluate(ds, get_criterion(cid), nspec, index=index)
@@ -282,11 +271,9 @@ def _brute_force_neighborhoods(index, nspec):
     """Every record's neighborhood as CSR arrays (offsets, members), from the full matrix."""
     n = index.n
     if nspec.mode == "knn":
-        members = _oracle(index, nspec.k, nspec.include_self)[0]
+        members = _oracle(index, nspec.k)[0]
         return np.arange(n + 1) * nspec.k, members.ravel()
     inside = index.space.block_distances(np.arange(n)) <= nspec.radius
-    if not nspec.include_self:
-        inside[np.arange(n), np.arange(n)] = False
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(inside.sum(axis=1), out=offsets[1:])
     return offsets, np.nonzero(inside)[1]
@@ -346,13 +333,11 @@ def test_count_pass_matches_member_list_oracle():
         scan=st.booleans(),
         levels=st.sampled_from([3, 8, 40]),
         categorical=st.sampled_from([0, 1]),
-        include_self=st.booleans(),
         measure_kind=st.sampled_from(["mi", "rate"]),
         min_neighborhood=st.sampled_from([1, 10]),
         data=st.data(),
     )
-    def check(seed, large, scan, levels, categorical, include_self, measure_kind,
-              min_neighborhood, data):
+    def check(seed, large, scan, levels, categorical, measure_kind, min_neighborhood, data):
         lo = 1024 if large else 30      # large inputs span several query blocks
         n = data.draw(st.integers(lo, lo + 80), label="n")
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=categorical)
@@ -362,10 +347,10 @@ def test_count_pass_matches_member_list_oracle():
         engines.add("tree" if index._tree is not None else "scan")
         radius = data.draw(st.sampled_from([None, 0.05, 0.3, 1.0]), label="radius")
         if radius is None:
-            k = data.draw(st.integers(1, min(n - 1, 60)), label="k")
-            nspec = NeighborhoodSpec("knn", k=k, include_self=include_self)
+            k = data.draw(st.integers(1, min(n, 60)), label="k")
+            nspec = NeighborhoodSpec("knn", k=k)
         else:
-            nspec = NeighborhoodSpec("ball", radius=radius, include_self=include_self)
+            nspec = NeighborhoodSpec("ball", radius=radius)
         offsets, members = _brute_force_neighborhoods(index, nspec)
         for spec in [get_criterion(cid) for cid in ("isp", "ieo", "isuff")] + [FTU]:
             try:
@@ -447,24 +432,20 @@ def test_tiny_inputs_match_scan_and_oracle_on_the_tree(n):
     scan._tree = None
     queries = np.arange(n)
     d = scan.space.block_distances(queries)
-    for include_self in (True, False):
-        for k in range(1, n + include_self):
-            want_m, want_d, _ = _oracle(tree, k, include_self)
-            for index in (tree, scan):
-                members, dists = _by_distance_then_index(*index._knn_block(queries, k,
-                                                                           include_self))
-                assert np.array_equal(members, want_m)
-                assert np.array_equal(dists, want_d)
-                _check_knn_order(index, queries, k, include_self, want_m, want_d)
+    for k in range(1, n + 1):
+        want_m, want_d, _ = _oracle(tree, k)
         for index in (tree, scan):
-            with pytest.raises(InvalidParams):
-                index._knn_block(queries, n + include_self, include_self)
-        for radius in (0.0, 0.5, 1.0):
-            for index in (tree, scan):
-                offsets, members, dists = index._ball_block(queries, radius, include_self)
-                for q in queries:
-                    want = np.flatnonzero(d[q] <= radius)
-                    if not include_self:
-                        want = want[want != q]
-                    assert np.array_equal(members[offsets[q]:offsets[q + 1]], want)
-                    assert np.array_equal(dists[offsets[q]:offsets[q + 1]], d[q, want])
+            members, dists = _by_distance_then_index(*index._knn_block(queries, k))
+            assert np.array_equal(members, want_m)
+            assert np.array_equal(dists, want_d)
+            _check_knn_order(index, queries, k, want_m, want_d)
+    for index in (tree, scan):
+        with pytest.raises(InvalidParams):
+            index._knn_block(queries, n + 1)
+    for radius in (0.0, 0.5, 1.0):
+        for index in (tree, scan):
+            offsets, members, dists = index._ball_block(queries, radius)
+            for q in queries:
+                want = np.flatnonzero(d[q] <= radius)
+                assert np.array_equal(members[offsets[q]:offsets[q + 1]], want)
+                assert np.array_equal(dists[offsets[q]:offsets[q + 1]], d[q, want])

@@ -62,14 +62,6 @@ def test_ball_uses_normalized_distance():
     assert list(idx.ball(0, 0.5)) == [0, 1]
 
 
-def test_duplicate_row_is_nearest_without_self():
-    ds = _numeric_dataset([1, 1, 5])
-    idx = build_index(ds)
-    members, dists = idx.knn(0, 1, include_self=False)
-    assert list(members) == [1]
-    assert dists[0] == 0.0
-
-
 def test_no_features_rejected():
     text = "s,y,yhat\n0,0,0\n1,1,1\n"
     schema = [
@@ -122,9 +114,6 @@ def test_tree_and_linear_scan_agree():
         mb, db = linear.knn(q, 15)
         assert np.array_equal(ma, mb) and np.array_equal(da, db)
         assert np.array_equal(tree.ball(q, 0.06), linear.ball(q, 0.06))
-        ma, da = tree.knn(q, 15, include_self=False)
-        mb, db = linear.knn(q, 15, include_self=False)
-        assert np.array_equal(ma, mb) and np.array_equal(da, db)
 
 
 def test_ball_monotone_in_radius():

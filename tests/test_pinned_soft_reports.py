@@ -24,9 +24,8 @@ DATA = Path(__file__).parent / "data"
 CRITERIA = ["sp", "eo", "suff", "isp", "ieo", "isuff", "ftu"]
 WEIGHTS = {"x1": 2.0, "c": 0.25}
 NEIGHBORHOODS = {
-    "knn": {"neighborhood_mode": "knn", "k": 40},
-    "ball": {"neighborhood_mode": "ball", "radius": 0.15, "soft_measure": "rate",
-             "epsilon": 0.3},
+    "knn": {"k": 40},
+    "ball": {"radius": 0.15, "soft_measure": "rate", "epsilon": 0.3},
 }
 
 

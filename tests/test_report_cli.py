@@ -195,6 +195,21 @@ def test_situation_testing_via_cli(tmp_path):
     assert by_id["situation_testing"]["condition"] == "Ŷ ⊥ S | x0"
 
 
+def test_st_columns_accept_spaces_after_commas(tmp_path):
+    data, schema, _ = _write_scenario(tmp_path, "illegal_proxy", n=3000, seed=1)
+    out = tmp_path / "st.json"
+    reports = []
+    for columns in ("x0,x1", "x0, x1"):
+        assert main(["audit", "--data", data, "--schema", schema,
+                     "--criteria", "isp, situation_testing",
+                     "--st-columns", columns, "--output", str(out)]) in (0, 1)
+        rep = json.loads(out.read_text())
+        rep.pop("timing")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    assert reports[0]["config"]["situation_columns"] == ["x0", "x1"]
+
+
 def test_bare_audit_command_parses_to_the_config_defaults(monkeypatch):
     seen = []
 
@@ -311,7 +326,8 @@ def test_bad_parameters_fail_before_the_data_is_read(tmp_path, capsys):
                           (["--criteria", "isp", "--alpha", "-1"], "alpha"),
                           (["--criteria", "st"], "without columns"),
                           (["--criteria", "st", "--st-columns", "x0,x0"], "repeated: x0"),
-                          (["--criteria", "st", "--st-columns", "x0,"], "must not be empty")):
+                          (["--criteria", "st", "--st-columns", "x0,"], "must not be empty"),
+                          (["--criteria", "st", "--st-columns", "x0, "], "must not be empty")):
         assert main(["audit", "--data", missing, "--schema", missing, *args]) == 2
         captured = capsys.readouterr()
         assert not captured.out and message in captured.err, captured.err
