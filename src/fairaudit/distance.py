@@ -38,7 +38,7 @@ class DistanceSpec:
 class FeatureSpace:
     """Encoded feature columns of a dataset plus the canonical distance kernel.
 
-    Every consumer (linear scan, tree-accelerated queries, audits) funnels
+    Every consumer (the scan, tree-accelerated queries, audits) funnels
     through `pair_distances` / `block_distances`, which accumulate column
     contributions in dataset feature order, so distances are bit-identical
     no matter which query strategy produced the candidate pairs.
@@ -72,10 +72,15 @@ class FeatureSpace:
         """Distances for aligned index arrays a[i] <-> b[i]."""
         return self._distances(a, b, out)
 
-    def block_distances(self, query_idx: np.ndarray,
+    def block_distances(self, query_idx: np.ndarray, records: np.ndarray | None = None,
                         out: np.ndarray | None = None) -> np.ndarray:
-        """Distances from each query record to all records; shape (len(query_idx), n)."""
-        return self._distances(query_idx[:, None], np.arange(self.n), out)
+        """Distances from each query record to each of `records` (all n by default).
+
+        Shape (len(query_idx), len(records)).  A window of records gets the
+        same bits as the matching columns of the full block.
+        """
+        return self._distances(query_idx[:, None],
+                               np.arange(self.n) if records is None else records, out)
 
     def _distances(self, a: np.ndarray, b: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
@@ -99,6 +104,23 @@ class FeatureSpace:
                 acc += term
         acc /= self.total_weight
         return acc
+
+    def sweep_key(self) -> np.ndarray | None:
+        """One scaled column that bounds the distance from below, or None.
+
+        The positive-weight numeric column of largest weight w, times w / W:
+        its term is one of the non-negative terms the distance adds up, so
+        |key[i] - key[j]| <= distance(i, j) up to rounding.  Records sorted
+        on it need only be scanned inside a key window (the projection
+        search of Friedman, Baskett and Shustek, 1975).  None when no
+        numeric column has a positive weight.
+        """
+        numeric = [(w, j) for j, (kind, w) in enumerate(zip(self._kinds, self.weights))
+                   if kind == "numeric" and w > 0.0]
+        if not numeric:
+            return None
+        w, j = max(numeric, key=lambda pair: pair[0])
+        return self._columns[j] * (w / self.total_weight)
 
     def tree_coordinates(self) -> np.ndarray | None:
         """Weighted scaled coordinates in which L1 distance equals this distance.

@@ -10,11 +10,17 @@ records is high enough.
 
 Queries are exact.  Two engines propose candidates for a whole block of
 records: a KD-tree for all-numeric features at any n (L1 metric on weighted
-scaled coordinates equals the record distance), and a linear scan for mixed
-features.  Neither decides anything: the canonical distance kernel gives
-every candidate its exact distance, one selection step picks the k nearest
-under one tie rule, and rows tied at the k-th neighbor are settled by one
-bulk ball query, so tree-backed and linear-scan results are identical.
+scaled coordinates equals the record distance), and a scan for mixed
+features.  The scan sorts the records once on `FeatureSpace.sweep_key`, a
+weighted numeric column whose term bounds the distance from below, and
+compares a block of queries only with the records in a key window that
+must hold their neighbors.  Where the key bounds little, windows cover most
+records and the block scans all of them, so the scan's worst case is the
+full O(n^2) scan.  Neither engine decides anything: the canonical distance
+kernel gives every candidate its exact distance, one selection step picks
+the k nearest under one tie rule, and rows tied at the k-th neighbor are
+settled by one bulk ball query, so tree-backed and scanned results are
+identical.
 
 A NeighborIndex passes over every record's neighborhood once per
 neighborhood spec and keeps only counts: how many of the record's neighbors
@@ -26,6 +32,7 @@ lists are never kept, so memory stays O(n * cells) at any radius.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,6 +55,11 @@ SOFT_MEASURE_KINDS = ("mi", "rate")
 # it of the k-th are tied, and ball candidates are proposed out to it
 _TREE_SLACK = 1e-9
 _BLOCK_CELLS = 1 << 16       # cells in the widest per-row array of one vectorized block
+
+
+def _with_slack(distance):
+    """A distance widened by the margin over rounding that every engine allows."""
+    return distance * (1.0 + _TREE_SLACK) + 1e-12
 
 
 def _block_rows(width: int) -> int:
@@ -128,24 +140,26 @@ class NeighborIndex:
             return counts
         knn = nspec.mode == "knn"
         # knn blocks are sized for their (rows, k) outputs; the scan engine
-        # splits them further into rows of width n
+        # splits them further into blocks of _block_rows(n) rows
         step = _block_rows(nspec.k + 2 if knn else self.n)
         cells = int(np.prod(self.cell_shape))
         counts = np.empty((self.n, cells), dtype=np.int64)
-        queries = np.arange(self.n, dtype=np.int64)
-        # the scan's ball blocks reuse one distance buffer, for _propose_scan's reason
-        buf = None if knn or self._tree is not None else np.empty((min(step, self.n), self.n))
+        # the scan walks the records in sweep-key order, so that each block's
+        # rows lie close together on the key and share one narrow window
+        sweep = None if self._tree is not None else self._sweep
+        queries = np.arange(self.n, dtype=np.int64) if sweep is None else sweep[1]
+        # the scan's ball blocks share one distance buffer (see _scan_buffer)
+        buf = None if knn or self._tree is not None else self._scan_buffer(self.n)
         for lo in range(0, self.n, step):
             q = queries[lo:lo + step]
             if knn:
                 members = self._knn_block(q, nspec.k)[0].ravel()
                 sizes = nspec.k
             else:
-                offsets, members, _ = self._ball_block(
-                    q, nspec.radius, out=None if buf is None else buf[:len(q)])
+                offsets, members, _ = self._ball_block(q, nspec.radius, buf)
                 sizes = np.diff(offsets)
             owner = np.repeat(np.arange(len(q), dtype=np.int64) * cells, sizes)
-            counts[lo:lo + len(q)] = np.bincount(
+            counts[q] = np.bincount(
                 owner + self._cells[members], minlength=len(q) * cells).reshape(len(q), cells)
         counts.flags.writeable = False
         self._counts[nspec] = counts
@@ -164,40 +178,87 @@ class NeighborIndex:
             raise InvalidParams(f"k={k} out of range for n={self.n}")
         members = np.empty((len(queries), k), dtype=np.int64)
         dists = np.empty((len(queries), k))
-        engine = self._propose_tree if self._tree is not None else self._propose_scan
-        for lo, cand, d in engine(queries, min(k + 1, self.n)):
+        # the scan's blocks and its tied rows' ball queries share one buffer
+        if self._tree is not None:
+            buf, engine = None, self._propose_tree(queries, min(k + 1, self.n))
+        else:
+            buf = self._scan_buffer(len(queries))
+            engine = self._propose_scan(queries, min(k + 1, self.n), buf)
+        for block, cand, d in engine:
             tied = np.zeros(len(cand), dtype=bool)
             if cand.shape[1] > k:
-                tied = d[:, k] <= d[:, :k].max(axis=1) * (1.0 + _TREE_SLACK) + 1e-12
+                tied = d[:, k] <= _with_slack(d[:, :k].max(axis=1))
                 cand, d = cand[:, :k], d[:, :k]
-            members[lo:lo + len(cand)] = cand
-            dists[lo:lo + len(cand)] = d
-            tied_rows = lo + np.flatnonzero(tied)
+            members[block] = cand
+            dists[block] = d
+            tied_rows = block[tied]
             step = _block_rows(self.n)     # a ball of duplicates holds every record
             for t in range(0, len(tied_rows), step):
                 rows = tied_rows[t:t + step]
-                offsets, ball, d_ball = self._ball_block(queries[rows], dists[rows].max(axis=1))
+                offsets, ball, d_ball = self._ball_block(queries[rows], dists[rows].max(axis=1),
+                                                         buf)
                 owner = np.repeat(np.arange(len(rows)), np.diff(offsets))
                 first_k = np.lexsort((ball, d_ball, owner))[offsets[:-1, None] + np.arange(k)]
                 members[rows] = ball[first_k]
                 dists[rows] = d_ball[first_k]
         return members, dists
 
-    def _propose_scan(self, queries, width):
-        # Each row's `width` nearest by the exact distance, the width-th last.
-        # A fresh block-sized array costs more in page faults than the kernel
-        # spends on arithmetic (a 4000-record mixed audit's block temporaries
-        # took about 89,000 minor faults, this in-place path about 4,200), so
-        # every block is written into leading rows of one buffer per pass.
-        # take_along_axis copies the selected distances out before the next
-        # block overwrites them.
+    def _propose_scan(self, queries, width, buf):
+        # Each row's `width` nearest by the exact distance, the width-th last,
+        # yielded with the rows' positions in `queries`.  Without a sweep key
+        # every block scans all records.  With one, a block scans only the
+        # key-sorted records in a window around its rows' keys, widened by
+        # the reach the previous block needed.  A row is accepted when every
+        # record whose key lies within its width-th distance (with the tie
+        # slack) of its own is in the window: any record outside is farther
+        # than all of its picks.  The other rows are retried once over the
+        # hull of those key ranges, which holds their true nearest.
+        sweep = self._sweep
         step = _block_rows(self.n)
-        buf = np.empty((min(step, len(queries)), self.n))
+        reach = None
         for lo in range(0, len(queries), step):
-            q = queries[lo:lo + step]
-            d = self.space.block_distances(q, out=buf[:len(q)])
-            cand = np.argpartition(d, width - 1, axis=1)[:, :width]
-            yield lo, cand, np.take_along_axis(d, cand, axis=1)
+            rows = np.arange(lo, min(lo + step, len(queries)))
+            if sweep is None or reach is None:
+                # without a sweep key every block scans all records; with one,
+                # the first row's full scan sets the first window's reach
+                full = rows if sweep is None else rows[:1]
+                cand, d = self._nearest(queries[full], None, width, buf)
+                yield full, cand, d
+                reach = _with_slack(d.max())
+                rows = rows[len(full):]
+                if not len(rows):
+                    continue
+            q = queries[rows]
+            key, order, sorted_key = sweep
+            kq = key[q]
+            a, b = self._key_window(kq.min() - reach, kq.max() + reach, width)
+            cand, d = self._nearest(q, order[a:b], width, buf)
+            r = _with_slack(d.max(axis=1))
+            reach = r.max()
+            if b - a == self.n:         # the full scan settles every row
+                yield rows, cand, d
+                continue
+            ok = ((np.searchsorted(sorted_key, kq - r, "left") >= a)
+                  & (np.searchsorted(sorted_key, kq + r, "right") <= b))
+            yield rows[ok], cand[ok], d[ok]
+            if not ok.all():
+                retry = ~ok
+                a, b = self._key_window((kq - r)[retry].min(), (kq + r)[retry].max(), width)
+                cand, d = self._nearest(q[retry], order[a:b], width, buf)
+                r[retry] = _with_slack(d.max(axis=1))
+                reach = r.max()
+                yield rows[retry], cand, d
+
+    def _nearest(self, queries, records, width, buf):
+        # each query's `width` nearest of `records` (all records when None)
+        # and their distances; take_along_axis copies the distances out of
+        # the buffer before the next block overwrites it
+        if records is not None and len(records) == self.n:
+            records = None
+        d = self._scan(queries, records, buf)
+        local = np.argpartition(d, width - 1, axis=1)[:, :width]
+        d = np.take_along_axis(d, local, axis=1)
+        return (local if records is None else records[local]), d
 
     def _propose_tree(self, queries, width):
         # Each row's `width` nearest under the pruning metric, which differs
@@ -209,20 +270,58 @@ class NeighborIndex:
             cand = self._tree.query(self._coords[q], k=width, p=1.0,
                                     workers=1)[1].reshape(len(q), width)
             d = self.space.pair_distances(np.repeat(q, width), cand.ravel())
-            yield lo, cand, d.reshape(cand.shape)
+            yield np.arange(lo, lo + len(q)), cand, d.reshape(cand.shape)
 
-    def _ball_block(self, queries: np.ndarray, radius, out=None):
+    @functools.cached_property
+    def _sweep(self):
+        # (key, record order by key, sorted keys) for FeatureSpace.sweep_key,
+        # or None; built on the scan's first use, so an index whose tree is
+        # dropped after construction sweeps too
+        key = self.space.sweep_key()
+        if key is None:
+            return None
+        order = np.argsort(key, kind="stable")
+        return key, order, key[order]
+
+    def _key_window(self, lo, hi, width=1):
+        # key-sorted positions [a, b) of the records with key in [lo, hi],
+        # widened to at least `width` records; a window over most records
+        # costs about what the full scan does, so it becomes (0, n)
+        sorted_key = self._sweep[2]
+        a = int(np.searchsorted(sorted_key, lo, "left"))
+        b = int(np.searchsorted(sorted_key, hi, "right"))
+        if b - a < width:
+            a = max(0, min(a, self.n - width))
+            b = a + width
+        return (0, self.n) if 2 * (b - a) > self.n else (a, b)
+
+    def _scan_buffer(self, rows):
+        # one flat buffer for a pass's scan blocks: a fresh block-sized array
+        # costs more in page faults than the kernel spends on arithmetic (a
+        # 4000-record mixed audit's block temporaries took about 89,000 minor
+        # faults, the reused buffer about 4,200)
+        return np.empty(min(_block_rows(self.n), rows) * self.n)
+
+    def _scan(self, queries, records, buf):
+        # distances from the queries to `records` (all when None), written
+        # into the leading cells of `buf` when one is given
+        width = self.n if records is None else len(records)
+        out = None if buf is None else buf[:len(queries) * width].reshape(len(queries), width)
+        return self.space.block_distances(queries, records=records, out=out)
+
+    def _ball_block(self, queries: np.ndarray, radius, buf=None):
         """Records within `radius` (a scalar or one per query) of each query.
 
         Returns CSR arrays (offsets, members, distances), each query's
         members in ascending index order with their exact distances.  The
-        radius may be 0 (exact duplicates only).  Given `out`, the scan
-        engine writes the block's distances there, as block_distances does.
+        radius may be 0 (exact duplicates only).  Given a flat float64 `buf`
+        of at least len(queries) * n cells, the scan engine writes the
+        block's distances into it.
         """
         radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), queries.shape)
         # the engines propose, per query, every record within the slack radius
         # with its exact distance; those distances then decide membership
-        reach = radius * (1.0 + _TREE_SLACK) + 1e-12
+        reach = _with_slack(radius)
         if self._tree is not None:
             cands = self._tree.query_ball_point(self._coords[queries], reach, p=1.0,
                                                 workers=1, return_sorted=True)
@@ -231,11 +330,21 @@ class NeighborIndex:
                                   count=sizes.sum())
             d = self.space.pair_distances(np.repeat(queries, sizes), members)
         else:
-            d = self.space.block_distances(queries, out=out)
+            # with a sweep key, only records whose key lies within some
+            # query's reach can be members: scan that window, in index order
+            records = None
+            if self._sweep is not None:
+                key, order, _ = self._sweep
+                a, b = self._key_window((key[queries] - reach).min(),
+                                        (key[queries] + reach).max())
+                records = None if b - a == self.n else np.sort(order[a:b])
+            d = self._scan(queries, records, buf)
             inside = d <= reach[:, None]
             sizes = np.count_nonzero(inside, axis=1)
             flat = np.flatnonzero(inside)
-            members = flat - np.repeat(np.arange(len(queries)) * self.n, sizes)
+            members = flat - np.repeat(np.arange(len(queries)) * d.shape[1], sizes)
+            if records is not None:
+                members = records[members]
             d = d.ravel()[flat]
         keep = d <= np.repeat(radius, sizes)
         offsets = np.zeros(len(queries) + 1, dtype=np.int64)

@@ -97,6 +97,7 @@ class AuditConfig:
                 "k": self.k if self.radius is None else None,
                 "radius": self.radius,
             },
+            "weights": None if self.weights is None else dict(self.weights),
             "output": self.output,
             "format": self.format,
         }

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairaudit import neighborhood
 from fairaudit.dataset import Column, Dataset, Provenance
 from fairaudit.distance import DistanceSpec, FeatureSpace, min_max_scale
 from fairaudit.neighborhood import NeighborhoodSpec, build_index
@@ -90,6 +91,21 @@ def test_block_distances_bit_equal_to_the_formula_with_one_reused_out(case):
         d = space.block_distances(q, out=buf[:rows])
         assert d.base is buf
         _assert_bits_equal(d, want)
+        records = rng.permutation(n)[:max(n // 2, 1)]     # a window of the records
+        _assert_bits_equal(space.block_distances(q, records=records), want[:, records])
+
+
+@_SETTINGS
+@given(_spaces())
+def test_the_sweep_key_bounds_the_distance_from_below(case):
+    dataset, space, rng = case
+    key = space.sweep_key()
+    numeric = [w for c, w in zip(dataset.features, space.weights) if c.kind == "numeric"]
+    if not any(w > 0 for w in numeric):
+        assert key is None
+        return
+    a, b = rng.integers(0, space.n, (2, 200))
+    assert (np.abs(key[a] - key[b]) <= space.pair_distances(a, b) * (1 + 1e-12) + 1e-15).all()
 
 
 def test_out_of_the_wrong_shape_or_dtype_is_rejected():
@@ -106,30 +122,37 @@ def test_out_of_the_wrong_shape_or_dtype_is_rejected():
 
 
 @pytest.mark.parametrize("nspec", [NeighborhoodSpec("knn", k=5),
-                                   NeighborhoodSpec("ball", radius=0.2)], ids=["knn", "ball"])
+                                   NeighborhoodSpec("ball", radius=0.03)], ids=["knn", "ball"])
 def test_a_scan_count_pass_fills_views_of_one_buffer(monkeypatch, nspec):
     rng = np.random.default_rng(5)
     n = 700                  # several scan blocks of _block_rows(n) rows each
-    x = rng.normal(size=n)
+    x = np.round(rng.normal(size=n), 1)     # ties, so kNN rows take the ball fallback
     dataset = Dataset(_categorical("s", rng.integers(0, 2, n)),
                       _categorical("y", rng.integers(0, 2, n)),
                       _categorical("yhat", rng.integers(0, 2, n)),
                       (Column("x", "numeric", values=x), _categorical("c", rng.integers(0, 3, n))),
                       None, Provenance("scan", "error", None, 0))
     index = build_index(dataset)
-    assert index._tree is None              # mixed kinds take the linear scan
-    outs = []
+    assert index._tree is None              # mixed kinds take the scan
+    calls = []
     block_distances = FeatureSpace.block_distances
 
-    def recording(self, query_idx, out=None):
-        outs.append(out)
-        return block_distances(self, query_idx, out=out)
+    def recording(self, query_idx, records=None, out=None):
+        calls.append((records, out))
+        return block_distances(self, query_idx, records=records, out=out)
 
     monkeypatch.setattr(FeatureSpace, "block_distances", recording)
+    ball_queries = []
+    ball_block = index._ball_block
+    index._ball_block = lambda q, *a: ball_queries.append(len(q)) or ball_block(q, *a)
     index.cell_counts(nspec)
-    # the kNN pass's ball fallbacks for tied rows allocate their own; the
-    # blocks of either pass share one
-    scan_outs = [out for out in outs if out is not None]
-    bases = {id(out.base) for out in scan_outs}
-    assert len(scan_outs) > 1 and len(bases) == 1
-    assert all(out.base is not None and out.base.shape[1] == n for out in scan_outs)
+    # every block of the pass, the kNN pass's ball queries for tied rows
+    # included, writes into a view of one flat buffer of _block_rows(n) rows
+    # of n cells, most of them into a window of the key-sorted records
+    assert len(calls) > 1 and len(ball_queries) > 0
+    assert all(out is not None for _, out in calls)
+    assert len({id(out.base) for _, out in calls}) == 1
+    base = calls[0][1].base
+    assert base.shape == (neighborhood._block_rows(n) * n,)
+    windowed = [len(records) for records, _ in calls if records is not None]
+    assert 2 * len(windowed) > len(calls) and max(windowed) < n

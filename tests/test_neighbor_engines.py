@@ -116,7 +116,7 @@ def test_knn_engines_match_brute_force_oracle():
         tree._tree = _BallCounter(tree._tree)
         fallback_rows = []
         ball_block = scan._ball_block
-        scan._ball_block = lambda q, r: fallback_rows.append(len(q)) or ball_block(q, r)
+        scan._ball_block = lambda q, r, *a: fallback_rows.append(len(q)) or ball_block(q, r, *a)
         queries = np.arange(n)
         for index in (tree, scan):
             members, dists = _by_distance_then_index(*index._knn_block(queries, k))
@@ -449,3 +449,135 @@ def test_tiny_inputs_match_scan_and_oracle_on_the_tree(n):
                 want = np.flatnonzero(d[q] <= radius)
                 assert np.array_equal(members[offsets[q]:offsets[q + 1]], want)
                 assert np.array_equal(dists[offsets[q]:offsets[q + 1]], d[q, want])
+
+
+class _ScanRecorder:
+    """Records an index's kernel calls: query rows, window width, and whether a
+    ball query made them.  A kNN call whose rows all came in the previous one
+    is the sweep's retry of rows its first window could not settle."""
+
+    def __init__(self, index):
+        self.n = index.n
+        self.calls = []
+        self._in_ball = False
+        kernel, ball_block = index.space.block_distances, index._ball_block
+
+        def block_distances(queries, records=None, out=None):
+            width = index.n if records is None else len(records)
+            self.calls.append((queries.copy(), width, self._in_ball))
+            return kernel(queries, records=records, out=out)
+
+        def ball(queries, *args):
+            self._in_ball = True
+            try:
+                return ball_block(queries, *args)
+            finally:
+                self._in_ball = False
+
+        index.space.block_distances = block_distances
+        index._ball_block = ball
+
+    def cells(self):
+        return sum(len(q) * width for q, width, _ in self.calls)
+
+    def partial_windows(self):
+        return sum(width < self.n for _, width, _ in self.calls)
+
+    def retried_rows(self):
+        rows, previous = 0, None
+        for q, _, from_ball in self.calls:
+            if not from_ball:
+                if previous is not None and np.isin(q, previous).all():
+                    rows += len(q)
+                previous = q
+        return rows
+
+
+def _counts_from(index, offsets, members):
+    owner = np.repeat(np.arange(index.n), np.diff(offsets))
+    cells = int(np.prod(index.cell_shape))
+    return np.bincount(owner * cells + index._cells[members],
+                       minlength=index.n * cells).reshape(index.n, cells)
+
+
+def test_swept_scan_matches_brute_force_on_numeric_dominant_mixed_data():
+    partial, retried, ties = [], [], []
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(800, 2000),
+        levels=st.sampled_from([8, 40, 200]),
+        weights=st.sampled_from([{"f2": 0.02}, {"f0": 2.5, "f2": 0.2}]),
+        data=st.data(),
+    )
+    def check(seed, n, levels, weights, data):
+        ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=1)
+        index = build_index(ds, DistanceSpec(weights))
+        assert index._tree is None
+        k = data.draw(st.integers(1, 80), label="k")
+        want_m, want_d, d = _oracle(index, k)
+        recorder = _ScanRecorder(index)
+        order = index._sweep[1]             # the key order cell_counts walks in
+        members, dists = _by_distance_then_index(*index._knn_block(order, k))
+        assert np.array_equal(members, want_m[order])
+        assert np.array_equal(dists, want_d[order])
+        ties.append(_boundary_ties(np.sort(d, axis=1), k))
+        assert np.array_equal(index.cell_counts(NeighborhoodSpec("knn", k=k)),
+                              _counts_from(index, np.arange(n + 1) * k, want_m.ravel()))
+
+        radius = data.draw(st.sampled_from([1.0 / levels, 0.02, 0.05, 0.3]), label="radius")
+        inside = d <= radius
+        offsets = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+        assert np.array_equal(index.cell_counts(NeighborhoodSpec("ball", radius=radius)),
+                              _counts_from(index, offsets, np.nonzero(inside)[1]))
+        # a key-sorted run of queries, each with its own radius, 0 included
+        lo = data.draw(st.integers(0, n - 40), label="lo")
+        queries = order[lo:lo + 40]
+        radii = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0 / levels, 0.01, 0.05]),
+                                            min_size=40, max_size=40), label="radii"))
+        offsets, members, dists = index._ball_block(queries, radii)
+        for row, (q, r) in enumerate(zip(queries, radii)):
+            w = np.flatnonzero(d[q] <= r)
+            assert np.array_equal(members[offsets[row]:offsets[row + 1]], w)
+            assert np.array_equal(dists[offsets[row]:offsets[row + 1]], d[q, w])
+        partial.append(recorder.partial_windows())
+        retried.append(recorder.retried_rows())
+
+    check()
+    assert sum(partial) > 0       # some blocks scanned a window of the records
+    assert sum(retried) > 0       # and some rows needed the retry
+    assert sum(ties) > 0          # with rows tied at the k-th neighbor
+
+
+def _uniform_mixed_dataset(n, arities, seed=4):
+    """Two uniform numeric features plus uniform categorical ones of these arities."""
+    rng = np.random.default_rng(seed)
+
+    def categorical(name, arity):
+        return Column(name, "categorical", codes=rng.integers(0, arity, n),
+                      categories=tuple(str(c) for c in range(arity)))
+    features = (Column("x0", "numeric", values=rng.random(n)),
+                Column("x1", "numeric", values=rng.random(n)),
+                *(categorical(f"c{j}", arity) for j, arity in enumerate(arities)))
+    return Dataset(categorical("s", 2), categorical("y", 2), categorical("yhat", 2), features,
+                   None, Provenance("uniform", "error", None, 0))
+
+
+@pytest.mark.parametrize("nspec", [NeighborhoodSpec("knn", k=50),
+                                   NeighborhoodSpec("ball", radius=0.05)], ids=["knn", "ball"])
+def test_swept_scan_work_is_bounded_by_the_full_scan(nspec):
+    n = 2000
+    cells = {}
+    # numeric-dominant (one light categorical, as in the benchmark's mixed
+    # workload) and wide (three heavy categoricals)
+    for name, index in (("narrow", build_index(_uniform_mixed_dataset(n, (4,)),
+                                               DistanceSpec({"c0": 0.02}))),
+                        ("wide", build_index(_uniform_mixed_dataset(n, (25, 20, 10))))):
+        recorder = _ScanRecorder(index)
+        index.cell_counts(nspec)
+        cells[name] = recorder.cells()
+    assert cells["narrow"] < n * n / 2
+    # the key bounds little of the wide distance, so its blocks fall back to
+    # the full scan, with at most one block's worth of cells more
+    assert cells["wide"] <= n * n + neighborhood._block_rows(n) * n

@@ -284,6 +284,20 @@ def test_weights_naming_no_feature_column_exit_2(tmp_path, capsys):
         assert err.startswith("fairaudit: error:") and "x9" in err and "x0" not in err
 
 
+def test_weights_are_echoed_in_the_config_block(tmp_path):
+    data, schema, _ = _write_scenario(tmp_path, "planted_unfair_cluster", n=300)
+    configs = {}
+    for weights in ("x0=0.02", "x0=1", None):
+        out = tmp_path / "rep.json"
+        args = ["audit", "--data", data, "--schema", schema, "--criteria", "isp",
+                "--output", str(out)] + (["--weights", weights] if weights else [])
+        assert main(args) in (0, 1)
+        configs[weights] = json.loads(out.read_text(encoding="utf-8"))["config"]
+    assert configs["x0=0.02"]["weights"] == {"x0": 0.02}
+    assert configs["x0=1"]["weights"] == {"x0": 1.0}
+    assert configs[None]["weights"] is None
+
+
 @pytest.mark.parametrize("scenario, args, message", [
     ("independent", ["--measure", "mi", "--alpha", "nan"], "alpha"),
     ("independent", ["--measure", "ber", "--alpha", "-1"], "alpha"),
