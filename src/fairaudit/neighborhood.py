@@ -8,19 +8,19 @@ between the outcome and the sensitive attribute is measured inside the
 neighborhood, and the audit passes when the fraction of non-violating
 records is high enough.
 
-Queries are exact.  Two engines propose candidates for a whole block of
-records: a KD-tree for all-numeric features at any n (L1 metric on weighted
-scaled coordinates equals the record distance), and a scan for mixed
-features.  The scan sorts the records once on `FeatureSpace.sweep_key`, a
-weighted numeric column whose term bounds the distance from below, and
-compares a block of queries only with the records in a key window that
-must hold their neighbors.  Where the key bounds little, windows cover most
-records and the block scans all of them, so the scan's worst case is the
-full O(n^2) scan.  Neither engine decides anything: the canonical distance
-kernel gives every candidate its exact distance, one selection step picks
-the k nearest under one tie rule, and rows tied at the k-th neighbor are
-settled by one bulk ball query, so tree-backed and scanned results are
-identical.
+Queries are exact: two proposers feed one selection step.  For a block of
+queries an engine proposes each one's nearest records, or every record
+within a reach, and the canonical distance kernel gives each candidate its
+exact distance.  A KD-tree (Bentley, 1975) proposes for all-numeric
+features, whose weighted scaled coordinates have L1 distance equal to the
+record distance, and a scan for mixed ones.  The scan sorts the records
+once on `FeatureSpace.sweep_key`, a weighted numeric column whose term
+bounds the distance from below, and compares a block only with the
+records in a key window that must hold their neighbors (Friedman, Baskett
+and Shustek, 1975); where the key bounds little, that is the full O(n^2)
+scan.  One step then selects: the k nearest under one tie rule, rows tied
+at the k-th neighbor settled by one bulk ball query, and ball members by
+their exact distance, so both engines give identical results.
 
 A NeighborIndex passes over every record's neighborhood once per
 neighborhood spec and keeps only counts: how many of the record's neighbors
@@ -32,9 +32,9 @@ lists are never kept, so memory stays O(n * cells) at any radius.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +86,12 @@ class NeighborhoodSpec:
 
     def __post_init__(self):
         if self.mode == "knn":
-            if self.k is None or self.k < 1:
-                raise InvalidParams("knn mode needs k >= 1")
+            if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
+                raise InvalidParams("knn mode needs an integer k >= 1")
         elif self.mode == "ball":
-            if self.radius is None or not (0.0 < self.radius <= 1.0):
-                raise InvalidParams("ball mode needs radius in (0, 1]")
+            if (self.radius is None or isinstance(self.radius, (bool, np.bool_))
+                    or not (0.0 < self.radius <= 1.0)):
+                raise InvalidParams("ball mode needs a numeric radius in (0, 1]")
         else:
             raise InvalidParams(f"unknown neighborhood mode {self.mode!r}")
 
@@ -98,7 +99,8 @@ class NeighborhoodSpec:
 class NeighborIndex:
     """Immutable exact neighbor queries over a dataset's feature space."""
 
-    def __init__(self, dataset: Dataset, dist: DistanceSpec | None = None):
+    def __init__(self, dataset: Dataset, dist: DistanceSpec | None = None, *,
+                 engine: str | None = None):
         self.dataset = dataset
         self.space = FeatureSpace(dataset, dist)
         self.n = self.space.n
@@ -107,8 +109,14 @@ class NeighborIndex:
         self._cells = (dataset.y.codes * dataset.y_hat.arity
                        + dataset.y_hat.codes) * dataset.s.arity + dataset.s.codes
         self._counts: dict[NeighborhoodSpec, np.ndarray] = {}
-        self._coords = self.space.tree_coordinates()
-        self._tree = None if self._coords is None else cKDTree(self._coords)
+        # the tree exactly when there are tree coordinates, unless `engine` names one
+        coords = self.space.tree_coordinates()
+        if engine == "scan" or (engine is None and coords is None):
+            self.engine = _ScanEngine(self.space)
+        elif engine in (None, "tree") and coords is not None:
+            self.engine = _TreeEngine(self.space, coords)
+        else:
+            raise InvalidParams(f"no {engine!r} neighbor engine for these features")
 
     # -- single-record queries -------------------------------------------
 
@@ -120,7 +128,7 @@ class NeighborIndex:
 
     def ball(self, i: int, radius: float) -> np.ndarray:
         """All records within `radius` of record i, in ascending index order."""
-        if radius <= 0:
+        if not radius > 0:
             raise InvalidParams("radius must be positive")
         return self._ball_block(np.array([i]), radius)[1]
 
@@ -139,24 +147,18 @@ class NeighborIndex:
         if counts is not None:
             return counts
         knn = nspec.mode == "knn"
-        # knn blocks are sized for their (rows, k) outputs; the scan engine
-        # splits them further into blocks of _block_rows(n) rows
+        # blocks are sized for their (rows, k) members or (rows, n) distances;
+        # an engine may propose a kNN block in smaller blocks of its own
         step = _block_rows(nspec.k + 2 if knn else self.n)
         cells = int(np.prod(self.cell_shape))
         counts = np.empty((self.n, cells), dtype=np.int64)
-        # the scan walks the records in sweep-key order, so that each block's
-        # rows lie close together on the key and share one narrow window
-        sweep = None if self._tree is not None else self._sweep
-        queries = np.arange(self.n, dtype=np.int64) if sweep is None else sweep[1]
-        # the scan's ball blocks share one distance buffer (see _scan_buffer)
-        buf = None if knn or self._tree is not None else self._scan_buffer(self.n)
         for lo in range(0, self.n, step):
-            q = queries[lo:lo + step]
+            q = self.engine.order[lo:lo + step]
             if knn:
                 members = self._knn_block(q, nspec.k)[0].ravel()
                 sizes = nspec.k
             else:
-                offsets, members, _ = self._ball_block(q, nspec.radius, buf)
+                offsets, members, _ = self._ball_block(q, nspec.radius)
                 sizes = np.diff(offsets)
             owner = np.repeat(np.arange(len(q), dtype=np.int64) * cells, sizes)
             counts[q] = np.bincount(
@@ -178,13 +180,7 @@ class NeighborIndex:
             raise InvalidParams(f"k={k} out of range for n={self.n}")
         members = np.empty((len(queries), k), dtype=np.int64)
         dists = np.empty((len(queries), k))
-        # the scan's blocks and its tied rows' ball queries share one buffer
-        if self._tree is not None:
-            buf, engine = None, self._propose_tree(queries, min(k + 1, self.n))
-        else:
-            buf = self._scan_buffer(len(queries))
-            engine = self._propose_scan(queries, min(k + 1, self.n), buf)
-        for block, cand, d in engine:
+        for block, cand, d in self.engine.propose_knn(queries, min(k + 1, self.n)):
             tied = np.zeros(len(cand), dtype=bool)
             if cand.shape[1] > k:
                 tied = d[:, k] <= _with_slack(d[:, :k].max(axis=1))
@@ -195,15 +191,81 @@ class NeighborIndex:
             step = _block_rows(self.n)     # a ball of duplicates holds every record
             for t in range(0, len(tied_rows), step):
                 rows = tied_rows[t:t + step]
-                offsets, ball, d_ball = self._ball_block(queries[rows], dists[rows].max(axis=1),
-                                                         buf)
+                offsets, ball, d_ball = self._ball_block(queries[rows], dists[rows].max(axis=1))
                 owner = np.repeat(np.arange(len(rows)), np.diff(offsets))
                 first_k = np.lexsort((ball, d_ball, owner))[offsets[:-1, None] + np.arange(k)]
                 members[rows] = ball[first_k]
                 dists[rows] = d_ball[first_k]
         return members, dists
 
-    def _propose_scan(self, queries, width, buf):
+    def _ball_block(self, queries: np.ndarray, radius):
+        """Records within `radius` (a scalar or one per query) of each query.
+
+        Returns CSR arrays (offsets, members, distances), each query's
+        members in ascending index order with their exact distances.  The
+        radius may be 0 (exact duplicates only).
+        """
+        radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), queries.shape)
+        # the engine proposes, per query, every record within the slack radius
+        # with its exact distance; those distances then decide membership
+        sizes, members, d = self.engine.propose_ball(queries, _with_slack(radius))
+        keep = d <= np.repeat(radius, sizes)
+        offsets = np.zeros(len(queries) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        if keep.all():              # the common case: every proposal is a member
+            return offsets, members, d
+        kept = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        return kept[offsets], members[keep], d[keep]
+
+
+class _TreeEngine:
+    """Candidates from a KD-tree over `FeatureSpace.tree_coordinates`."""
+
+    def __init__(self, space: FeatureSpace, coords: np.ndarray):
+        self.space = space
+        self.order = np.arange(space.n, dtype=np.int64)
+        self._kdtree = cKDTree(coords)     # its `data` are the coordinates
+
+    def propose_knn(self, queries, width):
+        # Each row's `width` nearest under the pruning metric (the exact
+        # distance up to rounding), with exact distances and row positions.
+        step = _block_rows(width)
+        for lo in range(0, len(queries), step):
+            q = queries[lo:lo + step]
+            # reshaped because a query for one neighbor returns 1-D arrays
+            cand = self._kdtree.query(self._kdtree.data[q], k=width, p=1.0,
+                                      workers=1)[1].reshape(len(q), width)
+            d = self.space.pair_distances(np.repeat(q, width), cand.ravel())
+            yield np.arange(lo, lo + len(q)), cand, d.reshape(cand.shape)
+
+    def propose_ball(self, queries, reach):
+        cands = self._kdtree.query_ball_point(self._kdtree.data[queries], reach, p=1.0,
+                                              workers=1, return_sorted=True)
+        sizes = np.fromiter(map(len, cands), dtype=np.int64, count=len(queries))
+        members = np.fromiter(itertools.chain.from_iterable(cands), dtype=np.int64,
+                              count=sizes.sum())
+        return sizes, members, self.space.pair_distances(np.repeat(queries, sizes), members)
+
+
+class _ScanEngine:
+    """Candidates from block scans, pruned by a sweep on `FeatureSpace.sweep_key`."""
+
+    def __init__(self, space: FeatureSpace):
+        self.space = space
+        self.n = space.n
+        self._key = space.sweep_key()
+        # queries go in key order, so that a block's rows share one window
+        self.order = (np.arange(self.n, dtype=np.int64) if self._key is None
+                      else np.argsort(self._key, kind="stable"))
+        self._sorted_key = None if self._key is None else self._key[self.order]
+        # one flat buffer for every scan block: a fresh block-sized array
+        # costs more in page faults than the kernel spends on arithmetic (a
+        # 4000-record mixed audit's block temporaries took about 89,000 minor
+        # faults, the reused buffer about 4,200)
+        self._buf = np.empty(_block_rows(self.n) * self.n)
+
+    def propose_knn(self, queries, width):
         # Each row's `width` nearest by the exact distance, the width-th last,
         # yielded with the rows' positions in `queries`.  Without a sweep key
         # every block scans all records.  With one, a block scans only the
@@ -213,147 +275,85 @@ class NeighborIndex:
         # slack) of its own is in the window: any record outside is farther
         # than all of its picks.  The other rows are retried once over the
         # hull of those key ranges, which holds their true nearest.
-        sweep = self._sweep
         step = _block_rows(self.n)
         reach = None
         for lo in range(0, len(queries), step):
             rows = np.arange(lo, min(lo + step, len(queries)))
-            if sweep is None or reach is None:
-                # without a sweep key every block scans all records; with one,
-                # the first row's full scan sets the first window's reach
-                full = rows if sweep is None else rows[:1]
-                cand, d = self._nearest(queries[full], None, width, buf)
+            if self._key is None or reach is None:
+                # with a key, the first row's full scan sets the first reach
+                full = rows if self._key is None else rows[:1]
+                cand, d = self._nearest(queries[full], None, width)
                 yield full, cand, d
                 reach = _with_slack(d.max())
                 rows = rows[len(full):]
                 if not len(rows):
                     continue
             q = queries[rows]
-            key, order, sorted_key = sweep
-            kq = key[q]
+            kq = self._key[q]
             a, b = self._key_window(kq.min() - reach, kq.max() + reach, width)
-            cand, d = self._nearest(q, order[a:b], width, buf)
+            cand, d = self._nearest(q, self.order[a:b], width)
             r = _with_slack(d.max(axis=1))
             reach = r.max()
             if b - a == self.n:         # the full scan settles every row
                 yield rows, cand, d
                 continue
-            ok = ((np.searchsorted(sorted_key, kq - r, "left") >= a)
-                  & (np.searchsorted(sorted_key, kq + r, "right") <= b))
+            ok = ((np.searchsorted(self._sorted_key, kq - r, "left") >= a)
+                  & (np.searchsorted(self._sorted_key, kq + r, "right") <= b))
             yield rows[ok], cand[ok], d[ok]
             if not ok.all():
                 retry = ~ok
                 a, b = self._key_window((kq - r)[retry].min(), (kq + r)[retry].max(), width)
-                cand, d = self._nearest(q[retry], order[a:b], width, buf)
+                cand, d = self._nearest(q[retry], self.order[a:b], width)
                 r[retry] = _with_slack(d.max(axis=1))
                 reach = r.max()
                 yield rows[retry], cand, d
 
-    def _nearest(self, queries, records, width, buf):
+    def propose_ball(self, queries, reach):
+        # with a sweep key, only records whose key lies within some query's
+        # reach can be members: scan that window, in index order
+        records = None
+        if self._key is not None:
+            kq = self._key[queries]
+            a, b = self._key_window((kq - reach).min(), (kq + reach).max())
+            records = None if b - a == self.n else np.sort(self.order[a:b])
+        d = self._scan(queries, records)
+        inside = d <= reach[:, None]
+        sizes = np.count_nonzero(inside, axis=1)
+        flat = np.flatnonzero(inside)
+        members = flat - np.repeat(np.arange(len(queries)) * d.shape[1], sizes)
+        if records is not None:
+            members = records[members]
+        return sizes, members, d.ravel()[flat]
+
+    def _nearest(self, queries, records, width):
         # each query's `width` nearest of `records` (all records when None)
         # and their distances; take_along_axis copies the distances out of
         # the buffer before the next block overwrites it
         if records is not None and len(records) == self.n:
             records = None
-        d = self._scan(queries, records, buf)
+        d = self._scan(queries, records)
         local = np.argpartition(d, width - 1, axis=1)[:, :width]
         d = np.take_along_axis(d, local, axis=1)
         return (local if records is None else records[local]), d
-
-    def _propose_tree(self, queries, width):
-        # Each row's `width` nearest under the pruning metric, which differs
-        # from the exact distance only by rounding, then their exact distances.
-        step = _block_rows(width)
-        for lo in range(0, len(queries), step):
-            q = queries[lo:lo + step]
-            # reshaped because a query for one neighbor returns 1-D arrays
-            cand = self._tree.query(self._coords[q], k=width, p=1.0,
-                                    workers=1)[1].reshape(len(q), width)
-            d = self.space.pair_distances(np.repeat(q, width), cand.ravel())
-            yield np.arange(lo, lo + len(q)), cand, d.reshape(cand.shape)
-
-    @functools.cached_property
-    def _sweep(self):
-        # (key, record order by key, sorted keys) for FeatureSpace.sweep_key,
-        # or None; built on the scan's first use, so an index whose tree is
-        # dropped after construction sweeps too
-        key = self.space.sweep_key()
-        if key is None:
-            return None
-        order = np.argsort(key, kind="stable")
-        return key, order, key[order]
 
     def _key_window(self, lo, hi, width=1):
         # key-sorted positions [a, b) of the records with key in [lo, hi],
         # widened to at least `width` records; a window over most records
         # costs about what the full scan does, so it becomes (0, n)
-        sorted_key = self._sweep[2]
-        a = int(np.searchsorted(sorted_key, lo, "left"))
-        b = int(np.searchsorted(sorted_key, hi, "right"))
+        a = int(np.searchsorted(self._sorted_key, lo, "left"))
+        b = int(np.searchsorted(self._sorted_key, hi, "right"))
         if b - a < width:
             a = max(0, min(a, self.n - width))
             b = a + width
         return (0, self.n) if 2 * (b - a) > self.n else (a, b)
 
-    def _scan_buffer(self, rows):
-        # one flat buffer for a pass's scan blocks: a fresh block-sized array
-        # costs more in page faults than the kernel spends on arithmetic (a
-        # 4000-record mixed audit's block temporaries took about 89,000 minor
-        # faults, the reused buffer about 4,200)
-        return np.empty(min(_block_rows(self.n), rows) * self.n)
-
-    def _scan(self, queries, records, buf):
+    def _scan(self, queries, records):
         # distances from the queries to `records` (all when None), written
-        # into the leading cells of `buf` when one is given
+        # into the leading cells of the buffer when they fit there
         width = self.n if records is None else len(records)
-        out = None if buf is None else buf[:len(queries) * width].reshape(len(queries), width)
+        fits = len(queries) * width <= len(self._buf)
+        out = self._buf[:len(queries) * width].reshape(len(queries), width) if fits else None
         return self.space.block_distances(queries, records=records, out=out)
-
-    def _ball_block(self, queries: np.ndarray, radius, buf=None):
-        """Records within `radius` (a scalar or one per query) of each query.
-
-        Returns CSR arrays (offsets, members, distances), each query's
-        members in ascending index order with their exact distances.  The
-        radius may be 0 (exact duplicates only).  Given a flat float64 `buf`
-        of at least len(queries) * n cells, the scan engine writes the
-        block's distances into it.
-        """
-        radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), queries.shape)
-        # the engines propose, per query, every record within the slack radius
-        # with its exact distance; those distances then decide membership
-        reach = _with_slack(radius)
-        if self._tree is not None:
-            cands = self._tree.query_ball_point(self._coords[queries], reach, p=1.0,
-                                                workers=1, return_sorted=True)
-            sizes = np.fromiter(map(len, cands), dtype=np.int64, count=len(queries))
-            members = np.fromiter(itertools.chain.from_iterable(cands), dtype=np.int64,
-                                  count=sizes.sum())
-            d = self.space.pair_distances(np.repeat(queries, sizes), members)
-        else:
-            # with a sweep key, only records whose key lies within some
-            # query's reach can be members: scan that window, in index order
-            records = None
-            if self._sweep is not None:
-                key, order, _ = self._sweep
-                a, b = self._key_window((key[queries] - reach).min(),
-                                        (key[queries] + reach).max())
-                records = None if b - a == self.n else np.sort(order[a:b])
-            d = self._scan(queries, records, buf)
-            inside = d <= reach[:, None]
-            sizes = np.count_nonzero(inside, axis=1)
-            flat = np.flatnonzero(inside)
-            members = flat - np.repeat(np.arange(len(queries)) * d.shape[1], sizes)
-            if records is not None:
-                members = records[members]
-            d = d.ravel()[flat]
-        keep = d <= np.repeat(radius, sizes)
-        offsets = np.zeros(len(queries) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        if keep.all():              # the common case: every proposal is a member
-            return offsets, members, d
-        kept = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept[1:])
-        return kept[offsets], members[keep], d[keep]
 
 
 def build_index(dataset: Dataset, dist: DistanceSpec | None = None) -> NeighborIndex:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fairaudit import neighborhood
 from fairaudit.dataset import Column, Dataset, Provenance
 from fairaudit.distance import DistanceSpec, FeatureSpace, min_max_scale
-from fairaudit.neighborhood import NeighborhoodSpec, build_index
+from fairaudit.neighborhood import NeighborhoodSpec, NeighborIndex
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 _WEIGHTS = (0.0, 0.02, 0.3, 1.0, 1.0 / 3.0, 2.5)
@@ -132,8 +132,7 @@ def test_a_scan_count_pass_fills_views_of_one_buffer(monkeypatch, nspec):
                       _categorical("yhat", rng.integers(0, 2, n)),
                       (Column("x", "numeric", values=x), _categorical("c", rng.integers(0, 3, n))),
                       None, Provenance("scan", "error", None, 0))
-    index = build_index(dataset)
-    assert index._tree is None              # mixed kinds take the scan
+    index = NeighborIndex(dataset, engine="scan")
     calls = []
     block_distances = FeatureSpace.block_distances
 

@@ -14,7 +14,7 @@ from fairaudit.dataset import Column, ColumnSchema, Dataset, Provenance, load_da
 from fairaudit.distance import DistanceSpec
 from fairaudit.errors import AllIndeterminate, InvalidParams
 from fairaudit.measures import mi_nats, rate_gap
-from fairaudit.neighborhood import NeighborhoodSpec, build_index, soft_evaluate
+from fairaudit.neighborhood import NeighborhoodSpec, NeighborIndex, build_index, soft_evaluate
 
 _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -44,19 +44,17 @@ def _quantized_dataset(seed, n, levels, numeric, categorical):
     return load_dataset(io.BytesIO(("\n".join(lines) + "\n").encode()), schema)
 
 
-class _BallCounter:
-    """KD-tree proxy counting ball queries, which kNN selection makes only for ties."""
+def _tree_and_scan(ds, dist=None):
+    """Two indexes of one all-numeric input: the KD-tree's and the scan's."""
+    return NeighborIndex(ds, dist, engine="tree"), NeighborIndex(ds, dist, engine="scan")
 
-    def __init__(self, tree):
-        self.tree = tree
-        self.ball_queries = 0
 
-    def query(self, *args, **kwargs):
-        return self.tree.query(*args, **kwargs)
-
-    def query_ball_point(self, *args, **kwargs):
-        self.ball_queries += 1
-        return self.tree.query_ball_point(*args, **kwargs)
+def _ball_rows(index):
+    """A list that grows by the query count of every `_ball_block` call on `index`."""
+    rows = []
+    ball_block = index._ball_block
+    index._ball_block = lambda q, *a: rows.append(len(q)) or ball_block(q, *a)
+    return rows
 
 
 def _oracle(index, k):
@@ -106,23 +104,17 @@ def test_knn_engines_match_brute_force_oracle():
     )
     def check(seed, n, levels, weights, data):
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=0)
-        tree = build_index(ds, DistanceSpec(weights))
-        assert tree._tree is not None
-        scan = build_index(ds, DistanceSpec(weights))
-        scan._tree = None
+        tree, scan = _tree_and_scan(ds, DistanceSpec(weights))
         k = data.draw(st.integers(1, n), label="k")
         want_m, want_d, d = _oracle(tree, k)
 
-        tree._tree = _BallCounter(tree._tree)
-        fallback_rows = []
-        ball_block = scan._ball_block
-        scan._ball_block = lambda q, r, *a: fallback_rows.append(len(q)) or ball_block(q, r, *a)
+        tree_rows, fallback_rows = _ball_rows(tree), _ball_rows(scan)
         queries = np.arange(n)
         for index in (tree, scan):
             members, dists = _by_distance_then_index(*index._knn_block(queries, k))
             assert np.array_equal(members, want_m)
             assert np.array_equal(dists, want_d)
-        requeried.append(tree._tree.ball_queries)
+        requeried.append(sum(tree_rows))
         sorted_d = np.sort(d, axis=1)
         scan_ties.append(_boundary_ties(sorted_d, k))
         # every tied scan row, and only those, is settled by the bulk ball query
@@ -153,11 +145,8 @@ def test_ball_block_engines_match_brute_force_oracle():
     )
     def check(seed, n, levels, categorical, data):
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=categorical)
-        tree = build_index(ds)
-        scan = build_index(ds)
-        scan._tree = None
-        engines = (tree, scan) if categorical == 0 else (scan,)
-        assert (tree._tree is not None) == (categorical == 0)
+        engines = _tree_and_scan(ds) if categorical == 0 else (NeighborIndex(ds, engine="scan"),)
+        scan = engines[-1]
         queries = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40),
                                      label="queries"))
         radius = np.array(data.draw(st.lists(
@@ -193,8 +182,7 @@ def test_mixed_scan_matches_oracle_and_shared_index_matches_fresh():
     )
     def check(seed, n, levels, data):
         ds = _quantized_dataset(seed, n, levels, numeric=1, categorical=2)
-        index = build_index(ds)
-        assert index._tree is None
+        index = NeighborIndex(ds, engine="scan")
         k = data.draw(st.integers(1, n), label="k")
         want_m, want_d, d = _oracle(index, k)
         members, dists = _by_distance_then_index(*index._knn_block(np.arange(n), k))
@@ -341,10 +329,9 @@ def test_count_pass_matches_member_list_oracle():
         lo = 1024 if large else 30      # large inputs span several query blocks
         n = data.draw(st.integers(lo, lo + 80), label="n")
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=categorical)
-        index = build_index(ds)
-        if scan:
-            index._tree = None
-        engines.add("tree" if index._tree is not None else "scan")
+        engine = "scan" if scan or categorical else "tree"
+        index = NeighborIndex(ds, engine=engine)
+        engines.add(engine)
         radius = data.draw(st.sampled_from([None, 0.05, 0.3, 1.0]), label="radius")
         if radius is None:
             k = data.draw(st.integers(1, min(n, 60)), label="k")
@@ -423,13 +410,27 @@ def _tiny_dataset(n):
                    Provenance("tiny", "error", None, 0))
 
 
+def test_the_tree_runs_exactly_where_the_features_have_tree_coordinates():
+    numeric = _quantized_dataset(13, 1224, 40, numeric=2, categorical=0)
+    mixed = _quantized_dataset(14, 300, 8, numeric=2, categorical=1)
+    for ds, engine in ((_tiny_dataset(1), neighborhood._TreeEngine),
+                       (numeric, neighborhood._TreeEngine), (mixed, neighborhood._ScanEngine)):
+        index = build_index(ds)
+        assert type(index.engine) is engine
+        assert (engine is neighborhood._TreeEngine) == (
+            index.space.tree_coordinates() is not None)
+    for ds, name in ((mixed, "tree"), (mixed, "kdtree"), (numeric, "kdtree"), (numeric, "")):
+        with pytest.raises(InvalidParams):
+            NeighborIndex(ds, engine=name)
+    default, scan = build_index(numeric), NeighborIndex(numeric, engine="scan")
+    for nspec in (NeighborhoodSpec("knn", k=30), NeighborhoodSpec("ball", radius=0.05)):
+        assert np.array_equal(scan.cell_counts(nspec), default.cell_counts(nspec))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tiny_inputs_match_scan_and_oracle_on_the_tree(n):
     ds = _tiny_dataset(n)
-    tree = build_index(ds)
-    assert tree._tree is not None          # the tree runs at any n
-    scan = build_index(ds)
-    scan._tree = None
+    tree, scan = _tree_and_scan(ds)        # the tree runs at any n
     queries = np.arange(n)
     d = scan.space.block_distances(queries)
     for k in range(1, n + 1):
@@ -513,12 +514,11 @@ def test_swept_scan_matches_brute_force_on_numeric_dominant_mixed_data():
     )
     def check(seed, n, levels, weights, data):
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=1)
-        index = build_index(ds, DistanceSpec(weights))
-        assert index._tree is None
+        index = NeighborIndex(ds, DistanceSpec(weights), engine="scan")
         k = data.draw(st.integers(1, 80), label="k")
         want_m, want_d, d = _oracle(index, k)
         recorder = _ScanRecorder(index)
-        order = index._sweep[1]             # the key order cell_counts walks in
+        order = index.engine.order          # the key order cell_counts walks in
         members, dists = _by_distance_then_index(*index._knn_block(order, k))
         assert np.array_equal(members, want_m[order])
         assert np.array_equal(dists, want_d[order])

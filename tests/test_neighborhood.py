@@ -8,7 +8,8 @@ from fairaudit.dataset import ColumnSchema, load_dataset, stratify
 from fairaudit.distance import DistanceSpec, FeatureSpace
 from fairaudit.errors import AllIndeterminate, GroupCriterion, InvalidParams, NoFeatures
 from fairaudit.measures import mi_nats
-from fairaudit.neighborhood import NeighborhoodSpec, build_index, soft_evaluate
+from fairaudit.neighborhood import NeighborhoodSpec, NeighborIndex, build_index, soft_evaluate
+from fairaudit.report import AuditConfig, run_audit
 from fairaudit.rng import CounterRng
 from fairaudit.scenarios import ScenarioSpec, generate
 
@@ -105,15 +106,38 @@ def test_tree_and_linear_scan_agree():
         ColumnSchema("f1", "feature", "numeric"),
     ]
     ds = load_dataset(io.BytesIO(("\n".join(lines) + "\n").encode()), schema)
-    tree = build_index(ds)
-    linear = build_index(ds)
-    linear._tree = None
-    assert tree._tree is not None
+    tree = NeighborIndex(ds, engine="tree")
+    linear = NeighborIndex(ds, engine="scan")
     for q in (0, 3, 55, 700, n - 1):
         ma, da = tree.knn(q, 15)
         mb, db = linear.knn(q, 15)
         assert np.array_equal(ma, mb) and np.array_equal(da, db)
         assert np.array_equal(tree.ball(q, 0.06), linear.ball(q, 0.06))
+    # a radius that is not > 0 is refused, NaN too, whose ball would be empty
+    for index in (tree, linear):
+        for radius in (0.0, -0.1, float("nan")):
+            with pytest.raises(InvalidParams):
+                index.ball(3, radius)
+
+
+def test_neighborhood_spec_needs_an_integer_k_and_a_numeric_radius():
+    for k in (2.5, 3.0, True, np.True_, None, 0):
+        with pytest.raises(InvalidParams):
+            NeighborhoodSpec("knn", k=k)
+    for radius in (True, np.True_, float("nan"), 0.0, 1.5, None):
+        with pytest.raises(InvalidParams):
+            NeighborhoodSpec("ball", radius=radius)
+    assert NeighborhoodSpec("knn", k=np.int64(3)) == NeighborhoodSpec("knn", k=3)
+    # run_audit refuses them before it reads the data, here absent files
+    for params in ({"k": 2.5}, {"k": True}, {"radius": True}):
+        with pytest.raises(InvalidParams):
+            run_audit(AuditConfig("absent.csv", "absent.json", ["isp"], **params))
+    ds, _ = generate(ScenarioSpec("planted_unfair_cluster", 400, 1))
+    report = run_audit(AuditConfig("absent.csv", "absent.json", ["isp"], k=np.int64(3),
+                                   min_neighborhood=1), dataset=ds)
+    want = soft_evaluate(ds, get_criterion("isp"), NeighborhoodSpec("knn", k=3),
+                         min_neighborhood=1)
+    assert report.results[0]["satisfied_fraction"] == want.satisfied_fraction
 
 
 def test_ball_monotone_in_radius():

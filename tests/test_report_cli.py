@@ -321,6 +321,7 @@ def test_weights_are_echoed_in_the_config_block(tmp_path):
      "min_neighborhood"),
     ("planted_unfair_cluster", ["--criteria", "sp", "--knn", "0"], "k >= 1"),
     ("planted_unfair_cluster", ["--criteria", "sp", "--ball", "2"], "radius"),
+    ("planted_unfair_cluster", ["--criteria", "sp", "--ball", "nan"], "radius"),
     ("planted_unfair_cluster", ["--criteria", "sp", "--st-columns", "x0"],
      "situation_testing is not selected"),
 ])
