@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
@@ -35,6 +36,11 @@ KINDS = ("categorical", "numeric")
 _UNIQUE_ROLES = ("sensitive", "target", "prediction")
 
 _MAX_KEY_SPAN = 1 << 62   # stratify re-ranks its mixed-radix key past this
+
+# rows per step of the bulk read.  Fewer than the collector's first-generation
+# threshold (700), so a step's row lists die before a collection can promote
+# them; larger steps set off full collections over the whole heap.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -171,15 +177,20 @@ def load_schema_config(source) -> tuple[list[ColumnSchema], float | None, str]:
             if not (isinstance(c, dict) and isinstance(c.get(key), str)):
                 raise RoleViolation(f"columns[{i}] needs a string {key!r}")
     schema = [ColumnSchema(c["name"], c["role"], c["kind"]) for c in cfg["columns"]]
-    threshold = cfg.get("threshold")
-    # type(), not isinstance(): a JSON true or false must not pass as 1 or 0
-    if threshold is not None and (type(threshold) not in (int, float)
-                                  or not math.isfinite(threshold)):
+    threshold, missing = cfg.get("threshold"), cfg.get("missing", "error")
+    _check_load_options(threshold, missing)
+    return schema, threshold, missing
+
+
+def _check_load_options(threshold, missing) -> None:
+    # a bool must not pass as 1 or 0, though it is an int
+    if threshold is not None and (
+            isinstance(threshold, (bool, np.bool_))
+            or not isinstance(threshold, (int, float, np.integer, np.floating))
+            or not math.isfinite(threshold)):
         raise RoleViolation(f"'threshold' must be a finite number, got {threshold!r}")
-    missing = cfg.get("missing", "error")
     if missing not in ("error", "drop"):
         raise RoleViolation(f"missing mode must be 'error' or 'drop', got {missing!r}")
-    return schema, threshold, missing
 
 
 def _validate_schema(schema: Sequence[ColumnSchema], threshold: float | None) -> None:
@@ -203,7 +214,11 @@ def _as_text_stream(source):
     # utf-8-sig drops a leading byte-order mark, which would otherwise become
     # part of the first header name
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline=""), str(source), True
+        fh = open(source, "r", encoding="utf-8-sig", newline="")
+        if fh.seekable():
+            return fh, str(source), True
+        with fh:    # a pipe: the row pass may have to read the text again
+            return io.StringIO(fh.read(), newline=""), str(source), False
     if isinstance(source, bytes):
         return io.StringIO(source.decode("utf-8-sig")), "<bytes>", False
     if hasattr(source, "read"):
@@ -217,22 +232,78 @@ def _as_text_stream(source):
 def _encode_categorical(tokens: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     categories = tuple(sorted(set(tokens)))
     lookup = {cat: i for i, cat in enumerate(categories)}
-    codes = np.fromiter((lookup[t] for t in tokens), dtype=np.int64, count=len(tokens))
+    codes = np.fromiter(map(lookup.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     return codes, categories
 
 
-def _parse_numeric(tokens: list[str], name: str, lines: list[int]) -> np.ndarray:
-    values = np.empty(len(tokens), dtype=np.float64)
-    for i, tok in enumerate(tokens):
-        try:
-            values[i] = float(tok)
-        except ValueError:
-            raise ParseError(f"non-numeric token {tok!r}", line=lines[i], column=name) from None
+def _parse_numeric(tokens: list[str], name: str, lines: Sequence[int]) -> np.ndarray:
+    try:
+        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        for tok, line in zip(tokens, lines):
+            try:
+                float(tok)
+            except ValueError:
+                raise ParseError(f"non-numeric token {tok!r}", line=line, column=name) from None
+        raise
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         i = bad[0]
         raise ParseError(f"non-finite numeric token {tokens[i]!r}", line=lines[i], column=name)
     return values
+
+
+def _read_columns(reader, width: int, positions: list[int]) -> list[list[str]] | None:
+    """The bulk read: the tokens of each column at `positions`, in row order.
+
+    Every data row r (from 0) it accepts sits on CSV line r + 2.  It returns
+    None, with the stream partly read, at the first step that holds a row of
+    another width, an empty cell at `positions`, a record over more than one
+    line or a csv error.
+    """
+    columns: list[list[str]] = [[] for _ in positions]
+    rows = 0
+    try:
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            rows += len(chunk)
+            if set(map(len, chunk)) != {width} or reader.line_num != rows + 1:
+                return None
+            cells = list(zip(*chunk))
+            del chunk
+            for tokens, pos in zip(columns, positions):
+                if "" in cells[pos]:
+                    return None
+                tokens.extend(cells[pos])
+    except csv.Error:
+        return None     # the row pass raises it again, after any fault on an earlier line
+    return columns
+
+
+def _read_rows(reader, width: int, positions: list[int], names: list[str],
+               missing: str) -> tuple[list[list[str]], list[int], int]:
+    """The row pass: (tokens per column, CSV line per kept row, dropped rows).
+
+    A row of another width, or an empty cell under missing='error', raises
+    ParseError at its line; under missing='drop' a row with an empty cell
+    is skipped and counted.
+    """
+    columns: list[list[str]] = [[] for _ in positions]
+    lines: list[int] = []
+    dropped = 0
+    for row in reader:
+        line_no = reader.line_num    # a quoted field may span lines
+        if len(row) != width:
+            raise ParseError(f"row has {len(row)} fields, header has {width}", line=line_no)
+        cells = [row[pos] for pos in positions]
+        if "" in cells:
+            if missing == "drop":
+                dropped += 1
+                continue
+            raise ParseError("missing value", line=line_no, column=names[cells.index("")])
+        for tokens, cell in zip(columns, cells):
+            tokens.append(cell)
+        lines.append(line_no)
+    return columns, lines, dropped
 
 
 def _binarize(values: np.ndarray, threshold: float) -> tuple[np.ndarray, tuple[str, str]]:
@@ -253,7 +324,14 @@ def load_dataset(
     (missing='error', the default) or drop the whole row (missing='drop');
     dropped rows are counted in provenance.  Numeric prediction and score
     columns are binarized as (value >= threshold) when a threshold is given.
+
+    The file is read in one bulk pass that takes each used column out as a
+    list of tokens.  Only when that pass meets a row of the wrong width, an
+    empty cell or a record over several lines does a second, row-by-row pass
+    read the file again, to report the first fault by its line or to drop
+    rows.
     """
+    _check_load_options(threshold, missing)
     _validate_schema(schema, threshold)
     stream, source_name, close = _as_text_stream(source)
     try:
@@ -262,35 +340,24 @@ def load_dataset(
             header = next(reader)
         except StopIteration:
             raise EmptyData("CSV has no header row") from None
-        positions: dict[str, int] = {}
         for col in schema:
             if col.name not in header:
                 raise MissingColumn(f"column {col.name!r} not in CSV header")
             if header.count(col.name) > 1:
                 raise ParseError(f"header names column {col.name!r} {header.count(col.name)} "
                                  "times", line=1)
-            positions[col.name] = header.index(col.name)
 
         used = [c for c in schema if c.role != "ignore"]
-        raw: dict[str, list[str]] = {c.name: [] for c in used}
-        lines: list[int] = []  # CSV line number per kept row (header is line 1)
-        dropped = 0
-        for row in reader:
-            line_no = reader.line_num    # a quoted field may span lines
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row has {len(row)} fields, header has {len(header)}", line=line_no
-                )
-            cells = {c.name: row[positions[c.name]] for c in used}
-            blanks = [name for name, cell in cells.items() if cell == ""]
-            if blanks:
-                if missing == "drop":
-                    dropped += 1
-                    continue
-                raise ParseError("missing value", line=line_no, column=blanks[0])
-            for name, cell in cells.items():
-                raw[name].append(cell)
-            lines.append(line_no)
+        positions = [header.index(c.name) for c in used]
+        raw = _read_columns(reader, len(header), positions)
+        if raw is None:
+            stream.seek(0)
+            reader = csv.reader(stream)
+            next(reader)
+            raw, lines, dropped = _read_rows(reader, len(header), positions,
+                                             [c.name for c in used], missing)
+        else:
+            lines, dropped = range(2, len(raw[0]) + 2), 0
         if not lines:
             raise EmptyData("CSV has no data rows" + (" after drops" if dropped else ""))
     finally:
@@ -298,8 +365,7 @@ def load_dataset(
             stream.close()
 
     columns: dict[str, Column] = {}
-    for c in used:
-        tokens = raw[c.name]
+    for c, tokens in zip(used, raw):
         if c.kind == "categorical":
             codes, cats = _encode_categorical(tokens)
             col = Column(c.name, "categorical", codes=codes, categories=cats)

@@ -239,11 +239,17 @@ def audit_map(
 
 
 def _column_order(header: list[str], prefix: str) -> list[int]:
-    cols = [pos for pos, h in enumerate(header) if h.startswith(prefix)]
-    for pos in cols:
-        if not header[pos][2:].isdecimal():
-            raise ParseError("column name needs an integer suffix", line=1, column=header[pos])
-    return sorted(cols, key=lambda pos: int(header[pos][2:]))
+    by_index: dict[int, int] = {}
+    for pos, name in enumerate(header):
+        if not name.startswith(prefix):
+            continue
+        if not name[2:].isdecimal():
+            raise ParseError("column name needs an integer suffix", line=1, column=name)
+        index = int(name[2:])
+        if index in by_index:
+            raise ParseError(f"header names {prefix}{index} twice", line=1, column=name)
+        by_index[index] = pos
+    return [by_index[index] for index in sorted(by_index)]
 
 
 def _parse_rows(reader, header: list[str], cols: list[int]) -> np.ndarray:

@@ -1,5 +1,10 @@
 import csv
 import io
+import math
+import os
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ from hypothesis import strategies as st
 from fairaudit.dataset import (
     Column,
     ColumnSchema,
+    Dataset,
+    Provenance,
     load_dataset,
     load_schema_config,
     save_csv,
@@ -16,6 +23,7 @@ from fairaudit.dataset import (
 )
 from fairaudit.errors import (
     EmptyData,
+    FairauditError,
     MissingColumn,
     NumericConditioning,
     ParseError,
@@ -287,6 +295,32 @@ def test_schema_config_integer_threshold_accepted():
     assert load_schema_config(_config(threshold=1))[1] == 1
 
 
+_NUMERIC_PREDICTION = [ColumnSchema("s", "sensitive", "categorical"),
+                       ColumnSchema("y", "target", "categorical"),
+                       ColumnSchema("p", "prediction", "numeric")]
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), True, np.bool_(False),
+                                       "x", "0.5", [0.5]])
+def test_load_dataset_threshold_must_be_a_finite_number(threshold):
+    with pytest.raises(RoleViolation) as err:
+        _load("s,y,p\na,0,0.2\nb,1,0.9\n", _NUMERIC_PREDICTION, threshold=threshold)
+    assert "'threshold'" in str(err.value)
+
+
+@pytest.mark.parametrize("threshold", [1, 0.5, np.float64(0.5), np.int64(1)])
+def test_load_dataset_accepts_a_numeric_threshold(threshold):
+    ds = _load("s,y,p\na,0,0.2\nb,1,1\n", _NUMERIC_PREDICTION, threshold=threshold)
+    assert list(ds.y_hat.codes) == [0, 1]
+
+
+@pytest.mark.parametrize("missing", ["dorp", "Drop", "", None])
+def test_load_dataset_missing_mode_must_be_error_or_drop(missing):
+    with pytest.raises(RoleViolation) as err:
+        _load("s,y,yhat\na,0,0\nb,1,1\n", _schema(), missing=missing)
+    assert "missing mode" in str(err.value)
+
+
 def test_duplicated_header_name_is_a_parse_error_at_line_1():
     with pytest.raises(ParseError) as err:
         _load("s,y,yhat,s\na,0,0,b\nb,1,1,a\n", _schema())
@@ -322,3 +356,198 @@ def test_csv_round_trip_with_quoting_and_unicode(rows, s_first):
         assert again.column(name).categories == ds.column(name).categories
     assert ds.s.categories[ds.s.codes[0]] == s_first
     assert ds.column("x1").categories[ds.column("x1").codes[0]] == rows[0][2]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_is_read_once_when_rows_are_dropped(tmp_path):
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, daemon=True,
+                              args=(b"s,y,yhat\na,0,0\nb,,1\nb,1,1\n",))
+    writer.start()
+    ds = load_dataset(str(path), _schema(), missing="drop")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert ds.n == 2 and ds.provenance.dropped_rows == 1
+
+
+def _reference_load(source, schema, threshold=None, missing="error"):
+    """A row-by-row loader: the documented semantics of load_dataset, spelled out.
+
+    Rows are read in file order.  A row of the wrong width raises at its
+    line; a row with an empty used cell raises or is dropped.  Then each
+    used column, in schema order, is encoded; a numeric column raises at its
+    first non-numeric token, then at its first non-finite one.
+    """
+    if isinstance(source, (str, Path)):
+        stream, name = open(source, encoding="utf-8-sig", newline=""), str(source)
+    elif isinstance(source, bytes):
+        stream, name = io.StringIO(source.decode("utf-8-sig")), "<bytes>"
+    else:
+        stream, name = io.StringIO(source.read().decode("utf-8-sig")), "<stream>"
+    with stream:
+        reader = csv.reader(stream)
+        header = next(reader)
+        for c in schema:
+            if c.name not in header:
+                raise MissingColumn(f"column {c.name!r} not in CSV header")
+            if header.count(c.name) > 1:
+                raise ParseError(f"header names column {c.name!r} {header.count(c.name)} times",
+                                 line=1)
+        used = [c for c in schema if c.role != "ignore"]
+        tokens = {c.name: [] for c in used}
+        lines, dropped = [], 0
+        for row in reader:
+            if len(row) != len(header):
+                raise ParseError(f"row has {len(row)} fields, header has {len(header)}",
+                                 line=reader.line_num)
+            cells = {c.name: row[header.index(c.name)] for c in used}
+            blank = next((name for name, cell in cells.items() if cell == ""), None)
+            if blank is not None:
+                if missing == "drop":
+                    dropped += 1
+                    continue
+                raise ParseError("missing value", line=reader.line_num, column=blank)
+            for c in used:
+                tokens[c.name].append(cells[c.name])
+            lines.append(reader.line_num)
+    if not lines:
+        raise EmptyData("CSV has no data rows" + (" after drops" if dropped else ""))
+    columns = {}
+    for c in used:
+        toks = tokens[c.name]
+        if c.kind == "categorical":
+            cats = tuple(sorted(set(toks)))
+            columns[c.name] = Column(c.name, "categorical", categories=cats,
+                                     codes=[cats.index(t) for t in toks])
+            continue
+        values = []
+        for tok, line in zip(toks, lines):
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ParseError(f"non-numeric token {tok!r}", line=line, column=c.name) from None
+        for value, tok, line in zip(values, toks, lines):
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite numeric token {tok!r}", line=line, column=c.name)
+        if c.role == "prediction" or (c.role == "score" and threshold is not None):
+            columns[c.name] = Column(c.name, "categorical", categories=("0", "1"),
+                                     codes=[int(v >= threshold) for v in values])
+        else:
+            columns[c.name] = Column(c.name, "numeric", values=values)
+    role = {c.role: columns[c.name] for c in used}
+    if role["sensitive"].arity < 2:
+        raise RoleViolation("sensitive column must have at least 2 categories")
+    return Dataset(s=role["sensitive"], y=role["target"], y_hat=role["prediction"],
+                   features=tuple(columns[c.name] for c in used if c.role == "feature"),
+                   score=role.get("score"),
+                   provenance=Provenance(name, missing, threshold, dropped))
+
+
+def _outcome(load, blob, kind, directory, schema, **opts):
+    """load's Dataset, or the type, message, line and column of its error.
+
+    A csv.Error (an unquoted carriage return under the bytes reader) is an
+    outcome too: both loaders must raise it at the same point.
+    """
+    if kind == "path":
+        source = os.path.join(directory, "data.csv")
+        Path(source).write_bytes(blob)
+    else:
+        source = blob if kind == "bytes" else io.BytesIO(blob)
+    try:
+        return load(source, schema, **opts)
+    except (FairauditError, csv.Error) as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+
+def _assert_loads_like_the_reference(blob, kind, schema, **opts):
+    with tempfile.TemporaryDirectory() as directory:
+        got = _outcome(load_dataset, blob, kind, directory, schema, **opts)
+        want = _outcome(_reference_load, blob, kind, directory, schema, **opts)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, Dataset), got
+    assert got.equals(want)     # every column's name, kind, category table and codes or values
+    assert got.provenance == want.provenance
+
+
+_CLEAN = {
+    "categorical": ["a", "b", "c", "a", "b", " a", "a,b", "\u00e9", 'say "hi"'],
+    "numeric": ["0", "1", "0.5", "-2.25", "1e3", " 7 ", "0.1", "3", "1_0"],
+    "note": ["", "free text", "x,y", '"'],
+}
+_FAULT_TOKENS = {"blank": "", "word": "x", "nan": "nan", "-inf": "-inf", "two lines": "1\r\n2",
+                 "quoted newline": "b\nc", "carriage return": "cr\rinside"}
+
+
+@st.composite
+def _audit_csvs(draw):
+    numeric_prediction = draw(st.booleans())
+    score = draw(st.sampled_from([None, "numeric", "binarized"]))
+    schema = [ColumnSchema("s", "sensitive", "categorical"),
+              ColumnSchema("y", "target", "categorical"),
+              ColumnSchema("p", "prediction", "numeric" if numeric_prediction else "categorical"),
+              ColumnSchema("num", "feature", "numeric"),
+              ColumnSchema("cat", "feature", "categorical"),
+              ColumnSchema("note", "ignore", "categorical")]
+    if score:
+        schema.append(ColumnSchema("score", "score", "numeric"))
+    threshold = 0.5 if numeric_prediction or score == "binarized" else None
+    header = draw(st.permutations([c.name for c in schema]))
+    kinds = {c.name: "note" if c.role == "ignore" else c.kind for c in schema}
+    kinds["s"] = "sensitive"
+    pools = {**_CLEAN, "sensitive": ["a", "b"]}
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(pools[kinds[h]]) for h in header))
+                         .map(list), min_size=1, max_size=12))
+    if draw(st.integers(0, 3)):     # most inputs get both sensitive categories
+        for i, row in enumerate(rows):
+            row[header.index("s")] = "ab"[i % 2]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        j = draw(st.integers(0, len(header) - 1))
+        fault = draw(st.sampled_from(["short", "long", *_FAULT_TOKENS]))
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append("z")
+        elif j < len(row):
+            row[j] = _FAULT_TOKENS[fault]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=ending).writerows([header] + rows)
+    text = buf.getvalue()
+    if draw(st.booleans()):
+        text = text[:-len(ending)]
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text.encode("utf-8"), schema, threshold
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_audit_csvs(), kind=st.sampled_from(["path", "bytes", "stream"]),
+       missing=st.sampled_from(["error", "drop"]))
+def test_load_matches_a_row_by_row_reference(case, kind, missing):
+    blob, schema, threshold = case
+    _assert_loads_like_the_reference(blob, kind, schema, threshold=threshold, missing=missing)
+
+
+@pytest.mark.parametrize("fault, missing", [
+    (None, "error"), ("blank", "error"), ("blank", "drop"), ("short", "error"),
+    ("two lines", "error"), ("word", "error"), ("nan", "error"),
+])
+@pytest.mark.parametrize("at", [3, 1500])
+def test_a_late_fault_in_a_long_file_loads_like_the_reference(fault, missing, at):
+    schema = _schema([ColumnSchema("num", "feature", "numeric"),
+                      ColumnSchema("cat", "feature", "categorical")])
+    rows = [[("a", "b")[i % 2], str(i % 2), str(i % 3 % 2), f"{i / 7!r}", "uvw"[i % 3]]
+            for i in range(2000)]
+    if fault == "short":
+        rows[at].pop()
+    elif fault is not None:
+        rows[at][3] = _FAULT_TOKENS[fault]
+    rows[at + 400][4] = "a,b"    # a quoted comma on one line
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["s", "y", "yhat", "num", "cat"]] + rows)
+    _assert_loads_like_the_reference(buf.getvalue().encode(), "bytes", schema, missing=missing)

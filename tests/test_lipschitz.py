@@ -152,6 +152,8 @@ def test_non_finite_inputs_are_rejected(which, value):
     ("x_0,x_1,m_0\n1,2,3\n4,5,nan\n", 3, "m_0", "non-finite"),
     ("x_0,x_1,m_0\n1,2,3\n\n4,-inf,6\n", 4, "x_1", "non-finite"),
     ("x_0,x_b,m_0\n1,2,3\n4,5,6\n", 1, "x_b", "integer suffix"),
+    ("x_0,m_0,x_0\n1,2,3\n4,5,6\n", 1, "x_0", "x_0 twice"),
+    ("x_1,x_01,m_0\n1,2,3\n4,5,6\n", 1, "x_01", "x_1 twice"),
 ])
 def test_malformed_mapped_csv_names_line_and_column(tmp_path, text, line, column, message):
     with pytest.raises(ParseError, match=message) as info:
