@@ -212,7 +212,9 @@ def _validate_schema(schema: Sequence[ColumnSchema], threshold: float | None) ->
 
 def _as_text_stream(source):
     # utf-8-sig drops a leading byte-order mark, which would otherwise become
-    # part of the first header name
+    # part of the first header name; every source is read with newline="",
+    # as the csv module requires, so that bare \r line ends and a \r inside
+    # a quoted field load the same from a path, bytes and a stream
     if isinstance(source, (str, Path)):
         fh = open(source, "r", encoding="utf-8-sig", newline="")
         if fh.seekable():
@@ -220,12 +222,12 @@ def _as_text_stream(source):
         with fh:    # a pipe: the row pass may have to read the text again
             return io.StringIO(fh.read(), newline=""), str(source), False
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig")), "<bytes>", False
+        return io.StringIO(source.decode("utf-8-sig"), newline=""), "<bytes>", False
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
             data = data.decode("utf-8-sig")
-        return io.StringIO(data), getattr(source, "name", "<stream>"), False
+        return io.StringIO(data, newline=""), getattr(source, "name", "<stream>"), False
     raise TypeError(f"unsupported CSV source {type(source)!r}")
 
 

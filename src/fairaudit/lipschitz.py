@@ -22,9 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
-from .distance import gower_matrix_condensed, gower_weights, min_max_scale
+from .distance import condensed_sums, gower_matrix_condensed, gower_weights, min_max_scale
 from .errors import DegenerateInput, InvalidParams, NotAProbabilityVector, ParseError
 from .rng import CounterRng
 
@@ -69,10 +68,11 @@ def _distances(matrix, metric, weights):
     """A function: of pair index arrays (i, j), the distances of the pairs
     (i[t], j[t]); of no arguments, those of all pairs in condensed order.
 
-    Both add each pair's column terms left to right, as pdist does, so a
-    sampled pair's distance is bit-identical to its exhaustive value.  The
-    columns are transposed and Gower-scaled once; pairs gather 1-D from
-    contiguous columns, so no (pairs, p) temporary is ever built.
+    Both add each pair's column terms left to right (all pairs through
+    `condensed_sums`), so a sampled pair's distance is bit-identical to its
+    exhaustive value.  The columns are transposed and Gower-scaled once;
+    pairs gather 1-D from contiguous columns, so no (pairs, p) temporary is
+    ever built.
     """
     columns, w = np.ascontiguousarray(matrix.T), None
     if metric == "gower":
@@ -83,7 +83,7 @@ def _distances(matrix, metric, weights):
         if i is None and metric == "gower":
             return gower_matrix_condensed(matrix, weights)
         if i is None:
-            acc = pdist(matrix, "sqeuclidean" if metric == "euclidean" else "cityblock")
+            acc = condensed_sums(columns, squared=metric == "euclidean")
         else:
             acc = np.zeros(len(i))
             for t, col in enumerate(columns):

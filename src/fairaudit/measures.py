@@ -22,7 +22,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import DegenerateTable, MissingClass
 from .tables import ContingencyTable, JointTable, StratifiedTables, normalize
@@ -178,6 +177,7 @@ def chi2_sf(statistic, dof):
     """Upper-tail probability of the chi-square distribution (elementwise on arrays)."""
     if np.any(np.asarray(dof) < 1):
         raise ValueError("dof must be >= 1")
+    from scipy.special import chdtrc     # here, so that no other audit loads scipy
     return chdtrc(dof, statistic)
 
 

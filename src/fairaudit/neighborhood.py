@@ -8,19 +8,21 @@ between the outcome and the sensitive attribute is measured inside the
 neighborhood, and the audit passes when the fraction of non-violating
 records is high enough.
 
-Queries are exact: two proposers feed one selection step.  For a block of
-queries an engine proposes each one's nearest records, or every record
+Queries are exact: three proposers feed one selection step.  For a block
+of queries an engine proposes each one's nearest records, or every record
 within a reach, and the canonical distance kernel gives each candidate its
-exact distance.  A KD-tree (Bentley, 1975) proposes for all-numeric
-features, whose weighted scaled coordinates have L1 distance equal to the
-record distance, and a scan for mixed ones.  The scan sorts the records
+exact distance.  All-numeric features have weighted scaled coordinates
+whose L1 distance equals the record distance.  Over one or two of them a
+sweep over strips proposes (the cell method of Bentley, Stanat and
+Williams, 1977), over more a KD-tree (Bentley, 1975), and a scan proposes
+for mixed features.  The scan sorts the records
 once on `FeatureSpace.sweep_key`, a weighted numeric column whose term
 bounds the distance from below, and compares a block only with the
 records in a key window that must hold their neighbors (Friedman, Baskett
 and Shustek, 1975); where the key bounds little, that is the full O(n^2)
 scan.  One step then selects: the k nearest under one tie rule, rows tied
 at the k-th neighbor settled by one bulk ball query, and ball members by
-their exact distance, so both engines give identical results.
+their exact distance, so every engine gives identical results.
 
 A NeighborIndex passes over every record's neighborhood once per
 neighborhood spec and keeps only counts: how many of the record's neighbors
@@ -38,11 +40,10 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .criteria import CriterionSpec
 from .dataset import Dataset
-from .distance import DistanceSpec, FeatureSpace
+from .distance import DistanceSpec, FeatureSpace, short_row_buffers
 from .errors import AllIndeterminate, GroupCriterion, InvalidParams
 from .measures import mi_nats, rate_gap
 
@@ -55,6 +56,7 @@ SOFT_MEASURE_KINDS = ("mi", "rate")
 # it of the k-th are tied, and ball candidates are proposed out to it
 _TREE_SLACK = 1e-9
 _BLOCK_CELLS = 1 << 16       # cells in the widest per-row array of one vectorized block
+_GRID_ROWS = 64              # queries per block that the grid engine's strips are shaped for
 
 
 def _with_slack(distance):
@@ -109,12 +111,15 @@ class NeighborIndex:
         self._cells = (dataset.y.codes * dataset.y_hat.arity
                        + dataset.y_hat.codes) * dataset.s.arity + dataset.s.codes
         self._counts: dict[NeighborhoodSpec, np.ndarray] = {}
-        # the tree exactly when there are tree coordinates, unless `engine` names one
+        # strips for one or two tree coordinates, the tree for more, the scan
+        # without them, unless `engine` names one
         coords = self.space.tree_coordinates()
-        if engine == "scan" or (engine is None and coords is None):
+        if engine is None and coords is not None:
+            engine = "grid" if coords.shape[1] <= 2 else "tree"
+        if engine in (None, "scan"):
             self.engine = _ScanEngine(self.space)
-        elif engine in (None, "tree") and coords is not None:
-            self.engine = _TreeEngine(self.space, coords)
+        elif engine in ("grid", "tree") and coords is not None:
+            self.engine = (_GridEngine if engine == "grid" else _TreeEngine)(self.space, coords)
         else:
             raise InvalidParams(f"no {engine!r} neighbor engine for these features")
 
@@ -219,10 +224,26 @@ class NeighborIndex:
         return kept[offsets], members[keep], d[keep]
 
 
+def _within(d, reach, records=None):
+    """Ball proposals from a (queries, records) block of distances `d`.
+
+    CSR (sizes, members, distances) of the cells within each query's reach,
+    every query's members in the order of `records` (all records when None).
+    """
+    inside = d <= reach[:, None]
+    sizes = np.count_nonzero(inside, axis=1)
+    flat = np.flatnonzero(inside)
+    members = flat - np.repeat(np.arange(len(d)) * d.shape[1], sizes)
+    if records is not None:
+        members = records[members]
+    return sizes, members, d.ravel()[flat]
+
+
 class _TreeEngine:
     """Candidates from a KD-tree over `FeatureSpace.tree_coordinates`."""
 
     def __init__(self, space: FeatureSpace, coords: np.ndarray):
+        from scipy.spatial import cKDTree    # here, so that only this engine loads scipy
         self.space = space
         self.order = np.arange(space.n, dtype=np.int64)
         self._kdtree = cKDTree(coords)     # its `data` are the coordinates
@@ -246,6 +267,130 @@ class _TreeEngine:
         members = np.fromiter(itertools.chain.from_iterable(cands), dtype=np.int64,
                               count=sizes.sum())
         return sizes, members, self.space.pair_distances(np.repeat(queries, sizes), members)
+
+
+class _GridEngine:
+    """Candidates from strips over one or two `FeatureSpace.tree_coordinates`.
+
+    The records are cut into strips of consecutive coordinate-0 rank and
+    sorted on their last coordinate within each strip: the cell method for
+    fixed-radius neighbors (Bentley, Stanat and Williams, 1977), or in one
+    coordinate a single sorted sweep.  `order` is that sort, and the
+    coordinates are kept permuted into it, so a box of coordinates is one
+    contiguous run of positions per strip.  Candidates are ranked by L1 over
+    the coordinates (the distance up to rounding) and take their exact
+    distances from `pair_distances`, as the tree's do.
+    """
+
+    def __init__(self, space: FeatureSpace, coords: np.ndarray):
+        self.space = space
+        n, dims = coords.shape
+        # strips of sqrt(n * _GRID_ROWS) records: a block of that many
+        # consecutive queries is then about as wide as it is tall
+        self._height = n if dims == 1 else max(1, math.isqrt(n * _GRID_ROWS))
+        strip = np.empty(n, dtype=np.int64)
+        strip[np.argsort(coords[:, 0], kind="stable")] = np.arange(n) // self._height
+        self.order = np.lexsort((coords[:, -1], strip))
+        self._rank = np.empty(n, dtype=np.int64)
+        self._rank[self.order] = np.arange(n)
+        self._coords = np.ascontiguousarray(coords[self.order].T)     # (dims, n)
+        self._starts = np.arange(0, n, self._height)
+        self._stops = np.minimum(self._starts + self._height, n)
+        self._buf = np.empty(2 * _BLOCK_CELLS)
+        # strips cut on rank, so their coordinate-0 ranges do not decrease
+        self._strip_lo = np.minimum.reduceat(self._coords[0], self._starts)
+        self._strip_hi = np.maximum.reduceat(self._coords[0], self._starts)
+        self._lo, self._hi = coords.min(axis=0), coords.max(axis=0)
+
+    def propose_knn(self, queries, width):
+        # Each row's `width` nearest by L1, the width-th last, with exact
+        # distances, yielded with the rows' positions in `queries`.  Rows go
+        # in strip order, in blocks of the cell budget that stay within one
+        # strip, so each block is compact.  A block scans the box of its rows
+        # widened by the reach the previous block needed.  A row is accepted
+        # when the box of radius r about it, r its width-th distance with the
+        # tie slack, lies inside the scanned box: every record outside is
+        # farther than all of its picks.  The other rows are retried once
+        # over the hull of their boxes, which holds their true nearest.
+        rank = self._rank[queries]
+        by_rank = np.argsort(rank, kind="stable")
+        strip = rank[by_rank] // self._height
+        strip_ends = np.append(np.flatnonzero(np.diff(strip)) + 1, len(queries))
+        reach, start, step = 0.0, 0, _block_rows(len(self.order))
+        while start < len(queries):
+            stop = min(start + step, strip_ends[np.searchsorted(strip_ends, start, "right")])
+            rows = by_rank[start:stop]
+            start = stop
+            q, qc = queries[rows], self._coords[:, rank[rows]]
+            cand, d, box_lo, box_hi, size = self._nearest(
+                q, qc, qc.min(axis=1) - reach, qc.max(axis=1) + reach, width)
+            step = min(_GRID_ROWS, _block_rows(size))
+            r = _with_slack(d.max(axis=1))
+            ok = ((qc - r >= box_lo[:, None]) & (qc + r <= box_hi[:, None])).all(axis=0)
+            yield rows[ok], cand[ok], d[ok]
+            if not ok.all():
+                retry = ~ok
+                lo_r, hi_r = (qc - r)[:, retry].min(axis=1), (qc + r)[:, retry].max(axis=1)
+                cand, d = self._nearest(q[retry], qc[:, retry], lo_r, hi_r, width)[:2]
+                r[retry] = _with_slack(d.max(axis=1))
+                yield rows[retry], cand, d
+            reach = r.max()
+
+    def propose_ball(self, queries, reach):
+        # the records of the hull of the queries' boxes, in index order,
+        # that lie within their reach
+        qc = self._coords[:, self._rank[queries]]
+        records = np.sort(self.order[self._window((qc - reach).min(axis=1),
+                                                  (qc + reach).max(axis=1))])
+        size = len(queries) * len(records)
+        out = self._buf[:size].reshape(len(queries), -1) if size <= len(self._buf) else None
+        return _within(self.space.block_distances(queries, records, out), reach, records)
+
+    def _nearest(self, queries, qc, lo, hi, width):
+        # Each query's `width` nearest by L1 among the records of box
+        # [lo, hi], widened until it holds that many, with exact distances;
+        # also the box, unbounded where it reaches past the data, and the
+        # number of records scanned.
+        pos = self._window(lo, hi)
+        while len(pos) < width:
+            pad = np.maximum(hi - lo, (self._hi - self._lo) / len(self.order))
+            lo, hi = lo - pad, hi + pad
+            pos = self._window(lo, hi)
+        local = np.argpartition(self._l1(qc, pos), width - 1, axis=1)[:, :width]
+        cand = self.order[pos[local]]
+        d = self.space.pair_distances(np.repeat(queries, width), cand.ravel())
+        return (cand, d.reshape(cand.shape), np.where(lo <= self._lo, -np.inf, lo),
+                np.where(hi >= self._hi, np.inf, hi), len(pos))
+
+    def _window(self, lo, hi):
+        # strip-order positions of every record in box [lo, hi]: in each
+        # strip whose coordinate-0 range meets the box, the run whose last
+        # coordinate lies in the box
+        s0 = np.searchsorted(self._strip_hi, lo[0], "left")
+        s1 = np.searchsorted(self._strip_lo, hi[0], "right")
+        key = self._coords[-1]
+        runs = [np.arange(a + np.searchsorted(key[a:b], lo[-1], "left"),
+                          a + np.searchsorted(key[a:b], hi[-1], "right"))
+                for a, b in zip(self._starts[s0:s1], self._stops[s0:s1])]
+        return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+
+    def _l1(self, qc, pos):
+        # (queries, len(pos)) L1 over the coordinates, written into the
+        # buffer when it fits there
+        shape = (qc.shape[1], len(pos))
+        size = shape[0] * shape[1]
+        if 2 * size <= len(self._buf):
+            l1, term = self._buf[:size].reshape(shape), self._buf[size:2 * size].reshape(shape)
+        else:
+            l1, term = np.empty(shape), np.empty(shape)
+        with short_row_buffers():
+            for t, (qcol, col) in enumerate(zip(qc, self._coords[:, pos])):
+                dst = l1 if t == 0 else term
+                np.subtract(qcol[:, None], col, out=dst)
+                np.abs(dst, out=dst)
+                if t:
+                    l1 += term
+        return l1
 
 
 class _ScanEngine:
@@ -316,14 +461,7 @@ class _ScanEngine:
             kq = self._key[queries]
             a, b = self._key_window((kq - reach).min(), (kq + reach).max())
             records = None if b - a == self.n else np.sort(self.order[a:b])
-        d = self._scan(queries, records)
-        inside = d <= reach[:, None]
-        sizes = np.count_nonzero(inside, axis=1)
-        flat = np.flatnonzero(inside)
-        members = flat - np.repeat(np.arange(len(queries)) * d.shape[1], sizes)
-        if records is not None:
-            members = records[members]
-        return sizes, members, d.ravel()[flat]
+        return _within(self._scan(queries, records), reach, records)
 
     def _nearest(self, queries, records, width):
         # each query's `width` nearest of `records` (all records when None)

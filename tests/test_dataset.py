@@ -257,6 +257,25 @@ def test_byte_order_mark_is_not_part_of_the_first_header(kind, tmp_path):
     assert ds.s.categories == ("a", "b")
 
 
+@pytest.mark.parametrize("text", [
+    "s,y,yhat,x1\ra,0,0,u\rb,1,1,v\r",
+    "s,y,yhat,x1\r\na,0,0,u\r\nb,1,1,v\r\n",
+    "s,y,yhat,x1\na,0,0,u\nb,1,1,v\n",
+    's,y,yhat,x1\na,0,0,"u\rw"\nb,1,1,v\n',
+], ids=["cr", "crlf", "lf", "quoted-cr"])
+def test_path_bytes_and_stream_sources_agree_on_line_ends(text, tmp_path):
+    blob = text.encode("utf-8")
+    path = tmp_path / "ends.csv"
+    path.write_bytes(blob)
+    schema = _schema([ColumnSchema("x1", "feature", "categorical")])
+    from_path, *others = [load_dataset(source, schema) for source in
+                          (str(path), blob, io.BytesIO(blob), io.StringIO(text, newline=""))]
+    assert from_path.n == 2
+    assert from_path.features[0].categories == (("u\rw", "v") if '"' in text else ("u", "v"))
+    for ds in others:
+        assert ds.equals(from_path)
+
+
 def _config(columns=None, **extra):
     columns = columns or [
         {"name": "s", "role": "sensitive", "kind": "categorical"},

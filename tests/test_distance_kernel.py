@@ -1,4 +1,5 @@
-"""The in-place distance kernel against its one-line formula, and scan buffer reuse."""
+"""The in-place distance kernel against its one-line formula, scan buffer reuse, and
+the condensed pair kernel against scipy's pdist."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 
 from fairaudit import neighborhood
 from fairaudit.dataset import Column, Dataset, Provenance
-from fairaudit.distance import DistanceSpec, FeatureSpace, min_max_scale
+from fairaudit.distance import (
+    DistanceSpec,
+    FeatureSpace,
+    condensed_sums,
+    gower_matrix_condensed,
+    min_max_scale,
+)
 from fairaudit.neighborhood import NeighborhoodSpec, NeighborIndex
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -155,3 +162,21 @@ def test_a_scan_count_pass_fills_views_of_one_buffer(monkeypatch, nspec):
     assert base.shape == (neighborhood._block_rows(n) * n,)
     windowed = [len(records) for records, _ in calls if records is not None]
     assert 2 * len(windowed) > len(calls) and max(windowed) < n
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 257])
+@pytest.mark.parametrize("values", ["random", "duplicates"])
+def test_condensed_sums_bit_equal_to_pdist(n, values):
+    pdist = pytest.importorskip("scipy.spatial.distance").pdist
+    rng = np.random.default_rng(n)
+    x = rng.random((n, 5))
+    if values == "duplicates":      # few levels and copied rows: many zero and tied terms
+        x = np.round(x * 3) / 3
+        x[rng.integers(0, n, n // 2)] = x[rng.integers(0, n, n // 2)]
+    columns = np.ascontiguousarray(x.T)
+    w = np.array([0.3, 1.0, 2.5, 0.0, 1.0 / 3.0])
+    assert np.array_equal(condensed_sums(columns, w), pdist(x, "cityblock", w=w))
+    assert np.array_equal(condensed_sums(columns), pdist(x, "cityblock"))
+    assert np.array_equal(condensed_sums(columns, squared=True), pdist(x, "sqeuclidean"))
+    want = pdist(min_max_scale(x), "cityblock", w=w) / w.sum()
+    assert np.array_equal(gower_matrix_condensed(x, w), want)

@@ -44,9 +44,9 @@ def _quantized_dataset(seed, n, levels, numeric, categorical):
     return load_dataset(io.BytesIO(("\n".join(lines) + "\n").encode()), schema)
 
 
-def _tree_and_scan(ds, dist=None):
-    """Two indexes of one all-numeric input: the KD-tree's and the scan's."""
-    return NeighborIndex(ds, dist, engine="tree"), NeighborIndex(ds, dist, engine="scan")
+def _grid_tree_and_scan(ds, dist=None):
+    """Three indexes of one all-numeric input: the strips', the KD-tree's and the scan's."""
+    return tuple(NeighborIndex(ds, dist, engine=name) for name in ("grid", "tree", "scan"))
 
 
 def _ball_rows(index):
@@ -99,21 +99,24 @@ def test_knn_engines_match_brute_force_oracle():
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1024, 1100),
         levels=st.sampled_from([3, 8, 40]),
-        weights=st.sampled_from([None, {"f0": 0.3, "f1": 2.5}]),
+        numeric=st.sampled_from([1, 2]),
+        weights=st.sampled_from([None, (0.3, 2.5)]),
         data=st.data(),
     )
-    def check(seed, n, levels, weights, data):
-        ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=0)
-        tree, scan = _tree_and_scan(ds, DistanceSpec(weights))
+    def check(seed, n, levels, numeric, weights, data):
+        ds = _quantized_dataset(seed, n, levels, numeric=numeric, categorical=0)
+        dist = DistanceSpec(weights and dict(zip(("f0", "f1")[:numeric], weights)))
+        grid, tree, scan = _grid_tree_and_scan(ds, dist)
         k = data.draw(st.integers(1, n), label="k")
         want_m, want_d, d = _oracle(tree, k)
 
         tree_rows, fallback_rows = _ball_rows(tree), _ball_rows(scan)
-        queries = np.arange(n)
-        for index in (tree, scan):
+        # in index order, and in the grid's strip order
+        for index, queries in ((grid, np.arange(n)), (grid, grid.engine.order),
+                               (tree, np.arange(n)), (scan, np.arange(n))):
             members, dists = _by_distance_then_index(*index._knn_block(queries, k))
-            assert np.array_equal(members, want_m)
-            assert np.array_equal(dists, want_d)
+            assert np.array_equal(members, want_m[queries])
+            assert np.array_equal(dists, want_d[queries])
         requeried.append(sum(tree_rows))
         sorted_d = np.sort(d, axis=1)
         scan_ties.append(_boundary_ties(sorted_d, k))
@@ -123,7 +126,7 @@ def test_knn_engines_match_brute_force_oracle():
         tied_rows = np.flatnonzero(sorted_d[:, min(k, n - 1)] == sorted_d[:, k - 1])[:5]
         rows = np.concatenate([tied_rows, data.draw(st.lists(st.integers(0, n - 1), max_size=5),
                                                      label="rows")]).astype(np.int64)
-        for index in (tree, scan):
+        for index in (grid, tree, scan):
             _check_knn_order(index, rows, k, want_m, want_d)
 
     check()
@@ -145,7 +148,8 @@ def test_ball_block_engines_match_brute_force_oracle():
     )
     def check(seed, n, levels, categorical, data):
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=categorical)
-        engines = _tree_and_scan(ds) if categorical == 0 else (NeighborIndex(ds, engine="scan"),)
+        engines = (_grid_tree_and_scan(ds) if categorical == 0
+                   else (NeighborIndex(ds, engine="scan"),))
         scan = engines[-1]
         queries = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40),
                                      label="queries"))
@@ -318,18 +322,18 @@ def test_count_pass_matches_member_list_oracle():
     @given(
         seed=st.integers(0, 2**32 - 1),
         large=st.booleans(),
-        scan=st.booleans(),
+        engine=st.sampled_from(["grid", "tree", "scan"]),
         levels=st.sampled_from([3, 8, 40]),
         categorical=st.sampled_from([0, 1]),
         measure_kind=st.sampled_from(["mi", "rate"]),
         min_neighborhood=st.sampled_from([1, 10]),
         data=st.data(),
     )
-    def check(seed, large, scan, levels, categorical, measure_kind, min_neighborhood, data):
+    def check(seed, large, engine, levels, categorical, measure_kind, min_neighborhood, data):
         lo = 1024 if large else 30      # large inputs span several query blocks
         n = data.draw(st.integers(lo, lo + 80), label="n")
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=categorical)
-        engine = "scan" if scan or categorical else "tree"
+        engine = "scan" if categorical else engine
         index = NeighborIndex(ds, engine=engine)
         engines.add(engine)
         radius = data.draw(st.sampled_from([None, 0.05, 0.3, 1.0]), label="radius")
@@ -357,7 +361,7 @@ def test_count_pass_matches_member_list_oracle():
             assert got.satisfied_fraction == satisfied
 
     check()
-    assert engines == {"tree", "scan"}
+    assert engines == {"grid", "tree", "scan"}
 
 
 def test_soft_evaluate_rejects_index_of_another_dataset():
@@ -410,46 +414,87 @@ def _tiny_dataset(n):
                    Provenance("tiny", "error", None, 0))
 
 
-def test_the_tree_runs_exactly_where_the_features_have_tree_coordinates():
+def test_the_grid_runs_for_one_or_two_tree_coordinates_and_the_tree_for_more():
     numeric = _quantized_dataset(13, 1224, 40, numeric=2, categorical=0)
+    wide = _quantized_dataset(15, 600, 40, numeric=3, categorical=0)
     mixed = _quantized_dataset(14, 300, 8, numeric=2, categorical=1)
-    for ds, engine in ((_tiny_dataset(1), neighborhood._TreeEngine),
-                       (numeric, neighborhood._TreeEngine), (mixed, neighborhood._ScanEngine)):
-        index = build_index(ds)
+    # a zero weight leaves two of the three columns as tree coordinates
+    for ds, dist, engine in ((_tiny_dataset(1), None, neighborhood._GridEngine),
+                             (numeric, None, neighborhood._GridEngine),
+                             (wide, DistanceSpec({"f2": 0.0}), neighborhood._GridEngine),
+                             (wide, None, neighborhood._TreeEngine),
+                             (mixed, None, neighborhood._ScanEngine)):
+        index = build_index(ds, dist)
         assert type(index.engine) is engine
-        assert (engine is neighborhood._TreeEngine) == (
-            index.space.tree_coordinates() is not None)
-    for ds, name in ((mixed, "tree"), (mixed, "kdtree"), (numeric, "kdtree"), (numeric, "")):
+        coords = index.space.tree_coordinates()
+        assert (engine is neighborhood._ScanEngine) == (coords is None)
+        assert (engine is neighborhood._TreeEngine) == (coords is not None and coords.shape[1] > 2)
+    for ds, name in ((mixed, "tree"), (mixed, "grid"), (mixed, "kdtree"), (numeric, "kdtree"),
+                     (numeric, "")):
         with pytest.raises(InvalidParams):
             NeighborIndex(ds, engine=name)
-    default, scan = build_index(numeric), NeighborIndex(numeric, engine="scan")
-    for nspec in (NeighborhoodSpec("knn", k=30), NeighborhoodSpec("ball", radius=0.05)):
-        assert np.array_equal(scan.cell_counts(nspec), default.cell_counts(nspec))
+    for ds in (numeric, wide):
+        default = build_index(ds)
+        for nspec in (NeighborhoodSpec("knn", k=30), NeighborhoodSpec("ball", radius=0.05)):
+            for name in ("grid", "tree", "scan"):
+                assert np.array_equal(NeighborIndex(ds, engine=name).cell_counts(nspec),
+                                      default.cell_counts(nspec))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tiny_inputs_match_scan_and_oracle_on_the_tree(n):
     ds = _tiny_dataset(n)
-    tree, scan = _tree_and_scan(ds)        # the tree runs at any n
+    engines = _grid_tree_and_scan(ds)       # the grid and the tree run at any n
     queries = np.arange(n)
-    d = scan.space.block_distances(queries)
+    d = engines[-1].space.block_distances(queries)
     for k in range(1, n + 1):
-        want_m, want_d, _ = _oracle(tree, k)
-        for index in (tree, scan):
+        want_m, want_d, _ = _oracle(engines[-1], k)
+        for index in engines:
             members, dists = _by_distance_then_index(*index._knn_block(queries, k))
             assert np.array_equal(members, want_m)
             assert np.array_equal(dists, want_d)
             _check_knn_order(index, queries, k, want_m, want_d)
-    for index in (tree, scan):
+    for index in engines:
         with pytest.raises(InvalidParams):
             index._knn_block(queries, n + 1)
     for radius in (0.0, 0.5, 1.0):
-        for index in (tree, scan):
+        for index in engines:
             offsets, members, dists = index._ball_block(queries, radius)
             for q in queries:
                 want = np.flatnonzero(d[q] <= radius)
                 assert np.array_equal(members[offsets[q]:offsets[q + 1]], want)
                 assert np.array_equal(dists[offsets[q]:offsets[q + 1]], d[q, want])
+
+
+@pytest.mark.parametrize("columns", ["one", "zero-span first", "zero-span last"])
+def test_grid_matches_the_oracle_on_one_column_and_a_zero_span_column(columns):
+    n = 700
+    rng = np.random.default_rng(16)
+    x = rng.integers(0, 30, n) / 30           # quantized: duplicates and ties abound
+    values = {"one": [x], "zero-span first": [np.full(n, 0.25), x],
+              "zero-span last": [x, np.full(n, 0.25)]}[columns]
+
+    def categorical(name):
+        return Column(name, "categorical", codes=rng.integers(0, 2, n), categories=("0", "1"))
+    features = tuple(Column(f"f{j}", "numeric", values=v) for j, v in enumerate(values))
+    ds = Dataset(categorical("s"), categorical("y"), categorical("yhat"), features, None,
+                 Provenance("grid", "error", None, 0))
+    grid, scan = NeighborIndex(ds, engine="grid"), NeighborIndex(ds, engine="scan")
+    assert grid.space.tree_coordinates().shape[1] == len(values)
+    for k in (1, 9, n):
+        want_m, want_d, d = _oracle(scan, k)
+        for queries in (np.arange(n), grid.engine.order):
+            members, dists = _by_distance_then_index(*grid._knn_block(queries, k))
+            assert np.array_equal(members, want_m[queries])
+            assert np.array_equal(dists, want_d[queries])
+    for radius in (0.0, 1 / 30, 0.2):
+        offsets, members, dists = grid._ball_block(np.arange(n), radius)
+        for q in range(n):
+            want = np.flatnonzero(d[q] <= radius)
+            assert np.array_equal(members[offsets[q]:offsets[q + 1]], want)
+            assert np.array_equal(dists[offsets[q]:offsets[q + 1]], d[q, want])
+    for nspec in (NeighborhoodSpec("knn", k=9), NeighborhoodSpec("ball", radius=0.1)):
+        assert np.array_equal(grid.cell_counts(nspec), scan.cell_counts(nspec))
 
 
 class _ScanRecorder:

@@ -6,8 +6,8 @@ columns (one constant) and four-entry probability vectors that contract
 every pair except those touching a few planted rows, which are sent to a
 corner, plus a block of copied rows that gives coincident and infinite-ratio
 pairs.  Each fixture is one (sampling, d_original, d_mapped) case, so the
-exhaustive pdist path, the sampled pair kernel and the mapped-CSV loader
-are all held to their bytes.  Regenerate them only for an intended output change:
+exhaustive condensed kernel, the sampled pair kernel and the mapped-CSV
+loader are all held to their bytes.  Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_pinned_lipschitz.py
 """

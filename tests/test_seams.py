@@ -72,8 +72,8 @@ def _assert_workload_seams_called(workload, sizes, tmp_path):
     assert not uncalled, f"{workload} seams never called: {uncalled}"
 
 
-# all-numeric inputs take the KD-tree engine, and mixed kinds force the linear
-# scan
+# two numeric features take the strip (grid) engine, and mixed kinds force
+# the linear scan
 @pytest.mark.parametrize("workload, n", [("soft_knn", 1224),
                                          ("soft_mixed", 600)])
 def test_soft_audit_calls_its_workload_seams(workload, n, tmp_path):
