@@ -276,10 +276,14 @@ class _GridEngine:
     sorted on their last coordinate within each strip: the cell method for
     fixed-radius neighbors (Bentley, Stanat and Williams, 1977), or in one
     coordinate a single sorted sweep.  `order` is that sort, and the
-    coordinates are kept permuted into it, so a box of coordinates is one
-    contiguous run of positions per strip.  Candidates are ranked by L1 over
-    the coordinates (the distance up to rounding) and take their exact
-    distances from `pair_distances`, as the tree's do.
+    coordinates are kept permuted into it, so the records a query can reach
+    in a strip are one contiguous run of positions.  A record of a strip
+    lies at least the strip's coordinate-0 gap from a query, so an L1 ball
+    reaches into each strip only as far as its radius exceeds that gap: a
+    ball about a far outlier meets few strips, and those narrowly.
+    Candidates are ranked by L1 over the coordinates (the distance up to
+    rounding) and take their exact distances from `pair_distances`, as the
+    tree's do.
     """
 
     def __init__(self, space: FeatureSpace, coords: np.ndarray):
@@ -297,81 +301,97 @@ class _GridEngine:
         self._starts = np.arange(0, n, self._height)
         self._stops = np.minimum(self._starts + self._height, n)
         self._buf = np.empty(2 * _BLOCK_CELLS)
-        # strips cut on rank, so their coordinate-0 ranges do not decrease
+        # each strip's coordinate-0 range and the first and last of its
+        # sorted last coordinate
         self._strip_lo = np.minimum.reduceat(self._coords[0], self._starts)
         self._strip_hi = np.maximum.reduceat(self._coords[0], self._starts)
-        self._lo, self._hi = coords.min(axis=0), coords.max(axis=0)
+        self._key_lo = self._coords[-1, self._starts]
+        self._key_hi = self._coords[-1, self._stops - 1]
 
     def propose_knn(self, queries, width):
         # Each row's `width` nearest by L1, the width-th last, with exact
         # distances, yielded with the rows' positions in `queries`.  Rows go
         # in strip order, in blocks of the cell budget that stay within one
-        # strip, so each block is compact.  A block scans the box of its rows
-        # widened by the reach the previous block needed.  A row is accepted
-        # when the box of radius r about it, r its width-th distance with the
-        # tie slack, lies inside the scanned box: every record outside is
-        # farther than all of its picks.  The other rows are retried once
-        # over the hull of their boxes, which holds their true nearest.
+        # strip, so each block is compact.  A block scans the balls about
+        # its rows with the largest radius that the strip's previous block
+        # accepted.  A row is accepted when the ball of radius r about it, r
+        # its width-th distance with the tie slack, lies inside the scanned
+        # region: every record outside is farther than all of its picks.
+        # The other rows are retried once over their own balls, which hold
+        # their true nearest.
         rank = self._rank[queries]
         by_rank = np.argsort(rank, kind="stable")
-        strip = rank[by_rank] // self._height
-        strip_ends = np.append(np.flatnonzero(np.diff(strip)) + 1, len(queries))
-        reach, start, step = 0.0, 0, _block_rows(len(self.order))
-        while start < len(queries):
-            stop = min(start + step, strip_ends[np.searchsorted(strip_ends, start, "right")])
-            rows = by_rank[start:stop]
-            start = stop
-            q, qc = queries[rows], self._coords[:, rank[rows]]
-            cand, d, box_lo, box_hi, size = self._nearest(
-                q, qc, qc.min(axis=1) - reach, qc.max(axis=1) + reach, width)
-            step = min(_GRID_ROWS, _block_rows(size))
-            r = _with_slack(d.max(axis=1))
-            ok = ((qc - r >= box_lo[:, None]) & (qc + r <= box_hi[:, None])).all(axis=0)
-            yield rows[ok], cand[ok], d[ok]
-            if not ok.all():
-                retry = ~ok
-                lo_r, hi_r = (qc - r)[:, retry].min(axis=1), (qc + r)[:, retry].max(axis=1)
-                cand, d = self._nearest(q[retry], qc[:, retry], lo_r, hi_r, width)[:2]
-                r[retry] = _with_slack(d.max(axis=1))
-                yield rows[retry], cand, d
-            reach = r.max()
+        strip_ends = np.append(np.flatnonzero(np.diff(rank[by_rank] // self._height)) + 1,
+                               len(queries))
+        start, step = 0, _block_rows(len(self.order))
+        for end in strip_ends:
+            reach = 0.0
+            while start < end:
+                rows = by_rank[start:min(start + step, end)]
+                start += len(rows)
+                q, qc = queries[rows], self._coords[:, rank[rows]]
+                cand, d, lo, hi, size = self._nearest(q, qc, reach, width)
+                step = min(_GRID_ROWS, _block_rows(size))
+                r = _with_slack(d.max(axis=1))
+                rest = self._rest(qc, r)
+                # a bound past the strip's first or last record excludes nothing
+                lo = np.where(lo <= self._key_lo, -np.inf, lo)[:, None]
+                hi = np.where(hi >= self._key_hi, np.inf, hi)[:, None]
+                ok = ((rest < 0) | ((qc[-1] - rest >= lo) & (qc[-1] + rest <= hi))).all(axis=0)
+                yield rows[ok], cand[ok], d[ok]
+                if not ok.all():
+                    yield rows[~ok], *self._nearest(q[~ok], qc[:, ~ok], r[~ok], width)[:2]
+                if ok.any():
+                    reach = r[ok].max()
 
     def propose_ball(self, queries, reach):
-        # the records of the hull of the queries' boxes, in index order,
-        # that lie within their reach
+        # the records that the queries' balls meet, in index order, that lie
+        # within their reach
         qc = self._coords[:, self._rank[queries]]
-        records = np.sort(self.order[self._window((qc - reach).min(axis=1),
-                                                  (qc + reach).max(axis=1))])
+        records = np.sort(self.order[self._window(*self._bounds(qc, reach))])
         size = len(queries) * len(records)
         out = self._buf[:size].reshape(len(queries), -1) if size <= len(self._buf) else None
         return _within(self.space.block_distances(queries, records, out), reach, records)
 
-    def _nearest(self, queries, qc, lo, hi, width):
-        # Each query's `width` nearest by L1 among the records of box
-        # [lo, hi], widened until it holds that many, with exact distances;
-        # also the box, unbounded where it reaches past the data, and the
-        # number of records scanned.
-        pos = self._window(lo, hi)
-        while len(pos) < width:
-            pad = np.maximum(hi - lo, (self._hi - self._lo) / len(self.order))
-            lo, hi = lo - pad, hi + pad
+    def _nearest(self, queries, qc, radius, width):
+        # Each query's `width` nearest by L1 among the records that the
+        # balls of `radius` about the queries meet, the radius doubled until
+        # they hold that many, with exact distances; also the last
+        # coordinate's bounds scanned in each strip and the number of
+        # records scanned.
+        while True:
+            lo, hi = self._bounds(qc, radius)
             pos = self._window(lo, hi)
+            if len(pos) >= width:
+                break
+            radius = np.maximum(2 * radius, np.ptp(qc, axis=1).sum() + _with_slack(0.0))
         local = np.argpartition(self._l1(qc, pos), width - 1, axis=1)[:, :width]
         cand = self.order[pos[local]]
         d = self.space.pair_distances(np.repeat(queries, width), cand.ravel())
-        return (cand, d.reshape(cand.shape), np.where(lo <= self._lo, -np.inf, lo),
-                np.where(hi >= self._hi, np.inf, hi), len(pos))
+        return cand, d.reshape(cand.shape), lo, hi, len(pos)
+
+    def _rest(self, qc, radius):
+        # (strips, queries): how far the ball of `radius` about each query
+        # reaches along the last coordinate in each strip, negative where it
+        # misses the strip
+        gap = np.maximum(self._strip_lo[:, None] - qc[0], qc[0] - self._strip_hi[:, None])
+        return radius - np.maximum(gap, 0.0)
+
+    def _bounds(self, qc, radius):
+        # per strip, the hull of the last coordinate's ranges that the
+        # queries' balls meet there (lo > hi where none does)
+        rest = self._rest(qc, radius)
+        meets = rest >= 0
+        return (np.where(meets, qc[-1] - rest, np.inf).min(axis=1),
+                np.where(meets, qc[-1] + rest, -np.inf).max(axis=1))
 
     def _window(self, lo, hi):
-        # strip-order positions of every record in box [lo, hi]: in each
-        # strip whose coordinate-0 range meets the box, the run whose last
-        # coordinate lies in the box
-        s0 = np.searchsorted(self._strip_hi, lo[0], "left")
-        s1 = np.searchsorted(self._strip_lo, hi[0], "right")
-        key = self._coords[-1]
-        runs = [np.arange(a + np.searchsorted(key[a:b], lo[-1], "left"),
-                          a + np.searchsorted(key[a:b], hi[-1], "right"))
-                for a, b in zip(self._starts[s0:s1], self._stops[s0:s1])]
+        # strip-order positions of the records of each strip whose last
+        # coordinate lies in that strip's bounds [lo, hi]
+        key, meets = self._coords[-1], np.flatnonzero(lo <= hi)
+        runs = [np.arange(a + np.searchsorted(key[a:b], lo[s], "left"),
+                          a + np.searchsorted(key[a:b], hi[s], "right"))
+                for s, a, b in zip(meets, self._starts[meets], self._stops[meets])]
         return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
 
     def _l1(self, qc, pos):

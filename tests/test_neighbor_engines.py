@@ -466,13 +466,16 @@ def test_tiny_inputs_match_scan_and_oracle_on_the_tree(n):
                 assert np.array_equal(dists[offsets[q]:offsets[q + 1]], d[q, want])
 
 
-@pytest.mark.parametrize("columns", ["one", "zero-span first", "zero-span last"])
-def test_grid_matches_the_oracle_on_one_column_and_a_zero_span_column(columns):
+@pytest.mark.parametrize("columns", ["one", "zero-span first", "zero-span last", "heavy-tailed"])
+def test_grid_matches_the_oracle_on_awkward_coordinates(columns):
     n = 700
     rng = np.random.default_rng(16)
     x = rng.integers(0, 30, n) / 30           # quantized: duplicates and ties abound
+    # heavy tails put outliers far out on either coordinate: their balls
+    # meet few strips, and a block that holds them retries over their balls
     values = {"one": [x], "zero-span first": [np.full(n, 0.25), x],
-              "zero-span last": [x, np.full(n, 0.25)]}[columns]
+              "zero-span last": [x, np.full(n, 0.25)],
+              "heavy-tailed": [np.exp(rng.normal(0.0, 2.0, n)) for _ in range(2)]}[columns]
 
     def categorical(name):
         return Column(name, "categorical", codes=rng.integers(0, 2, n), categories=("0", "1"))
@@ -487,7 +490,7 @@ def test_grid_matches_the_oracle_on_one_column_and_a_zero_span_column(columns):
             members, dists = _by_distance_then_index(*grid._knn_block(queries, k))
             assert np.array_equal(members, want_m[queries])
             assert np.array_equal(dists, want_d[queries])
-    for radius in (0.0, 1 / 30, 0.2):
+    for radius in (0.0, 0.002, 1 / 30, 0.2):
         offsets, members, dists = grid._ball_block(np.arange(n), radius)
         for q in range(n):
             want = np.flatnonzero(d[q] <= radius)
