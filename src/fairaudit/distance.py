@@ -38,7 +38,7 @@ class DistanceSpec:
 class FeatureSpace:
     """Encoded feature columns of a dataset plus the canonical distance kernel.
 
-    Every consumer (the scan, tree-accelerated queries, audits) funnels
+    Every consumer (strip and tree neighbor queries, audits) funnels
     through `pair_distances` / `block_distances`, which accumulate column
     contributions in dataset feature order, so distances are bit-identical
     no matter which query strategy produced the candidate pairs.
@@ -105,37 +105,30 @@ class FeatureSpace:
         acc /= self.total_weight
         return acc
 
-    def sweep_key(self) -> np.ndarray | None:
-        """One scaled column that bounds the distance from below, or None.
+    def coordinates(self) -> tuple[np.ndarray, bool]:
+        """Weighted scaled coordinates for a coordinate engine, and whether
+        their L1 distance is this distance (True) or bounds it from below.
 
-        The positive-weight numeric column of largest weight w, times w / W:
-        its term is one of the non-negative terms the distance adds up, so
-        |key[i] - key[j]| <= distance(i, j) up to rounding.  Records sorted
-        on it need only be scanned inside a key window (the projection
-        search of Friedman, Baskett and Shustek, 1975).  None when no
-        numeric column has a positive weight.
+        This is the one place that decides what a coordinate engine indexes.
+        Each coordinate is a positive-weight numeric column times w / W.  An
+        all-numeric feature set gets one per positive weight, and their L1
+        distance equals this distance up to rounding.  Any other gets its one
+        or two heaviest positive-weight numeric columns, in feature order:
+        their terms are some of the non-negative terms that the distance adds
+        up, so their L1 distance bounds it from below, up to rounding.
+        Without such a column that is one constant coordinate, which bounds
+        nothing.  The coordinates only prune candidates, never decide
+        membership.
         """
-        numeric = [(w, j) for j, (kind, w) in enumerate(zip(self._kinds, self.weights))
+        numeric = [j for j, (kind, w) in enumerate(zip(self._kinds, self.weights))
                    if kind == "numeric" and w > 0.0]
+        exact = all(kind == "numeric" for kind in self._kinds)
+        if not exact:
+            numeric = sorted(sorted(numeric, key=lambda j: -self.weights[j])[:2])
         if not numeric:
-            return None
-        w, j = max(numeric, key=lambda pair: pair[0])
-        return self._columns[j] * (w / self.total_weight)
-
-    def tree_coordinates(self) -> np.ndarray | None:
-        """Weighted scaled coordinates in which L1 distance equals this distance.
-
-        This is the one place that decides which feature sets a coordinate
-        engine can index: all-numeric ones get coordinates, one column per
-        positive weight, and any other gets None.  The neighbor index sweeps
-        strips over one or two columns and builds a KD-tree over more.  The
-        coordinates only prune candidates, never decide membership.
-        """
-        if any(kind != "numeric" for kind in self._kinds):
-            return None
-        cols = [col * (w / self.total_weight)
-                for col, w in zip(self._columns, self.weights) if w > 0.0]
-        return np.stack(cols, axis=1)
+            return np.zeros((self.n, 1)), False
+        return np.stack([self._columns[j] * (self.weights[j] / self.total_weight)
+                         for j in numeric], axis=1), exact
 
 
 def min_max_scale(x: np.ndarray, axis: int = 0) -> np.ndarray:

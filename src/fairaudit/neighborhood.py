@@ -8,21 +8,22 @@ between the outcome and the sensitive attribute is measured inside the
 neighborhood, and the audit passes when the fraction of non-violating
 records is high enough.
 
-Queries are exact: three proposers feed one selection step.  For a block
-of queries an engine proposes each one's nearest records, or every record
+Queries are exact: two proposers feed one selection step.  For a block of
+queries an engine proposes each one's nearest records, or every record
 within a reach, and the canonical distance kernel gives each candidate its
-exact distance.  All-numeric features have weighted scaled coordinates
-whose L1 distance equals the record distance.  Over one or two of them a
-sweep over strips proposes (the cell method of Bentley, Stanat and
-Williams, 1977), over more a KD-tree (Bentley, 1975), and a scan proposes
-for mixed features.  The scan sorts the records
-once on `FeatureSpace.sweep_key`, a weighted numeric column whose term
-bounds the distance from below, and compares a block only with the
-records in a key window that must hold their neighbors (Friedman, Baskett
-and Shustek, 1975); where the key bounds little, that is the full O(n^2)
-scan.  One step then selects: the k nearest under one tie rule, rows tied
-at the k-th neighbor settled by one bulk ball query, and ball members by
-their exact distance, so every engine gives identical results.
+exact distance.  Both index weighted scaled numeric columns
+(`FeatureSpace.coordinates`).  All-numeric features have one per
+positive weight, and their L1 distance equals the record distance; over
+three or more a KD-tree proposes (Bentley, 1975).  Every other feature set
+is cut into strips over one or two coordinates (the cell method of
+Bentley, Stanat and Williams, 1977): all-numeric ones over their own, and
+mixed ones over their heaviest numeric columns, whose L1 distance bounds
+the record distance from below, so the strips a ball meets still hold all
+of its members.  Those strips are ranked by the exact kernel, and where
+they bound little that is the full O(n^2) scan.  One step then selects:
+the k nearest under one tie rule, rows tied at the k-th neighbor settled
+by one bulk ball query, and ball members by their exact distance, so every
+engine gives identical results.
 
 A NeighborIndex passes over every record's neighborhood once per
 neighborhood spec and keeps only counts: how many of the record's neighbors
@@ -57,6 +58,7 @@ SOFT_MEASURE_KINDS = ("mi", "rate")
 _TREE_SLACK = 1e-9
 _BLOCK_CELLS = 1 << 16       # cells in the widest per-row array of one vectorized block
 _GRID_ROWS = 64              # queries per block that the grid engine's strips are shaped for
+_STRIP_SHIFT = 4.0           # key offset between strips: [-1, 2] bounds of two strips stay apart
 
 
 def _with_slack(distance):
@@ -111,15 +113,15 @@ class NeighborIndex:
         self._cells = (dataset.y.codes * dataset.y_hat.arity
                        + dataset.y_hat.codes) * dataset.s.arity + dataset.s.codes
         self._counts: dict[NeighborhoodSpec, np.ndarray] = {}
-        # strips for one or two tree coordinates, the tree for more, the scan
-        # without them, unless `engine` names one
-        coords = self.space.tree_coordinates()
-        if engine is None and coords is not None:
-            engine = "grid" if coords.shape[1] <= 2 else "tree"
-        if engine in (None, "scan"):
-            self.engine = _ScanEngine(self.space)
-        elif engine in ("grid", "tree") and coords is not None:
-            self.engine = (_GridEngine if engine == "grid" else _TreeEngine)(self.space, coords)
+        # the tree for three or more coordinates whose L1 is the distance,
+        # the strips for any other feature set, unless `engine` names one
+        coords, exact = self.space.coordinates()
+        if engine is None:
+            engine = "tree" if exact and coords.shape[1] > 2 else "grid"
+        if engine == "grid":
+            self.engine = _GridEngine(self.space, coords, exact)
+        elif engine == "tree" and exact:
+            self.engine = _TreeEngine(self.space, coords)
         else:
             raise InvalidParams(f"no {engine!r} neighbor engine for these features")
 
@@ -240,7 +242,7 @@ def _within(d, reach, records=None):
 
 
 class _TreeEngine:
-    """Candidates from a KD-tree over `FeatureSpace.tree_coordinates`."""
+    """Candidates from a KD-tree over `FeatureSpace.coordinates` whose L1 is the distance."""
 
     def __init__(self, space: FeatureSpace, coords: np.ndarray):
         from scipy.spatial import cKDTree    # here, so that only this engine loads scipy
@@ -270,24 +272,31 @@ class _TreeEngine:
 
 
 class _GridEngine:
-    """Candidates from strips over one or two `FeatureSpace.tree_coordinates`.
+    """Candidates from strips over one or two of `FeatureSpace.coordinates`.
 
     The records are cut into strips of consecutive coordinate-0 rank and
     sorted on their last coordinate within each strip: the cell method for
     fixed-radius neighbors (Bentley, Stanat and Williams, 1977), or in one
-    coordinate a single sorted sweep.  `order` is that sort, and the
-    coordinates are kept permuted into it, so the records a query can reach
-    in a strip are one contiguous run of positions.  A record of a strip
-    lies at least the strip's coordinate-0 gap from a query, so an L1 ball
-    reaches into each strip only as far as its radius exceeds that gap: a
-    ball about a far outlier meets few strips, and those narrowly.
-    Candidates are ranked by L1 over the coordinates (the distance up to
-    rounding) and take their exact distances from `pair_distances`, as the
-    tree's do.
+    coordinate a single sorted sweep, the projection search of Friedman,
+    Baskett and Shustek (1975).  `order` is that sort, and the coordinates
+    are kept permuted into it, so the records a query can reach in a strip
+    are one contiguous run of positions.  A record of a strip lies at least
+    the strip's coordinate-0 gap from a query, so an L1 ball reaches into
+    each strip only as far as its radius exceeds that gap: a ball about a
+    far outlier meets few strips, and those narrowly.
+
+    The coordinates' L1 distance is the record distance (`exact`) or a lower
+    bound of it, so the runs that a ball meets hold all of its members
+    either way.  With `exact`, candidates are ranked by L1 (the distance up
+    to rounding) and take their exact distances from `pair_distances`, as
+    the tree's do.  Otherwise the runs are ranked by exact
+    `block_distances`, and runs over more than half the records are
+    scanned as all records, which costs about the same.
     """
 
-    def __init__(self, space: FeatureSpace, coords: np.ndarray):
+    def __init__(self, space: FeatureSpace, coords: np.ndarray, exact: bool):
         self.space = space
+        self._exact = exact
         n, dims = coords.shape
         # strips of sqrt(n * _GRID_ROWS) records: a block of that many
         # consecutive queries is then about as wide as it is tall
@@ -300,22 +309,44 @@ class _GridEngine:
         self._coords = np.ascontiguousarray(coords[self.order].T)     # (dims, n)
         self._starts = np.arange(0, n, self._height)
         self._stops = np.minimum(self._starts + self._height, n)
-        self._buf = np.empty(2 * _BLOCK_CELLS)
+        # one flat buffer for every block of distances: a fresh block-sized
+        # array costs more in page faults than the kernel spends on
+        # arithmetic (a 4000-record mixed audit's block temporaries took
+        # about 89,000 minor faults, a reused buffer about 4,200).  L1
+        # ranking takes two blocks of the cell budget, for the sum and its
+        # column terms; the kernel takes one ball block of the count pass,
+        # _block_rows(n) rows of n cells
+        self._buf = np.empty(2 * _BLOCK_CELLS if exact else _block_rows(n) * n)
+        # the kernel costs about as much over more than half the records as
+        # over all of them, which need no sorted window, and coordinates
+        # that are all equal bound nothing (-1: every window is all
+        # records); L1 ranking keeps its windows
+        self._whole = np.inf if exact else n / 2 if np.ptp(coords, axis=0).any() else -1
         # each strip's coordinate-0 range and the first and last of its
         # sorted last coordinate
         self._strip_lo = np.minimum.reduceat(self._coords[0], self._starts)
         self._strip_hi = np.maximum.reduceat(self._coords[0], self._starts)
         self._key_lo = self._coords[-1, self._starts]
         self._key_hi = self._coords[-1, self._stops - 1]
+        # the last coordinate, in [0, 1], plus _STRIP_SHIFT times the strip
+        # number: one sorted array in which every strip's run is found at
+        # once.  The bounds of a strip that a ball meets hold that query's
+        # own key, so lo <= 1 and hi >= 0, and clipped to [-1, 2] and
+        # shifted alike they stay off the other strips.  Rounding is
+        # monotone, so a shifted bound never drops a record within it.
+        self._shifted = self._coords[-1] + _STRIP_SHIFT * (np.arange(n) // self._height)
 
     def propose_knn(self, queries, width):
-        # Each row's `width` nearest by L1, the width-th last, with exact
+        # Each row's `width` nearest, the width-th last, with exact
         # distances, yielded with the rows' positions in `queries`.  Rows go
         # in strip order, in blocks of the cell budget that stay within one
         # strip, so each block is compact.  A block scans the balls about
-        # its rows with the largest radius that the strip's previous block
-        # accepted.  A row is accepted when the ball of radius r about it, r
-        # its width-th distance with the tie slack, lies inside the scanned
+        # its rows with the radius the previous block carried: the largest
+        # that it accepted, or the smallest that it retried if it accepted
+        # none.  A strip's first block takes the smallest radius carried so
+        # far, so that tail rows at a strip's end do not widen the next
+        # strip.  A row is accepted when the ball of radius r about it, r its
+        # width-th distance with the tie slack, lies inside the scanned
         # region: every record outside is farther than all of its picks.
         # The other rows are retried once over their own balls, which hold
         # their true nearest.
@@ -323,9 +354,9 @@ class _GridEngine:
         by_rank = np.argsort(rank, kind="stable")
         strip_ends = np.append(np.flatnonzero(np.diff(rank[by_rank] // self._height)) + 1,
                                len(queries))
-        start, step = 0, _block_rows(len(self.order))
+        start, step, low = 0, _block_rows(len(self.order)), np.inf
         for end in strip_ends:
-            reach = 0.0
+            reach = 0.0 if low == np.inf else low
             while start < end:
                 rows = by_rank[start:min(start + step, end)]
                 start += len(rows)
@@ -333,42 +364,78 @@ class _GridEngine:
                 cand, d, lo, hi, size = self._nearest(q, qc, reach, width)
                 step = min(_GRID_ROWS, _block_rows(size))
                 r = _with_slack(d.max(axis=1))
-                rest = self._rest(qc, r)
-                # a bound past the strip's first or last record excludes nothing
-                lo = np.where(lo <= self._key_lo, -np.inf, lo)[:, None]
-                hi = np.where(hi >= self._key_hi, np.inf, hi)[:, None]
-                ok = ((rest < 0) | ((qc[-1] - rest >= lo) & (qc[-1] + rest <= hi))).all(axis=0)
-                yield rows[ok], cand[ok], d[ok]
-                if not ok.all():
-                    yield rows[~ok], *self._nearest(q[~ok], qc[:, ~ok], r[~ok], width)[:2]
-                if ok.any():
-                    reach = r[ok].max()
+                ok = self._settled(qc, r, lo, hi)
+                if ok.all():
+                    yield rows, cand, d
+                    reach = r.max()
+                else:
+                    yield rows[ok], cand[ok], d[ok]
+                    cand, d = self._nearest(q[~ok], qc[:, ~ok], r[~ok], width)[:2]
+                    yield rows[~ok], cand, d
+                    # the largest radius accepted, or the smallest retried if none was
+                    reach = r[ok].max() if ok.any() else _with_slack(d.max(axis=1).min())
+                low = min(low, reach)
 
     def propose_ball(self, queries, reach):
         # the records that the queries' balls meet, in index order, that lie
         # within their reach
         qc = self._coords[:, self._rank[queries]]
-        records = np.sort(self.order[self._window(*self._bounds(qc, reach))])
-        size = len(queries) * len(records)
-        out = self._buf[:size].reshape(len(queries), -1) if size <= len(self._buf) else None
-        return _within(self.space.block_distances(queries, records, out), reach, records)
+        pos = self._window(qc, reach)[0]
+        records = None if pos is None else np.sort(self.order[pos])
+        return _within(self._distances(queries, records), reach, records)
 
     def _nearest(self, queries, qc, radius, width):
-        # Each query's `width` nearest by L1 among the records that the
-        # balls of `radius` about the queries meet, the radius doubled until
-        # they hold that many, with exact distances; also the last
-        # coordinate's bounds scanned in each strip and the number of
-        # records scanned.
+        # Each query's `width` nearest among the records that the balls of
+        # `radius` about the queries meet, the radius doubled until they
+        # hold that many, with exact distances; also the last coordinate's
+        # bounds scanned in each strip (None when every record was) and the
+        # number of records scanned.
         while True:
-            lo, hi = self._bounds(qc, radius)
-            pos = self._window(lo, hi)
-            if len(pos) >= width:
+            pos, lo, hi = self._window(qc, radius)
+            if pos is None or len(pos) >= width:
                 break
             radius = np.maximum(2 * radius, np.ptp(qc, axis=1).sum() + _with_slack(0.0))
-        local = np.argpartition(self._l1(qc, pos), width - 1, axis=1)[:, :width]
-        cand = self.order[pos[local]]
-        d = self.space.pair_distances(np.repeat(queries, width), cand.ravel())
-        return cand, d.reshape(cand.shape), lo, hi, len(pos)
+        if self._exact:
+            local = np.argpartition(self._l1(qc, pos), width - 1, axis=1)[:, :width]
+            cand = self.order[pos[local]]
+            d = self.space.pair_distances(np.repeat(queries, width), cand.ravel())
+            return cand, d.reshape(cand.shape), lo, hi, len(pos)
+        records = None if pos is None else self.order[pos]
+        if records is None:
+            lo = hi = None
+        size = len(self.order) if records is None else len(records)
+        cand = np.empty((len(queries), width), dtype=np.int64)
+        d = np.empty(cand.shape)
+        # ranked in pieces of the count pass's ball block rows, which the
+        # buffer holds at any width, so that the kernel's column term and
+        # the partition's indices stay as small as that block's
+        step = _block_rows(len(self.order))
+        for at in range(0, len(queries), step):
+            block = self._distances(queries[at:at + step], records)
+            local = np.argpartition(block, width - 1, axis=1)[:, :width]
+            cand[at:at + step] = local if records is None else records[local]
+            d[at:at + step] = np.take_along_axis(block, local, axis=1)
+        return cand, d, lo, hi, size
+
+    def _distances(self, queries, records):
+        # exact distances from the queries to `records` (all records when
+        # None), written into the leading cells of the buffer when they fit
+        width = len(self.order) if records is None else len(records)
+        size = len(queries) * width
+        out = self._buf[:size].reshape(len(queries), width) if size <= len(self._buf) else None
+        return self.space.block_distances(queries, records, out)
+
+    def _settled(self, qc, radius, lo, hi):
+        # which queries' balls of `radius` lie inside the bounds [lo, hi]
+        # scanned in each strip: all of them when every record was scanned
+        # (lo None)
+        if lo is None:
+            return np.ones(len(radius), dtype=bool)
+        rest = self._rest(qc, radius)
+        # a bound past the strip's first or last record excludes nothing
+        lo = np.where(lo <= self._key_lo, -np.inf, lo)[:, None]
+        hi = np.where(hi >= self._key_hi, np.inf, hi)[:, None]
+        return ((rest < 0) | ((qc[-1] - rest >= lo) & (qc[-1] + rest <= hi))).all(axis=0)
 
     def _rest(self, qc, radius):
         # (strips, queries): how far the ball of `radius` about each query
@@ -377,22 +444,28 @@ class _GridEngine:
         gap = np.maximum(self._strip_lo[:, None] - qc[0], qc[0] - self._strip_hi[:, None])
         return radius - np.maximum(gap, 0.0)
 
-    def _bounds(self, qc, radius):
-        # per strip, the hull of the last coordinate's ranges that the
-        # queries' balls meet there (lo > hi where none does)
+    def _window(self, qc, radius):
+        # Strip-order positions of the records that the queries' balls of
+        # `radius` meet, found for all strips at once in the shifted keys,
+        # and per strip the hull [lo, hi] of the last coordinate's ranges
+        # that the balls meet there (lo > hi where none does).  Positions
+        # None (all records) when they are more than `_whole`, and bounds
+        # None too when the coordinates bound nothing.
+        if self._whole < 0:
+            return None, None, None
         rest = self._rest(qc, radius)
         meets = rest >= 0
-        return (np.where(meets, qc[-1] - rest, np.inf).min(axis=1),
-                np.where(meets, qc[-1] + rest, -np.inf).max(axis=1))
-
-    def _window(self, lo, hi):
-        # strip-order positions of the records of each strip whose last
-        # coordinate lies in that strip's bounds [lo, hi]
-        key, meets = self._coords[-1], np.flatnonzero(lo <= hi)
-        runs = [np.arange(a + np.searchsorted(key[a:b], lo[s], "left"),
-                          a + np.searchsorted(key[a:b], hi[s], "right"))
-                for s, a, b in zip(meets, self._starts[meets], self._stops[meets])]
-        return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+        lo = np.where(meets, qc[-1] - rest, np.inf).min(axis=1)
+        hi = np.where(meets, qc[-1] + rest, -np.inf).max(axis=1)
+        strips = np.flatnonzero(lo <= hi)
+        shift = _STRIP_SHIFT * strips
+        a = np.searchsorted(self._shifted, np.maximum(lo[strips], -1.0) + shift, "left")
+        b = np.searchsorted(self._shifted, np.minimum(hi[strips], 2.0) + shift, "right")
+        sizes = b - a
+        total = sizes.sum()
+        if total > self._whole:
+            return None, lo, hi
+        return np.repeat(a + sizes - np.cumsum(sizes), sizes) + np.arange(total), lo, hi
 
     def _l1(self, qc, pos):
         # (queries, len(pos)) L1 over the coordinates, written into the
@@ -411,107 +484,6 @@ class _GridEngine:
                 if t:
                     l1 += term
         return l1
-
-
-class _ScanEngine:
-    """Candidates from block scans, pruned by a sweep on `FeatureSpace.sweep_key`."""
-
-    def __init__(self, space: FeatureSpace):
-        self.space = space
-        self.n = space.n
-        self._key = space.sweep_key()
-        # queries go in key order, so that a block's rows share one window
-        self.order = (np.arange(self.n, dtype=np.int64) if self._key is None
-                      else np.argsort(self._key, kind="stable"))
-        self._sorted_key = None if self._key is None else self._key[self.order]
-        # one flat buffer for every scan block: a fresh block-sized array
-        # costs more in page faults than the kernel spends on arithmetic (a
-        # 4000-record mixed audit's block temporaries took about 89,000 minor
-        # faults, the reused buffer about 4,200)
-        self._buf = np.empty(_block_rows(self.n) * self.n)
-
-    def propose_knn(self, queries, width):
-        # Each row's `width` nearest by the exact distance, the width-th last,
-        # yielded with the rows' positions in `queries`.  Without a sweep key
-        # every block scans all records.  With one, a block scans only the
-        # key-sorted records in a window around its rows' keys, widened by
-        # the reach the previous block needed.  A row is accepted when every
-        # record whose key lies within its width-th distance (with the tie
-        # slack) of its own is in the window: any record outside is farther
-        # than all of its picks.  The other rows are retried once over the
-        # hull of those key ranges, which holds their true nearest.
-        step = _block_rows(self.n)
-        reach = None
-        for lo in range(0, len(queries), step):
-            rows = np.arange(lo, min(lo + step, len(queries)))
-            if self._key is None or reach is None:
-                # with a key, the first row's full scan sets the first reach
-                full = rows if self._key is None else rows[:1]
-                cand, d = self._nearest(queries[full], None, width)
-                yield full, cand, d
-                reach = _with_slack(d.max())
-                rows = rows[len(full):]
-                if not len(rows):
-                    continue
-            q = queries[rows]
-            kq = self._key[q]
-            a, b = self._key_window(kq.min() - reach, kq.max() + reach, width)
-            cand, d = self._nearest(q, self.order[a:b], width)
-            r = _with_slack(d.max(axis=1))
-            reach = r.max()
-            if b - a == self.n:         # the full scan settles every row
-                yield rows, cand, d
-                continue
-            ok = ((np.searchsorted(self._sorted_key, kq - r, "left") >= a)
-                  & (np.searchsorted(self._sorted_key, kq + r, "right") <= b))
-            yield rows[ok], cand[ok], d[ok]
-            if not ok.all():
-                retry = ~ok
-                a, b = self._key_window((kq - r)[retry].min(), (kq + r)[retry].max(), width)
-                cand, d = self._nearest(q[retry], self.order[a:b], width)
-                r[retry] = _with_slack(d.max(axis=1))
-                reach = r.max()
-                yield rows[retry], cand, d
-
-    def propose_ball(self, queries, reach):
-        # with a sweep key, only records whose key lies within some query's
-        # reach can be members: scan that window, in index order
-        records = None
-        if self._key is not None:
-            kq = self._key[queries]
-            a, b = self._key_window((kq - reach).min(), (kq + reach).max())
-            records = None if b - a == self.n else np.sort(self.order[a:b])
-        return _within(self._scan(queries, records), reach, records)
-
-    def _nearest(self, queries, records, width):
-        # each query's `width` nearest of `records` (all records when None)
-        # and their distances; take_along_axis copies the distances out of
-        # the buffer before the next block overwrites it
-        if records is not None and len(records) == self.n:
-            records = None
-        d = self._scan(queries, records)
-        local = np.argpartition(d, width - 1, axis=1)[:, :width]
-        d = np.take_along_axis(d, local, axis=1)
-        return (local if records is None else records[local]), d
-
-    def _key_window(self, lo, hi, width=1):
-        # key-sorted positions [a, b) of the records with key in [lo, hi],
-        # widened to at least `width` records; a window over most records
-        # costs about what the full scan does, so it becomes (0, n)
-        a = int(np.searchsorted(self._sorted_key, lo, "left"))
-        b = int(np.searchsorted(self._sorted_key, hi, "right"))
-        if b - a < width:
-            a = max(0, min(a, self.n - width))
-            b = a + width
-        return (0, self.n) if 2 * (b - a) > self.n else (a, b)
-
-    def _scan(self, queries, records):
-        # distances from the queries to `records` (all when None), written
-        # into the leading cells of the buffer when they fit there
-        width = self.n if records is None else len(records)
-        fits = len(queries) * width <= len(self._buf)
-        out = self._buf[:len(queries) * width].reshape(len(queries), width) if fits else None
-        return self.space.block_distances(queries, records=records, out=out)
 
 
 def build_index(dataset: Dataset, dist: DistanceSpec | None = None) -> NeighborIndex:

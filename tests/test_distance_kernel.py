@@ -1,5 +1,6 @@
-"""The in-place distance kernel against its one-line formula, scan buffer reuse, and
-the condensed pair kernel against scipy's pdist."""
+"""The in-place distance kernel against its one-line formula, the strips' buffer
+reuse, the coordinates' lower bound, and the condensed pair kernel against
+scipy's pdist."""
 
 import numpy as np
 import pytest
@@ -104,15 +105,23 @@ def test_block_distances_bit_equal_to_the_formula_with_one_reused_out(case):
 
 @_SETTINGS
 @given(_spaces())
-def test_the_sweep_key_bounds_the_distance_from_below(case):
+def test_the_coordinates_bound_the_distance_from_below(case):
     dataset, space, rng = case
-    key = space.sweep_key()
-    numeric = [w for c, w in zip(dataset.features, space.weights) if c.kind == "numeric"]
-    if not any(w > 0 for w in numeric):
-        assert key is None
-        return
+    coords, exact = space.coordinates()
+    kinds = [c.kind for c in dataset.features]
+    numeric = [w for kind, w in zip(kinds, space.weights) if kind == "numeric" and w > 0]
+    # all positive-weight columns of all-numeric data, else the heaviest one
+    # or two numeric columns, or one constant column without any
+    assert exact == all(kind == "numeric" for kind in kinds)
+    assert coords.shape == (space.n, len(numeric) if exact else min(max(len(numeric), 1), 2))
+    if not numeric:
+        assert not coords.any()
     a, b = rng.integers(0, space.n, (2, 200))
-    assert (np.abs(key[a] - key[b]) <= space.pair_distances(a, b) * (1 + 1e-12) + 1e-15).all()
+    l1 = np.abs(coords[a] - coords[b]).sum(axis=1)
+    d = space.pair_distances(a, b)
+    assert (l1 <= d * (1 + 1e-12) + 1e-15).all()
+    if exact:
+        assert np.allclose(l1, d, rtol=1e-12, atol=1e-15)
 
 
 def test_out_of_the_wrong_shape_or_dtype_is_rejected():
@@ -130,16 +139,16 @@ def test_out_of_the_wrong_shape_or_dtype_is_rejected():
 
 @pytest.mark.parametrize("nspec", [NeighborhoodSpec("knn", k=5),
                                    NeighborhoodSpec("ball", radius=0.03)], ids=["knn", "ball"])
-def test_a_scan_count_pass_fills_views_of_one_buffer(monkeypatch, nspec):
+def test_a_strip_count_pass_fills_views_of_one_buffer(monkeypatch, nspec):
     rng = np.random.default_rng(5)
-    n = 700                  # several scan blocks of _block_rows(n) rows each
+    n = 700                  # several blocks of _block_rows(n) rows each
     x = np.round(rng.normal(size=n), 1)     # ties, so kNN rows take the ball fallback
     dataset = Dataset(_categorical("s", rng.integers(0, 2, n)),
                       _categorical("y", rng.integers(0, 2, n)),
                       _categorical("yhat", rng.integers(0, 2, n)),
                       (Column("x", "numeric", values=x), _categorical("c", rng.integers(0, 3, n))),
-                      None, Provenance("scan", "error", None, 0))
-    index = NeighborIndex(dataset, engine="scan")
+                      None, Provenance("strips", "error", None, 0))
+    index = NeighborIndex(dataset, engine="grid")
     calls = []
     block_distances = FeatureSpace.block_distances
 
@@ -154,7 +163,8 @@ def test_a_scan_count_pass_fills_views_of_one_buffer(monkeypatch, nspec):
     index.cell_counts(nspec)
     # every block of the pass, the kNN pass's ball queries for tied rows
     # included, writes into a view of one flat buffer of _block_rows(n) rows
-    # of n cells, most of them into a window of the key-sorted records
+    # of n cells, most of them into a window of the records that the strips
+    # hold
     assert len(calls) > 1 and len(ball_queries) > 0
     assert all(out is not None for _, out in calls)
     assert len({id(out.base) for _, out in calls}) == 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fairaudit import neighborhood
 from fairaudit.criteria import FTU, CriterionSpec, get_criterion
 from fairaudit.dataset import Column, ColumnSchema, Dataset, Provenance, load_dataset
-from fairaudit.distance import DistanceSpec
+from fairaudit.distance import DistanceSpec, min_max_scale
 from fairaudit.errors import AllIndeterminate, InvalidParams
 from fairaudit.measures import mi_nats, rate_gap
 from fairaudit.neighborhood import NeighborhoodSpec, NeighborIndex, build_index, soft_evaluate
@@ -44,9 +44,21 @@ def _quantized_dataset(seed, n, levels, numeric, categorical):
     return load_dataset(io.BytesIO(("\n".join(lines) + "\n").encode()), schema)
 
 
-def _grid_tree_and_scan(ds, dist=None):
-    """Three indexes of one all-numeric input: the strips', the KD-tree's and the scan's."""
-    return tuple(NeighborIndex(ds, dist, engine=name) for name in ("grid", "tree", "scan"))
+def _engines(ds, dist=None):
+    """Every index of one input: the strips', plus the KD-tree's on all-numeric data."""
+    names = ("grid", "tree") if all(c.kind == "numeric" for c in ds.features) else ("grid",)
+    return tuple(NeighborIndex(ds, dist, engine=name) for name in names)
+
+
+def _drawn_weights(data, numeric, categorical):
+    """Equal weights, uneven ones with light categoricals, or zero on every numeric column."""
+    kinds = ["equal", "uneven"] + (["numeric zero"] if numeric and categorical else [])
+    kind = data.draw(st.sampled_from(kinds), label="weights")
+    numeric_w, categorical_w = {"equal": ((1.0,) * 3, (1.0,) * 2),
+                                "uneven": ((0.3, 2.5, 1.0), (0.05, 0.2)),
+                                "numeric zero": ((0.0,) * 3, (1.0, 0.5))}[kind]
+    weights = numeric_w[:numeric] + categorical_w[:categorical]
+    return DistanceSpec({f"f{j}": w for j, w in enumerate(weights)})
 
 
 def _ball_rows(index):
@@ -91,48 +103,54 @@ def _boundary_ties(sorted_d, k):
 
 def test_knn_engines_match_brute_force_oracle():
     requeried = []
-    scan_ties = []
-    scan_fallbacks = []
+    kernel_ties = []
+    kernel_fallbacks = []
 
     @_SETTINGS
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1024, 1100),
         levels=st.sampled_from([3, 8, 40]),
-        numeric=st.sampled_from([1, 2]),
-        weights=st.sampled_from([None, (0.3, 2.5)]),
+        numeric=st.integers(0, 3),
         data=st.data(),
     )
-    def check(seed, n, levels, numeric, weights, data):
-        ds = _quantized_dataset(seed, n, levels, numeric=numeric, categorical=0)
-        dist = DistanceSpec(weights and dict(zip(("f0", "f1")[:numeric], weights)))
-        grid, tree, scan = _grid_tree_and_scan(ds, dist)
+    def check(seed, n, levels, numeric, data):
+        categorical = data.draw(st.integers(0 if numeric else 1, 2), label="categorical")
+        ds = _quantized_dataset(seed, n, levels, numeric=numeric, categorical=categorical)
+        engines = _engines(ds, _drawn_weights(data, numeric, categorical))
+        grid = engines[0]
         k = data.draw(st.integers(1, n), label="k")
-        want_m, want_d, d = _oracle(tree, k)
+        want_m, want_d, d = _oracle(grid, k)
 
-        tree_rows, fallback_rows = _ball_rows(tree), _ball_rows(scan)
-        # in index order, and in the grid's strip order
-        for index, queries in ((grid, np.arange(n)), (grid, grid.engine.order),
-                               (tree, np.arange(n)), (scan, np.arange(n))):
+        def check_block(index, queries):
             members, dists = _by_distance_then_index(*index._knn_block(queries, k))
             assert np.array_equal(members, want_m[queries])
             assert np.array_equal(dists, want_d[queries])
-        requeried.append(sum(tree_rows))
+
         sorted_d = np.sort(d, axis=1)
-        scan_ties.append(_boundary_ties(sorted_d, k))
-        # every tied scan row, and only those, is settled by the bulk ball query
-        assert sum(fallback_rows) == scan_ties[-1]
-        scan_fallbacks.append(sum(fallback_rows))
+        fallback_rows = _ball_rows(grid)
+        check_block(grid, np.arange(n))
+        if categorical:
+            # strips ranked by the kernel: every tied row, and only those, is
+            # settled by the bulk ball query
+            kernel_ties.append(_boundary_ties(sorted_d, k))
+            assert sum(fallback_rows) == kernel_ties[-1]
+            kernel_fallbacks.append(sum(fallback_rows))
+        check_block(grid, grid.engine.order)      # in the strips' own order
+        for tree in engines[1:]:
+            tree_rows = _ball_rows(tree)
+            check_block(tree, np.arange(n))
+            requeried.append(sum(tree_rows))
         tied_rows = np.flatnonzero(sorted_d[:, min(k, n - 1)] == sorted_d[:, k - 1])[:5]
         rows = np.concatenate([tied_rows, data.draw(st.lists(st.integers(0, n - 1), max_size=5),
                                                      label="rows")]).astype(np.int64)
-        for index in (grid, tree, scan):
+        for index in engines:
             _check_knn_order(index, rows, k, want_m, want_d)
 
     check()
     assert sum(requeried) > 0     # the tree engine's tie re-query path ran
-    assert sum(scan_ties) > 0     # and so did the scan engine's full-row sort
-    assert sum(scan_fallbacks) > 0
+    assert sum(kernel_ties) > 0   # and so did the kernel-ranked strips' tie fallback
+    assert sum(kernel_fallbacks) > 0
 
 
 def test_ball_block_engines_match_brute_force_oracle():
@@ -143,20 +161,19 @@ def test_ball_block_engines_match_brute_force_oracle():
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1024, 1100),
         levels=st.sampled_from([3, 8, 40]),
-        categorical=st.sampled_from([0, 1]),
+        numeric=st.integers(0, 3),
         data=st.data(),
     )
-    def check(seed, n, levels, categorical, data):
-        ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=categorical)
-        engines = (_grid_tree_and_scan(ds) if categorical == 0
-                   else (NeighborIndex(ds, engine="scan"),))
-        scan = engines[-1]
+    def check(seed, n, levels, numeric, data):
+        categorical = data.draw(st.integers(0 if numeric else 1, 2), label="categorical")
+        ds = _quantized_dataset(seed, n, levels, numeric=numeric, categorical=categorical)
+        engines = _engines(ds, _drawn_weights(data, numeric, categorical))
         queries = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40),
                                      label="queries"))
         radius = np.array(data.draw(st.lists(
             st.sampled_from([0.0, 1.0 / levels, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0),
             min_size=len(queries), max_size=len(queries)), label="radius"))
-        d = scan.space.block_distances(queries)
+        d = engines[0].space.block_distances(queries)
         want = [np.flatnonzero(row <= r) for row, r in zip(d, radius)]
         for index in engines:
             offsets, members, dists = index._ball_block(queries, radius)
@@ -174,7 +191,7 @@ def test_ball_block_engines_match_brute_force_oracle():
     assert sum(zero_radius_duplicates) > 0   # radius 0 found exact duplicates
 
 
-def test_mixed_scan_matches_oracle_and_shared_index_matches_fresh():
+def test_mixed_strips_match_oracle_and_shared_index_matches_fresh():
     ties = []
 
     @_SETTINGS
@@ -186,7 +203,7 @@ def test_mixed_scan_matches_oracle_and_shared_index_matches_fresh():
     )
     def check(seed, n, levels, data):
         ds = _quantized_dataset(seed, n, levels, numeric=1, categorical=2)
-        index = NeighborIndex(ds, engine="scan")
+        index = NeighborIndex(ds, engine="grid")
         k = data.draw(st.integers(1, n), label="k")
         want_m, want_d, d = _oracle(index, k)
         members, dists = _by_distance_then_index(*index._knn_block(np.arange(n), k))
@@ -322,23 +339,25 @@ def test_count_pass_matches_member_list_oracle():
     @given(
         seed=st.integers(0, 2**32 - 1),
         large=st.booleans(),
-        engine=st.sampled_from(["grid", "tree", "scan"]),
+        engine=st.sampled_from(["grid", "tree"]),
         levels=st.sampled_from([3, 8, 40]),
-        categorical=st.sampled_from([0, 1]),
+        numeric=st.integers(0, 3),
         measure_kind=st.sampled_from(["mi", "rate"]),
         min_neighborhood=st.sampled_from([1, 10]),
         data=st.data(),
     )
-    def check(seed, large, engine, levels, categorical, measure_kind, min_neighborhood, data):
+    def check(seed, large, engine, levels, numeric, measure_kind, min_neighborhood, data):
         lo = 1024 if large else 30      # large inputs span several query blocks
         n = data.draw(st.integers(lo, lo + 80), label="n")
-        ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=categorical)
-        engine = "scan" if categorical else engine
-        index = NeighborIndex(ds, engine=engine)
-        engines.add(engine)
+        categorical = data.draw(st.integers(0 if numeric else 1, 2), label="categorical")
+        ds = _quantized_dataset(seed, n, levels, numeric=numeric, categorical=categorical)
+        engine = "grid" if categorical else engine      # the tree needs all-numeric data
+        dist = _drawn_weights(data, numeric, categorical)
+        index = NeighborIndex(ds, dist, engine=engine)
+        engines.add((engine, categorical > 0))
         radius = data.draw(st.sampled_from([None, 0.05, 0.3, 1.0]), label="radius")
         if radius is None:
-            k = data.draw(st.integers(1, min(n, 60)), label="k")
+            k = data.draw(st.integers(1, 60) | st.integers(1, n), label="k")
             nspec = NeighborhoodSpec("knn", k=k)
         else:
             nspec = NeighborhoodSpec("ball", radius=radius)
@@ -349,10 +368,10 @@ def test_count_pass_matches_member_list_oracle():
                                                   0.05, 0.05, min_neighborhood)
             except AllIndeterminate:
                 with pytest.raises(AllIndeterminate):
-                    soft_evaluate(ds, spec, nspec, measure_kind=measure_kind,
+                    soft_evaluate(ds, spec, nspec, dist, measure_kind=measure_kind,
                                   min_neighborhood=min_neighborhood, index=index)
                 continue
-            got = soft_evaluate(ds, spec, nspec, measure_kind=measure_kind,
+            got = soft_evaluate(ds, spec, nspec, dist, measure_kind=measure_kind,
                                 min_neighborhood=min_neighborhood, index=index)
             sizes, values, violated, satisfied = want
             assert np.array_equal(got.neighborhood_sizes, sizes)
@@ -361,7 +380,7 @@ def test_count_pass_matches_member_list_oracle():
             assert got.satisfied_fraction == satisfied
 
     check()
-    assert engines == {"grid", "tree", "scan"}
+    assert engines == {("grid", False), ("tree", False), ("grid", True)}
 
 
 def test_soft_evaluate_rejects_index_of_another_dataset():
@@ -414,41 +433,55 @@ def _tiny_dataset(n):
                    Provenance("tiny", "error", None, 0))
 
 
-def test_the_grid_runs_for_one_or_two_tree_coordinates_and_the_tree_for_more():
+def test_the_tree_runs_for_three_numeric_coordinates_and_the_strips_for_the_rest():
     numeric = _quantized_dataset(13, 1224, 40, numeric=2, categorical=0)
     wide = _quantized_dataset(15, 600, 40, numeric=3, categorical=0)
     mixed = _quantized_dataset(14, 300, 8, numeric=2, categorical=1)
-    # a zero weight leaves two of the three columns as tree coordinates
-    for ds, dist, engine in ((_tiny_dataset(1), None, neighborhood._GridEngine),
-                             (numeric, None, neighborhood._GridEngine),
-                             (wide, DistanceSpec({"f2": 0.0}), neighborhood._GridEngine),
-                             (wide, None, neighborhood._TreeEngine),
-                             (mixed, None, neighborhood._ScanEngine)):
+    wide_mixed = _quantized_dataset(17, 300, 8, numeric=3, categorical=1)
+    categorical = _quantized_dataset(18, 300, 8, numeric=0, categorical=2)
+    # (input, weights, coordinate columns, whether their L1 is the distance)
+    for ds, dist, dims, exact in (
+            (_tiny_dataset(1), None, 2, True),
+            (numeric, None, 2, True),
+            (wide, DistanceSpec({"f2": 0.0}), 2, True),     # a zero weight drops a column
+            (wide, None, 3, True),
+            (mixed, None, 2, False),
+            (mixed, DistanceSpec({"f1": 0.0}), 1, False),
+            (mixed, DistanceSpec({"f0": 0.0, "f1": 0.0}), 1, False),    # one constant column
+            (wide_mixed, None, 2, False),
+            (categorical, None, 1, False)):
         index = build_index(ds, dist)
-        assert type(index.engine) is engine
-        coords = index.space.tree_coordinates()
-        assert (engine is neighborhood._ScanEngine) == (coords is None)
-        assert (engine is neighborhood._TreeEngine) == (coords is not None and coords.shape[1] > 2)
-    for ds, name in ((mixed, "tree"), (mixed, "grid"), (mixed, "kdtree"), (numeric, "kdtree"),
-                     (numeric, "")):
+        coords, is_exact = index.space.coordinates()
+        assert coords.shape == (ds.n, dims) and is_exact == exact
+        tree = exact and dims > 2
+        assert type(index.engine) is (neighborhood._TreeEngine if tree
+                                      else neighborhood._GridEngine)
+    # mixed data is indexed on its two heaviest numeric columns, in feature order
+    space = build_index(wide_mixed, DistanceSpec({"f0": 0.5, "f2": 2.0})).space
+    scaled = [min_max_scale(wide_mixed.features[j].values) * w / 4.5 for j, w in ((1, 1.0),
+                                                                                 (2, 2.0))]
+    assert np.array_equal(space.coordinates()[0], np.stack(scaled, axis=1))
+    assert not space.coordinates()[1]
+    for ds, name in ((mixed, "tree"), (wide_mixed, "tree"), (categorical, "tree"),
+                     (mixed, "kdtree"), (numeric, "kdtree"), (numeric, "")):
         with pytest.raises(InvalidParams):
             NeighborIndex(ds, engine=name)
     for ds in (numeric, wide):
         default = build_index(ds)
         for nspec in (NeighborhoodSpec("knn", k=30), NeighborhoodSpec("ball", radius=0.05)):
-            for name in ("grid", "tree", "scan"):
+            for name in ("grid", "tree"):
                 assert np.array_equal(NeighborIndex(ds, engine=name).cell_counts(nspec),
                                       default.cell_counts(nspec))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_tiny_inputs_match_scan_and_oracle_on_the_tree(n):
+def test_tiny_inputs_match_the_oracle_on_the_strips_and_the_tree(n):
     ds = _tiny_dataset(n)
-    engines = _grid_tree_and_scan(ds)       # the grid and the tree run at any n
+    engines = _engines(ds)       # the grid and the tree run at any n
     queries = np.arange(n)
-    d = engines[-1].space.block_distances(queries)
+    d = engines[0].space.block_distances(queries)
     for k in range(1, n + 1):
-        want_m, want_d, _ = _oracle(engines[-1], k)
+        want_m, want_d, _ = _oracle(engines[0], k)
         for index in engines:
             members, dists = _by_distance_then_index(*index._knn_block(queries, k))
             assert np.array_equal(members, want_m)
@@ -482,10 +515,10 @@ def test_grid_matches_the_oracle_on_awkward_coordinates(columns):
     features = tuple(Column(f"f{j}", "numeric", values=v) for j, v in enumerate(values))
     ds = Dataset(categorical("s"), categorical("y"), categorical("yhat"), features, None,
                  Provenance("grid", "error", None, 0))
-    grid, scan = NeighborIndex(ds, engine="grid"), NeighborIndex(ds, engine="scan")
-    assert grid.space.tree_coordinates().shape[1] == len(values)
+    grid = NeighborIndex(ds, engine="grid")
+    assert grid.space.coordinates()[0].shape[1] == len(values)
     for k in (1, 9, n):
-        want_m, want_d, d = _oracle(scan, k)
+        want_m, want_d, d = _oracle(grid, k)
         for queries in (np.arange(n), grid.engine.order):
             members, dists = _by_distance_then_index(*grid._knn_block(queries, k))
             assert np.array_equal(members, want_m[queries])
@@ -497,13 +530,14 @@ def test_grid_matches_the_oracle_on_awkward_coordinates(columns):
             assert np.array_equal(members[offsets[q]:offsets[q + 1]], want)
             assert np.array_equal(dists[offsets[q]:offsets[q + 1]], d[q, want])
     for nspec in (NeighborhoodSpec("knn", k=9), NeighborhoodSpec("ball", radius=0.1)):
-        assert np.array_equal(grid.cell_counts(nspec), scan.cell_counts(nspec))
+        assert np.array_equal(grid.cell_counts(nspec),
+                              _counts_from(grid, *_brute_force_neighborhoods(grid, nspec)))
 
 
-class _ScanRecorder:
+class _KernelRecorder:
     """Records an index's kernel calls: query rows, window width, and whether a
     ball query made them.  A kNN call whose rows all came in the previous one
-    is the sweep's retry of rows its first window could not settle."""
+    is the strips' retry of rows their first window could not settle."""
 
     def __init__(self, index):
         self.n = index.n
@@ -549,7 +583,7 @@ def _counts_from(index, offsets, members):
                        minlength=index.n * cells).reshape(index.n, cells)
 
 
-def test_swept_scan_matches_brute_force_on_numeric_dominant_mixed_data():
+def test_strips_match_brute_force_on_numeric_dominant_mixed_data():
     partial, retried, ties = [], [], []
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -562,11 +596,11 @@ def test_swept_scan_matches_brute_force_on_numeric_dominant_mixed_data():
     )
     def check(seed, n, levels, weights, data):
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=1)
-        index = NeighborIndex(ds, DistanceSpec(weights), engine="scan")
+        index = NeighborIndex(ds, DistanceSpec(weights), engine="grid")
         k = data.draw(st.integers(1, 80), label="k")
         want_m, want_d, d = _oracle(index, k)
-        recorder = _ScanRecorder(index)
-        order = index.engine.order          # the key order cell_counts walks in
+        recorder = _KernelRecorder(index)
+        order = index.engine.order          # the strip order cell_counts walks in
         members, dists = _by_distance_then_index(*index._knn_block(order, k))
         assert np.array_equal(members, want_m[order])
         assert np.array_equal(dists, want_d[order])
@@ -579,7 +613,7 @@ def test_swept_scan_matches_brute_force_on_numeric_dominant_mixed_data():
         offsets = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
         assert np.array_equal(index.cell_counts(NeighborhoodSpec("ball", radius=radius)),
                               _counts_from(index, offsets, np.nonzero(inside)[1]))
-        # a key-sorted run of queries, each with its own radius, 0 included
+        # a strip-ordered run of queries, each with its own radius, 0 included
         lo = data.draw(st.integers(0, n - 40), label="lo")
         queries = order[lo:lo + 40]
         radii = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0 / levels, 0.01, 0.05]),
@@ -614,7 +648,7 @@ def _uniform_mixed_dataset(n, arities, seed=4):
 
 @pytest.mark.parametrize("nspec", [NeighborhoodSpec("knn", k=50),
                                    NeighborhoodSpec("ball", radius=0.05)], ids=["knn", "ball"])
-def test_swept_scan_work_is_bounded_by_the_full_scan(nspec):
+def test_strip_work_is_bounded_by_the_full_scan(nspec):
     n = 2000
     cells = {}
     # numeric-dominant (one light categorical, as in the benchmark's mixed
@@ -622,10 +656,10 @@ def test_swept_scan_work_is_bounded_by_the_full_scan(nspec):
     for name, index in (("narrow", build_index(_uniform_mixed_dataset(n, (4,)),
                                                DistanceSpec({"c0": 0.02}))),
                         ("wide", build_index(_uniform_mixed_dataset(n, (25, 20, 10))))):
-        recorder = _ScanRecorder(index)
+        recorder = _KernelRecorder(index)
         index.cell_counts(nspec)
         cells[name] = recorder.cells()
     assert cells["narrow"] < n * n / 2
-    # the key bounds little of the wide distance, so its blocks fall back to
-    # the full scan, with at most one block's worth of cells more
+    # the numeric columns bound little of the wide distance, so its blocks
+    # fall back to the full scan, with at most one block's worth of cells more
     assert cells["wide"] <= n * n + neighborhood._block_rows(n) * n

@@ -88,7 +88,7 @@ def test_distance_metric_properties():
     assert d_ab.min() >= 0.0 and d_ab.max() <= 1.0
 
 
-def test_tree_and_linear_scan_agree():
+def test_tree_and_strips_agree():
     rng = CounterRng(23)
     n = 1400
     f0 = rng.uniforms(n)
@@ -107,14 +107,14 @@ def test_tree_and_linear_scan_agree():
     ]
     ds = load_dataset(io.BytesIO(("\n".join(lines) + "\n").encode()), schema)
     tree = NeighborIndex(ds, engine="tree")
-    linear = NeighborIndex(ds, engine="scan")
+    strips = NeighborIndex(ds, engine="grid")
     for q in (0, 3, 55, 700, n - 1):
         ma, da = tree.knn(q, 15)
-        mb, db = linear.knn(q, 15)
+        mb, db = strips.knn(q, 15)
         assert np.array_equal(ma, mb) and np.array_equal(da, db)
-        assert np.array_equal(tree.ball(q, 0.06), linear.ball(q, 0.06))
+        assert np.array_equal(tree.ball(q, 0.06), strips.ball(q, 0.06))
     # a radius that is not > 0 is refused, NaN too, whose ball would be empty
-    for index in (tree, linear):
+    for index in (tree, strips):
         for radius in (0.0, -0.1, float("nan")):
             with pytest.raises(InvalidParams):
                 index.ball(3, radius)

@@ -4,9 +4,9 @@ The fixtures under tests/data/pinned_soft_report_*.json hold canonical JSON
 reports (the run-dependent `timing` block removed) of one small seeded
 mixed-feature dataset: two numeric features on coarse grids, so that
 distances tie at the k-th neighbor, and one categorical feature, with
-per-column distance weights.  Mixed kinds take the scan neighbor engine,
-so these bytes guard the distance kernel, the scan's key windows, the kNN
-tie fallback and the ball queries on that path.  Regenerate them only for an intended output change:
+per-column distance weights.  Mixed kinds take the strip neighbor engine
+ranked by the distance kernel, so these bytes guard the kernel, the strips'
+windows, the kNN tie fallback and the ball queries on that path.  Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_pinned_soft_reports.py
 """

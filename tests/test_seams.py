@@ -72,8 +72,9 @@ def _assert_workload_seams_called(workload, sizes, tmp_path):
     assert not uncalled, f"{workload} seams never called: {uncalled}"
 
 
-# two numeric features take the strip (grid) engine, and mixed kinds force
-# the linear scan
+# both soft workloads take the strip (grid) engine: two numeric features
+# ranked by L1 and confirmed by pair_distances, and mixed kinds ranked by
+# block_distances
 @pytest.mark.parametrize("workload, n", [("soft_knn", 1224),
                                          ("soft_mixed", 600)])
 def test_soft_audit_calls_its_workload_seams(workload, n, tmp_path):
