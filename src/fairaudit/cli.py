@@ -54,9 +54,12 @@ def _parse_weights(text: str | None) -> dict[str, float] | None:
     weights = {}
     for item in text.split(","):
         name, _, value = item.partition("=")
+        name = name.strip()
         if not name or not value:
             raise InvalidParams(f"bad weight entry {item!r}; use column=weight")
-        weights[name.strip()] = float(value)
+        if name in weights:
+            raise InvalidParams(f"weight for column {name!r} given twice")
+        weights[name] = float(value)
     return weights
 
 

@@ -28,6 +28,8 @@ from .errors import (
     InvalidParams,
     MissingColumn,
     NumericConditioning,
+    is_integral,
+    is_real,
 )
 from .measures import (
     MeasureValue,
@@ -147,20 +149,20 @@ def check_exact_params(measure_kind: str, threshold: float | None, min_count: in
                        alpha: float) -> float:
     """Raise InvalidParams unless these exact-evaluation parameters are valid.
 
-    The measure kind must be in MEASURE_KINDS, the threshold finite and
-    positive, alpha finite and non-negative and min_count at least 1.
-    Returns the threshold to apply: the kind's default when None.
+    The measure kind must be in MEASURE_KINDS, the threshold a finite positive
+    number, alpha a finite number >= 0 and min_count an integer >= 1, bools
+    refused.  Returns the threshold to apply: the kind's default when None.
     """
     if measure_kind not in MEASURE_KINDS:
         raise InvalidParams(f"unknown measure kind {measure_kind!r}")
     if threshold is None:
         threshold = MEASURE_KINDS[measure_kind][1]
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise InvalidParams("threshold must be finite and positive")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise InvalidParams("alpha must be finite and non-negative")
-    if min_count < 1:
-        raise InvalidParams("min_count must be >= 1")
+    if not (is_real(threshold) and math.isfinite(threshold) and threshold > 0):
+        raise InvalidParams(f"threshold must be a finite positive number, not {threshold!r}")
+    if not (is_real(alpha) and math.isfinite(alpha) and alpha >= 0):
+        raise InvalidParams(f"alpha must be a finite number >= 0, not {alpha!r}")
+    if not (is_integral(min_count) and min_count >= 1):
+        raise InvalidParams(f"min_count must be an integer >= 1, not {min_count!r}")
     return threshold
 
 

@@ -27,6 +27,7 @@ from .errors import (
     NumericConditioning,
     ParseError,
     RoleViolation,
+    is_real,
 )
 
 ROLES = ("sensitive", "target", "prediction", "feature", "score", "ignore")
@@ -183,11 +184,7 @@ def load_schema_config(source) -> tuple[list[ColumnSchema], float | None, str]:
 
 
 def _check_load_options(threshold, missing) -> None:
-    # a bool must not pass as 1 or 0, though it is an int
-    if threshold is not None and (
-            isinstance(threshold, (bool, np.bool_))
-            or not isinstance(threshold, (int, float, np.integer, np.floating))
-            or not math.isfinite(threshold)):
+    if threshold is not None and not (is_real(threshold) and math.isfinite(threshold)):
         raise RoleViolation(f"'threshold' must be a finite number, got {threshold!r}")
     if missing not in ("error", "drop"):
         raise RoleViolation(f"missing mode must be 'error' or 'drop', got {missing!r}")
@@ -430,9 +427,9 @@ class Strata(Mapping):
 
     Strata are numbered in lexicographic key order: labels[i] is record i's
     stratum g, sizes[g] its record count and codes[g] its key as a row of a
-    (G, m) int64 array, all three frozen on construction.  Stratum g owns
-    order[bounds[g]:bounds[g + 1]]; order, bounds and the index slices are
-    computed only on access.
+    (G, m) int64 array, all three frozen on construction and equal from either
+    rank branch of stratify.  Stratum g owns order[bounds[g]:bounds[g + 1]];
+    order, bounds and the index slices are computed only on access.
     """
 
     def __init__(self, labels: np.ndarray, sizes: np.ndarray, codes: np.ndarray):
@@ -463,12 +460,28 @@ class Strata(Mapping):
         return self.order[self.bounds[g]:self.bounds[g + 1]]
 
 
+def _dense_rank(key: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, sizes): each key's rank among the distinct keys in [0, span),
+    ascending, and each rank's count.  A span of at most n keys is ranked by
+    counting in O(n + span) (Knuth, TAOCP vol. 3, 5.2); a sparser one is sorted.
+    """
+    if span > len(key):
+        _, labels, sizes = np.unique(key, return_inverse=True, return_counts=True)
+        return labels, sizes
+    counts = np.bincount(key, minlength=span)
+    distinct = np.flatnonzero(counts)
+    rank = np.empty(span, dtype=np.int64)
+    rank[distinct] = np.arange(len(distinct))
+    return rank[key], counts[distinct]
+
+
 def stratify(dataset: Dataset, condition_columns: Iterable[str]) -> Strata:
     """Partition record indices by exact value combination of the given columns.
 
     Keys are tuples of category codes, iterated in lexicographic order; each
     stratum's indices ascend.  An empty condition set yields the single
-    stratum () holding all records.
+    stratum () holding all records.  The strata are ranked by counting over
+    the mixed-radix key space when it spans at most n keys, by a sort otherwise.
     """
     refs = list(condition_columns)
     cols = [dataset.column(r) for r in refs]
@@ -481,14 +494,15 @@ def stratify(dataset: Dataset, condition_columns: Iterable[str]) -> Strata:
     span = 1
     for c in cols:
         if span * c.arity > _MAX_KEY_SPAN:
-            distinct, key = np.unique(key, return_inverse=True)
-            span = len(distinct)
-        key = key * c.arity + c.codes
+            key, sizes = _dense_rank(key, span)
+            span = len(sizes)
+        key *= c.arity
+        key += c.codes
         span *= c.arity
-    distinct, labels = np.unique(key, return_inverse=True)
-    member = np.empty(len(distinct), dtype=np.int64)
+    labels, sizes = _dense_rank(key, span)
+    member = np.empty(len(sizes), dtype=np.int64)
     member[labels] = np.arange(dataset.n)      # any one record of each stratum
-    codes = np.empty((len(distinct), len(cols)), dtype=np.int64)
+    codes = np.empty((len(sizes), len(cols)), dtype=np.int64)
     for j, c in enumerate(cols):
         codes[:, j] = c.codes[member]
-    return Strata(labels, np.bincount(labels, minlength=len(distinct)), codes)
+    return Strata(labels, sizes, codes)

@@ -1,5 +1,7 @@
 """Exception hierarchy. Every condition a caller can act on gets its own class."""
 
+import numbers
+
 
 class FairauditError(Exception):
     """Base class for all errors raised by this package."""
@@ -99,3 +101,13 @@ class UnknownScenario(FairauditError):
 
 class InvalidParams(FairauditError):
     """A parameter value is outside its legal range."""
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool: True must not pass as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integral(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .distance import condensed_sums, gower_matrix_condensed, gower_weights, min_max_scale
 from .errors import DegenerateInput, InvalidParams, NotAProbabilityVector, ParseError
+from .errors import is_integral, is_real
 from .rng import CounterRng
 
 DEFAULT_TOL = 1e-9
@@ -187,8 +187,9 @@ def audit_map(
     same record.  The scan is exhaustive up to n = 2000; beyond that pairs
     are sampled uniformly and a seed is mandatory (sampling='exhaustive'
     forces the full scan at any size).  A pair violates when
-    d_mapped / d_original > 1 + tol; `tol` must be finite and >= 0, and
-    `sample_count` an integer >= 1.  Beyond a column copy of the inputs, a
+    d_mapped / d_original > 1 + tol; `tol` must be a finite number >= 0,
+    `sample_count` an integer >= 1 (a bool is neither), and `weights` are
+    refused unless a metric is gower.  Beyond a column copy of the inputs, a
     sampled scan holds O(_PAIR_BLOCK) memory, an exhaustive one two
     condensed distance arrays.
     """
@@ -203,10 +204,12 @@ def audit_map(
         raise InvalidParams(f"d_original must be one of {ORIGINAL_METRICS}")
     if d_mapped not in MAPPED_METRICS:
         raise InvalidParams(f"d_mapped must be one of {MAPPED_METRICS}")
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    if not (is_real(tol) and math.isfinite(tol) and tol >= 0):
         raise InvalidParams(f"tol must be a finite number >= 0, not {tol!r}")
-    if not isinstance(sample_count, numbers.Integral) or sample_count < 1:
+    if not (is_integral(sample_count) and sample_count >= 1):
         raise InvalidParams(f"sample_count must be an integer >= 1, not {sample_count!r}")
+    if weights is not None and "gower" not in (d_original, d_mapped):
+        raise InvalidParams("weights apply to the gower metric only")
     for name, values in (("original", original), ("mapped", mapped)):
         if not np.isfinite(values).all():
             r, c = np.argwhere(~np.isfinite(values))[0]

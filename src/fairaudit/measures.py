@@ -68,7 +68,7 @@ class StratumValues(Sequence):
 
     keys is the (G, m) int64 code array; values, weights and each aux entry
     are (G,) columns.  Vacuous strata read as value 0 with vacuous_aux.
-    `rendered` keeps writers' text of the rows, which ftu shares with isp.
+    `rendered` maps a writer's layout to its text pieces, shared by isp and ftu.
     """
 
     def __init__(self, kind: str, keys: np.ndarray, values: np.ndarray, weights: np.ndarray,

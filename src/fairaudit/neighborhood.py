@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ import numpy as np
 from .criteria import CriterionSpec
 from .dataset import Dataset
 from .distance import DistanceSpec, FeatureSpace, short_row_buffers
-from .errors import AllIndeterminate, GroupCriterion, InvalidParams
+from .errors import AllIndeterminate, GroupCriterion, InvalidParams, is_integral, is_real
 from .measures import mi_nats, rate_gap
 
 DEFAULT_EPSILON = 0.05
@@ -90,11 +89,10 @@ class NeighborhoodSpec:
 
     def __post_init__(self):
         if self.mode == "knn":
-            if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
+            if not (is_integral(self.k) and self.k >= 1):
                 raise InvalidParams("knn mode needs an integer k >= 1")
         elif self.mode == "ball":
-            if (self.radius is None or isinstance(self.radius, (bool, np.bool_))
-                    or not (0.0 < self.radius <= 1.0)):
+            if not (is_real(self.radius) and 0.0 < self.radius <= 1.0):
                 raise InvalidParams("ball mode needs a numeric radius in (0, 1]")
         else:
             raise InvalidParams(f"unknown neighborhood mode {self.mode!r}")
@@ -518,15 +516,16 @@ def check_soft_params(measure_kind: str, epsilon: float, delta: float,
                       min_neighborhood: int) -> None:
     """Raise InvalidParams unless these soft-evaluation parameters are valid.
 
-    epsilon must be finite and positive, delta in [0, 1), min_neighborhood
-    at least 1 and the measure kind one of SOFT_MEASURE_KINDS.
+    epsilon must be a finite positive number, delta a number in [0, 1) and
+    min_neighborhood an integer >= 1, bools refused; the measure kind must
+    be one of SOFT_MEASURE_KINDS.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise InvalidParams("epsilon must be finite and positive")
-    if not (0.0 <= delta < 1.0):
-        raise InvalidParams("delta must be in [0, 1)")
-    if min_neighborhood < 1:
-        raise InvalidParams("min_neighborhood must be >= 1")
+    if not (is_real(epsilon) and math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidParams(f"epsilon must be a finite positive number, not {epsilon!r}")
+    if not (is_real(delta) and 0.0 <= delta < 1.0):
+        raise InvalidParams(f"delta must be a number in [0, 1), not {delta!r}")
+    if not (is_integral(min_neighborhood) and min_neighborhood >= 1):
+        raise InvalidParams(f"min_neighborhood must be an integer >= 1, not {min_neighborhood!r}")
     if measure_kind not in SOFT_MEASURE_KINDS:
         raise InvalidParams(f"soft measure kind must be one of {SOFT_MEASURE_KINDS}")
 

@@ -182,20 +182,25 @@ class _StratumRows(Sequence):
             row["degenerate"] = True
         return row
 
-    def json(self, indent: int, level: int) -> str:
-        """The text _write_json gives the list of these rows at `level`; kept on the strata."""
+    def json(self, indent: int, level: int) -> list[str]:
+        """The text pieces _write_json writes for these rows at `level`; isp and ftu share them."""
         layout = ("json", indent, level)
         if layout not in self.strata.rendered:
-            self.strata.rendered[layout] = self._json(indent, level) if len(self) else "[]"
+            self.strata.rendered[layout] = self._json(indent, level) if len(self) else ["[]"]
         return self.strata.rendered[layout]
 
-    def _json(self, indent: int, level: int) -> str:
+    def _json(self, indent: int, level: int) -> list[str]:
         s = self.strata
         pad, p1, p2, p3 = (" " * (indent * (level + d)) for d in range(4))
         m = s.keys.shape[1]
+        # key codes lie in [0, arity): one table gives their text, unless they are sparse
+        top = int(s.keys.max()) + 1 if m else 0
+        code_text = (np.array(list(map(str, range(top))), dtype=object)
+                     if top <= s.keys.size else None)
         parts = [p1 + "{\n" + p2 + '"key": [' + ("\n" + p3 if m else "")]
         for j, code in enumerate(s.keys.T):
-            parts += [_column_text(code, str), ",\n" + p3 if j < m - 1 else "\n" + p2]
+            parts += [_column_text(code, str) if code_text is None else code_text[code],
+                      ",\n" + p3 if j < m - 1 else "\n" + p2]
         parts += ["],\n" + p2 + '"value": ', _column_text(s.values, _fmt_float),
                   ",\n" + p2 + '"weight": ',
                   _column_text(s.weights, _fmt_float)]
@@ -208,7 +213,9 @@ class _StratumRows(Sequence):
         table = np.empty((len(s), len(parts)), dtype=object)
         for j, part in enumerate(parts):
             table[:, j] = part
-        return "[\n" + "".join(table.ravel().tolist())[:-2] + "\n" + pad + "]"
+        table[0, 0] = "[\n" + table[0, 0]
+        table[-1, -1] = "\n" + p1 + "}\n" + pad + "]"
+        return table.ravel().tolist()
 
 
 def _write_json(obj, out: list, indent: int, level: int) -> None:
@@ -252,7 +259,7 @@ def _write_json(obj, out: list, indent: int, level: int) -> None:
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, _StratumRows):
-        out.append(obj.json(indent, level))
+        out.extend(obj.json(indent, level))
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 

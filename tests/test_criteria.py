@@ -1,8 +1,10 @@
 import io
 
+import numpy as np
 import pytest
 
 from fairaudit.criteria import (
+    check_exact_params,
     evaluate,
     evaluate_ftu,
     get_criterion,
@@ -10,7 +12,8 @@ from fairaudit.criteria import (
     situation_testing_evaluate,
 )
 from fairaudit.dataset import ColumnSchema, load_dataset
-from fairaudit.errors import ContinuousConditioning, EmptySelection
+from fairaudit.errors import ContinuousConditioning, EmptySelection, InvalidParams
+from fairaudit.report import AuditConfig, run_audit
 from fairaudit.rng import CounterRng
 from fairaudit.scenarios import ScenarioSpec, generate
 
@@ -199,3 +202,20 @@ def test_illegal_proxy_situation_testing():
     isp = evaluate(ds, get_criterion("isp"))
     st = situation_testing_evaluate(ds, truth.notes["legal_columns"])
     assert isp.passed and not st.passed
+
+
+@pytest.mark.parametrize("params", [
+    {"min_count": 2.5}, {"min_count": True}, {"min_count": 2.0}, {"min_count": "5"},
+    {"threshold": "0.01"}, {"threshold": True}, {"alpha": "0"}, {"alpha": True},
+])
+def test_exact_parameters_of_the_wrong_type_are_refused(params):
+    args = {"measure_kind": "mi", "threshold": None, "min_count": 5, "alpha": 0.0, **params}
+    with pytest.raises(InvalidParams, match=next(iter(params))):
+        check_exact_params(**args)
+    config = {"measure" if k == "measure_kind" else k: v for k, v in args.items()}
+    with pytest.raises(InvalidParams):       # before the (absent) data is read
+        run_audit(AuditConfig("absent.csv", "absent.json", ["sp"], **config))
+
+
+def test_exact_parameters_take_numpy_numbers():
+    assert check_exact_params("mi", np.float64(0.02), np.int64(3), np.float32(0.5)) == 0.02

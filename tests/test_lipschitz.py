@@ -344,11 +344,21 @@ def test_fold_equals_whole_array(seed, n, width, levels, d_original, d_mapped, s
 @pytest.mark.parametrize("kwargs", [
     {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")}, {"tol": "0.1"},
     {"sample_count": 0}, {"sample_count": -5}, {"sample_count": 2.5},
+    {"tol": True}, {"sample_count": True}, {"tol": True, "sample_count": True},
+    {"weights": [100.0, 0.0], "d_original": "manhattan", "d_mapped": "manhattan"},
+    {"weights": [1.0, 1.0]},
 ])
 def test_bad_parameters_are_rejected(kwargs):
     x = _points(33, 2500, 2)
     with pytest.raises(InvalidParams):
         audit_map(x, 1.5 * x, seed=1, **kwargs)
+
+
+def test_weights_are_taken_when_one_metric_is_gower():
+    x = _points(34, 50, 3)
+    m = x / x.sum(axis=1, keepdims=True)
+    rep = audit_map(x, m, "gower", "total_variation", weights=[1.0, 0.0, 2.0])
+    assert rep.pairs_examined == 50 * 49 // 2
 
 
 @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--sample-count", "0", "--seed", "1"]])

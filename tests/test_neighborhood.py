@@ -8,7 +8,13 @@ from fairaudit.dataset import ColumnSchema, load_dataset, stratify
 from fairaudit.distance import DistanceSpec, FeatureSpace
 from fairaudit.errors import AllIndeterminate, GroupCriterion, InvalidParams, NoFeatures
 from fairaudit.measures import mi_nats
-from fairaudit.neighborhood import NeighborhoodSpec, NeighborIndex, build_index, soft_evaluate
+from fairaudit.neighborhood import (
+    NeighborhoodSpec,
+    NeighborIndex,
+    build_index,
+    check_soft_params,
+    soft_evaluate,
+)
 from fairaudit.report import AuditConfig, run_audit
 from fairaudit.rng import CounterRng
 from fairaudit.scenarios import ScenarioSpec, generate
@@ -120,11 +126,25 @@ def test_tree_and_strips_agree():
                 index.ball(3, radius)
 
 
+@pytest.mark.parametrize("params", [
+    {"min_neighborhood": 2.5}, {"min_neighborhood": True}, {"min_neighborhood": "3"},
+    {"epsilon": "0.05"}, {"epsilon": True}, {"delta": "0.1"}, {"delta": False},
+])
+def test_soft_parameters_of_the_wrong_type_are_refused(params):
+    args = {"measure_kind": "mi", "epsilon": 0.05, "delta": 0.1, "min_neighborhood": 5,
+            **params}
+    with pytest.raises(InvalidParams, match=next(iter(params))):
+        check_soft_params(**args)
+    with pytest.raises(InvalidParams):       # before the (absent) data is read
+        run_audit(AuditConfig("absent.csv", "absent.json", ["isp"], **params))
+    check_soft_params("mi", np.float64(0.05), np.float32(0.1), np.int64(5))
+
+
 def test_neighborhood_spec_needs_an_integer_k_and_a_numeric_radius():
     for k in (2.5, 3.0, True, np.True_, None, 0):
         with pytest.raises(InvalidParams):
             NeighborhoodSpec("knn", k=k)
-    for radius in (True, np.True_, float("nan"), 0.0, 1.5, None):
+    for radius in (True, np.True_, float("nan"), 0.0, 1.5, None, "0.5"):
         with pytest.raises(InvalidParams):
             NeighborhoodSpec("ball", radius=radius)
     assert NeighborhoodSpec("knn", k=np.int64(3)) == NeighborhoodSpec("knn", k=3)

@@ -106,6 +106,19 @@ def test_render_writes_the_bytes_of_the_plain_document(measure):
     assert len(entries["isp"]["per_stratum"].strata.rendered) == 1
 
 
+def test_isp_and_ftu_write_one_cached_piece_list_with_the_pinned_bytes():
+    report = _full_report("mi")
+    doc = report._document()
+    del doc["timing"]
+    pinned = _fixture("mi").read_text(encoding="utf-8")
+    assert canonical_json(doc) == pinned
+    entries = {entry["id"]: entry for entry in report.results}
+    (layout, pieces), = entries["isp"]["per_stratum"].strata.rendered.items()
+    assert isinstance(pieces, list) and len(pieces) > len(entries["isp"]["per_stratum"])
+    assert entries["ftu"]["per_stratum"].json(*layout[1:]) is pieces
+    assert '"per_stratum": ' + "".join(pieces) + "\n" in pinned
+
+
 @pytest.mark.parametrize("measure", sorted(MEASURES))
 def test_markdown_does_not_depend_on_the_row_views(measure):
     report = _full_report(measure)

@@ -284,6 +284,17 @@ def test_weights_naming_no_feature_column_exit_2(tmp_path, capsys):
         assert err.startswith("fairaudit: error:") and "x9" in err and "x0" not in err
 
 
+def test_a_column_weighted_twice_exits_2_naming_it(tmp_path, capsys):
+    data, schema, _ = _write_scenario(tmp_path, "planted_unfair_cluster", n=300)
+    out = tmp_path / "rep.json"
+    for weights in ("x0=1,x0=5", "x0=1, x0 =1"):
+        assert main(["audit", "--data", data, "--schema", schema, "--criteria", "isp",
+                     "--weights", weights, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fairaudit: error:") and "'x0' given twice" in err
+    assert not out.exists()
+
+
 def test_weights_are_echoed_in_the_config_block(tmp_path):
     data, schema, _ = _write_scenario(tmp_path, "planted_unfair_cluster", n=300)
     configs = {}

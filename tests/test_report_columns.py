@@ -50,7 +50,9 @@ def _strata(draw):
     rows = draw(st.integers(1, 25))
     width = draw(st.integers(1, 4))
     column = st.lists(_FLOATS, min_size=rows, max_size=rows).map(np.array)
-    keys = draw(st.lists(st.lists(st.integers(0, 2**62), min_size=width, max_size=width),
+    # dense codes take the writer's code table, sparse ones its per-column path
+    code = st.integers(0, draw(st.sampled_from([3, 2**62])))
+    keys = draw(st.lists(st.lists(code, min_size=width, max_size=width),
                          min_size=rows, max_size=rows))
     aux = {"normalized": draw(column)}
     if draw(st.booleans()):
