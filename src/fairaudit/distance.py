@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import InvalidParams, NoFeatures
+from .errors import DegenerateInput, InvalidParams, NoFeatures
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,24 @@ class FeatureSpace:
     Those are the operations, in the order, of
     `sum(w * |a - b| or w * (a != b)) / total_weight` over the columns, so
     the in-place result is bit-identical to that formula.
+
+    `dataset` is kept only to check a shared neighbor index against
+    (`soft_evaluate`); the kernel reads the encoded columns alone.
     """
 
     def __init__(self, dataset: Dataset, dist: DistanceSpec | None = None):
         if not dataset.features:
             raise NoFeatures("dataset has no feature columns")
         dist = dist or DistanceSpec()
+        self.dataset = dataset
         self.n = dataset.n
         self.column_names = dataset.feature_names()
         self.weights = dist.column_weights(self.column_names)
         self.total_weight = float(self.weights.sum())
 
         self._kinds = [c.kind for c in dataset.features]
-        self._columns = [min_max_scale(c.values) if c.kind == "numeric" else c.codes
+        self._columns = [c.codes if c.kind != "numeric"
+                         else min_max_scale(c.values, names=[f"feature {c.name!r}"])
                          for c in dataset.features]
 
     def pair_distances(self, a: np.ndarray, b: np.ndarray,
@@ -131,14 +136,24 @@ class FeatureSpace:
                          for j in numeric], axis=1), exact
 
 
-def min_max_scale(x: np.ndarray, axis: int = 0) -> np.ndarray:
+def min_max_scale(x: np.ndarray, axis: int = 0, names=None) -> np.ndarray:
     """Gower's scaling of finite values along `axis`: (x - lo) / span.
 
     Values constant along `axis` (span 0) become 0, so they contribute
-    nothing.  This is the one scaling every Gower distance here uses.
+    nothing.  This is the one scaling every Gower distance here uses.  A
+    column whose span is not a finite float64 (a NaN, an infinity, or a
+    range like [-1e308, 1e308] that overflows) would scale to NaN: it raises
+    DegenerateInput, named by its label in `names` (one per column).
     """
     lo = x.min(axis=axis, keepdims=True)
-    span = x.max(axis=axis, keepdims=True) - lo
+    hi = x.max(axis=axis, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+    if not np.isfinite(span).all():
+        at = np.flatnonzero(~np.isfinite(span))[0]
+        raise DegenerateInput(f"{'a numeric column' if names is None else names[at]} ranges "
+                              f"from {float(lo.flat[at])!r} to {float(hi.flat[at])!r}: its "
+                              "span is not a finite float64, so it cannot be scaled")
     return (x - lo) / np.where(span > 0, span, 1.0)
 
 

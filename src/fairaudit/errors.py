@@ -86,7 +86,7 @@ class AllIndeterminate(FairauditError):
 # -- lipschitz ---------------------------------------------------------------
 
 class DegenerateInput(FairauditError):
-    """Fewer than two points; no pairs to examine."""
+    """Fewer than two points, or a numeric column whose range has no finite span."""
 
 
 class NotAProbabilityVector(FairauditError):

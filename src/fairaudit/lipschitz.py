@@ -64,7 +64,7 @@ class LipschitzReport:
         return self.violation_count == 0
 
 
-def _distances(matrix, metric, weights):
+def _distances(matrix, metric, weights, side):
     """A function: of pair index arrays (i, j), the distances of the pairs
     (i[t], j[t]); of no arguments, those of all pairs in condensed order.
 
@@ -72,12 +72,13 @@ def _distances(matrix, metric, weights):
     `condensed_sums`), so a sampled pair's distance is bit-identical to its
     exhaustive value.  The columns are transposed and Gower-scaled once;
     pairs gather 1-D from contiguous columns, so no (pairs, p) temporary is
-    ever built.
+    ever built.  `side` ('original' or 'mapped') names the matrix in errors.
     """
     columns, w = np.ascontiguousarray(matrix.T), None
     if metric == "gower":
         w = gower_weights(weights, len(columns))
-        columns = min_max_scale(columns, axis=1)
+        columns = min_max_scale(columns, axis=1,
+                                names=list(map(f"{side} column {{}}".format, range(len(columns)))))
 
     def distances(i=None, j=None) -> np.ndarray:
         if i is None and metric == "gower":
@@ -118,7 +119,8 @@ def _blocks(original, mapped, metrics, weights, count, seed):
     one `integers` call (CounterRng draws do not depend on their chunking).
     """
     n = len(original)
-    dist_orig, dist_map = (_distances(x, m, weights) for x, m in zip((original, mapped), metrics))
+    dist_orig, dist_map = (_distances(x, m, weights, side) for x, m, side
+                           in zip((original, mapped), metrics, ("original", "mapped")))
     if seed is None:
         d_orig, d_map = dist_orig(), dist_map()
         for start in range(0, len(d_orig), _PAIR_BLOCK):

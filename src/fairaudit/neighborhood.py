@@ -8,29 +8,31 @@ between the outcome and the sensitive attribute is measured inside the
 neighborhood, and the audit passes when the fraction of non-violating
 records is high enough.
 
-Queries are exact: two proposers feed one selection step.  For a block of
-queries an engine proposes each one's nearest records, or every record
-within a reach, and the canonical distance kernel gives each candidate its
-exact distance.  Both index weighted scaled numeric columns
-(`FeatureSpace.coordinates`).  All-numeric features have one per
-positive weight, and their L1 distance equals the record distance; over
-three or more a KD-tree proposes (Bentley, 1975).  Every other feature set
-is cut into strips over one or two coordinates (the cell method of
-Bentley, Stanat and Williams, 1977): all-numeric ones over their own, and
-mixed ones over their heaviest numeric columns, whose L1 distance bounds
-the record distance from below, so the strips a ball meets still hold all
-of its members.  Those strips are ranked by the exact kernel, and where
-they bound little that is the full O(n^2) scan.  One step then selects:
-the k nearest under one tie rule, rows tied at the k-th neighbor settled
-by one bulk ball query, and ball members by their exact distance, so every
-engine gives identical results.
+A NeighborIndex answers exact queries over a distance kernel: a
+FeatureSpace's encoded features, never its dataset.  Two proposers feed
+one selection step.  For a block of queries an engine proposes each one's
+nearest records, or every record within a reach, and the canonical
+distance kernel gives each candidate its exact distance.  Both index
+weighted scaled numeric columns (`FeatureSpace.coordinates`).  All-numeric
+features have one per positive weight, and their L1 distance equals the
+record distance; over three or more a KD-tree proposes (Bentley, 1975).
+Every other feature set is cut into strips over one or two coordinates
+(the cell method of Bentley, Stanat and Williams, 1977): all-numeric ones
+over their own, and mixed ones over their heaviest numeric columns, whose
+L1 distance bounds the record distance from below, so the strips a ball
+meets still hold all of its members.  Those strips are ranked by the
+exact kernel, and where they bound little that is the full O(n^2) scan.
+One step then selects: the k nearest under one tie rule, rows tied at
+the k-th neighbor settled by one bulk ball query, and ball members by
+their exact distance, so every engine gives identical results.
 
-A NeighborIndex passes over every record's neighborhood once per
-neighborhood spec and keeps only counts: how many of the record's neighbors
-fall in each joint (target, prediction, sensitive) cell.  The soft criteria
-of one audit (isp, ftu, ieo, isuff) differ only in which of those cells they
-add up, so they share that one pass and slice its (n, cells) array.  Member
-lists are never kept, so memory stays O(n * cells) at any radius.
+`cell_counts` passes over every record's neighborhood once and counts its
+neighbors per label, for any per-record labels.  `soft_evaluate` labels
+records by their joint (target, prediction, sensitive) cell and keeps one
+such pass per neighborhood spec on the index: the soft criteria of one
+audit (isp, ftu, ieo, isuff) differ only in which cells they add up, so
+they share it and slice its (n, cells) array.  Member lists are never
+kept, so memory stays O(n * cells) at any radius.
 """
 
 from __future__ import annotations
@@ -99,78 +101,24 @@ class NeighborhoodSpec:
 
 
 class NeighborIndex:
-    """Immutable exact neighbor queries over a dataset's feature space."""
+    """Immutable exact neighbor queries over a feature space's distance kernel."""
 
-    def __init__(self, dataset: Dataset, dist: DistanceSpec | None = None, *,
-                 engine: str | None = None):
-        self.dataset = dataset
-        self.space = FeatureSpace(dataset, dist)
-        self.n = self.space.n
-        # joint (Y, Ŷ, S) cell of every record: (y * |Ŷ| + ŷ) * |S| + s
-        self.cell_shape = (dataset.y.arity, dataset.y_hat.arity, dataset.s.arity)
-        self._cells = (dataset.y.codes * dataset.y_hat.arity
-                       + dataset.y_hat.codes) * dataset.s.arity + dataset.s.codes
+    def __init__(self, space: FeatureSpace, *, engine: str | None = None):
+        self.space = space
+        self.n = space.n
+        # soft_evaluate's joint (Y, Ŷ, S) counts, one read-only pass per spec
         self._counts: dict[NeighborhoodSpec, np.ndarray] = {}
         # the tree for three or more coordinates whose L1 is the distance,
         # the strips for any other feature set, unless `engine` names one
-        coords, exact = self.space.coordinates()
+        coords, exact = space.coordinates()
         if engine is None:
             engine = "tree" if exact and coords.shape[1] > 2 else "grid"
         if engine == "grid":
-            self.engine = _GridEngine(self.space, coords, exact)
+            self.engine = _GridEngine(space, coords, exact)
         elif engine == "tree" and exact:
-            self.engine = _TreeEngine(self.space, coords)
+            self.engine = _TreeEngine(space, coords)
         else:
             raise InvalidParams(f"no {engine!r} neighbor engine for these features")
-
-    # -- single-record queries -------------------------------------------
-
-    def knn(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """k nearest records to record i, ordered by (distance, record index)."""
-        members, dists = self._knn_block(np.array([i]), k)
-        order = np.lexsort((members[0], dists[0]))
-        return members[0, order], dists[0, order]
-
-    def ball(self, i: int, radius: float) -> np.ndarray:
-        """All records within `radius` of record i, in ascending index order."""
-        if not radius > 0:
-            raise InvalidParams("radius must be positive")
-        return self._ball_block(np.array([i]), radius)[1]
-
-    # -- batched queries ----------------------------------------------------
-
-    def cell_counts(self, nspec: NeighborhoodSpec) -> np.ndarray:
-        """Every record's neighbor count per joint (Y, Ŷ, S) cell, shape (n, cells).
-
-        Row i, reshaped to cell_shape, counts record i's neighbors by their
-        (target, prediction, sensitive) values.  One pass over the neighbor
-        blocks fills it, one bincount per block as the block is produced, so
-        no member list outlives its block.  Computed once per spec and cached
-        read-only.
-        """
-        counts = self._counts.get(nspec)
-        if counts is not None:
-            return counts
-        knn = nspec.mode == "knn"
-        # blocks are sized for their (rows, k) members or (rows, n) distances;
-        # an engine may propose a kNN block in smaller blocks of its own
-        step = _block_rows(nspec.k + 2 if knn else self.n)
-        cells = int(np.prod(self.cell_shape))
-        counts = np.empty((self.n, cells), dtype=np.int64)
-        for lo in range(0, self.n, step):
-            q = self.engine.order[lo:lo + step]
-            if knn:
-                members = self._knn_block(q, nspec.k)[0].ravel()
-                sizes = nspec.k
-            else:
-                offsets, members, _ = self._ball_block(q, nspec.radius)
-                sizes = np.diff(offsets)
-            owner = np.repeat(np.arange(len(q), dtype=np.int64) * cells, sizes)
-            counts[q] = np.bincount(
-                owner + self._cells[members], minlength=len(q) * cells).reshape(len(q), cells)
-        counts.flags.writeable = False
-        self._counts[nspec] = counts
-        return counts
 
     def _knn_block(self, queries: np.ndarray, k: int):
         # The one selection step for both engines.  An engine proposes each
@@ -486,7 +434,37 @@ class _GridEngine:
 
 def build_index(dataset: Dataset, dist: DistanceSpec | None = None) -> NeighborIndex:
     """Build an immutable exact neighbor index over the dataset's features."""
-    return NeighborIndex(dataset, dist)
+    return NeighborIndex(FeatureSpace(dataset, dist))
+
+
+def cell_counts(index: NeighborIndex, cells: np.ndarray, width: int,
+                nspec: NeighborhoodSpec) -> np.ndarray:
+    """Every record's neighbor count per label, shape (n, width).
+
+    `cells` gives each record a label in [0, width); row i counts record i's
+    neighbors by label, so at width 1 it holds the neighborhood sizes.  One
+    pass over the neighbor blocks fills it, one bincount per block as the
+    block is produced, so no member list outlives its block.
+    """
+    if len(cells) != index.n or (index.n and not 0 <= cells.min() <= cells.max() < width):
+        raise InvalidParams(f"cell_counts needs one label in [0, {width}) per record")
+    knn = nspec.mode == "knn"
+    # blocks are sized for their (rows, k) members or (rows, n) distances;
+    # an engine may propose a kNN block in smaller blocks of its own
+    step = _block_rows(nspec.k + 2 if knn else index.n)
+    counts = np.empty((index.n, width), dtype=np.int64)
+    for lo in range(0, index.n, step):
+        q = index.engine.order[lo:lo + step]
+        if knn:
+            members = index._knn_block(q, nspec.k)[0].ravel()
+            sizes = nspec.k
+        else:
+            offsets, members, _ = index._ball_block(q, nspec.radius)
+            sizes = np.diff(offsets)
+        owner = np.repeat(np.arange(len(q), dtype=np.int64) * width, sizes)
+        counts[q] = np.bincount(
+            owner + cells[members], minlength=len(q) * width).reshape(len(q), width)
+    return counts
 
 
 @dataclass
@@ -555,8 +533,8 @@ def soft_evaluate(
     satisfied_fraction >= 1 - delta.
 
     A shared `index` must have been built for this dataset (the same object
-    or an equal one) and with the weights of `dist`; its neighbor counts
-    carry that dataset's labels and that distance.
+    or an equal one) and with the weights of `dist`; it keeps one count pass
+    over the joint (Y, Ŷ, S) cells per spec, shared by every soft criterion.
     """
     if "features" not in spec.given:
         raise GroupCriterion(f"criterion {spec.id!r} does not condition on features")
@@ -569,17 +547,24 @@ def soft_evaluate(
                             "the prediction, given the features and at most the other one")
     if index is None:
         index = build_index(dataset, dist)
-    elif index.dataset is not dataset and not index.dataset.equals(dataset):
+    elif index.space.dataset is not dataset and not index.space.dataset.equals(dataset):
         raise InvalidParams("the neighbor index was built for a different dataset")
     elif not np.array_equal(index.space.weights,
                             (dist or DistanceSpec()).column_weights(index.space.column_names)):
         raise InvalidParams("the neighbor index was built with different distance weights")
     n = dataset.n
+    shape = (dataset.y.arity, dataset.y_hat.arity, dataset.s.arity)
+    joint = index._counts.get(nspec)
+    if joint is None:
+        # the joint (Y, Ŷ, S) cell of every record: (y * |Ŷ| + ŷ) * |S| + s
+        labels = (dataset.y.codes * shape[1] + dataset.y_hat.codes) * shape[2] + dataset.s.codes
+        joint = index._counts[nspec] = cell_counts(index, labels, math.prod(shape), nspec)
+        joint.flags.writeable = False
 
     # (n, Y, Ŷ, S) neighbor counts -> (n, other label, left, S); then keep the
     # record's own value of the other label when the criterion conditions on
     # it, else add its values up.  Integer sums, so every table is exact.
-    table = index.cell_counts(nspec).reshape(n, *index.cell_shape)
+    table = joint.reshape(n, *shape)
     if spec.left == "target":
         table = table.swapaxes(1, 2)
     if cond_tokens:
@@ -608,11 +593,8 @@ def soft_evaluate(
         raise AllIndeterminate(
             f"every record's restricted neighborhood is below {min_neighborhood}"
         )
-    violated = np.zeros(n, dtype=bool)
-    det = ~indeterminate
-    violated[det] = values[det] > epsilon
-    satisfied = determinate_count - int(violated.sum())
-    satisfied_fraction = satisfied / determinate_count
+    violated = values > epsilon      # False where indeterminate: NaN compares False
+    satisfied_fraction = (determinate_count - int(violated.sum())) / determinate_count
     return SoftResult(
         criterion=spec,
         measure_kind=measure_kind,

@@ -16,7 +16,7 @@ from fairaudit.distance import (
     gower_matrix_condensed,
     min_max_scale,
 )
-from fairaudit.neighborhood import NeighborhoodSpec, NeighborIndex
+from fairaudit.neighborhood import NeighborhoodSpec, NeighborIndex, cell_counts
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 _WEIGHTS = (0.0, 0.02, 0.3, 1.0, 1.0 / 3.0, 2.5)
@@ -148,7 +148,7 @@ def test_a_strip_count_pass_fills_views_of_one_buffer(monkeypatch, nspec):
                       _categorical("yhat", rng.integers(0, 2, n)),
                       (Column("x", "numeric", values=x), _categorical("c", rng.integers(0, 3, n))),
                       None, Provenance("strips", "error", None, 0))
-    index = NeighborIndex(dataset, engine="grid")
+    index = NeighborIndex(FeatureSpace(dataset), engine="grid")
     calls = []
     block_distances = FeatureSpace.block_distances
 
@@ -160,7 +160,7 @@ def test_a_strip_count_pass_fills_views_of_one_buffer(monkeypatch, nspec):
     ball_queries = []
     ball_block = index._ball_block
     index._ball_block = lambda q, *a: ball_queries.append(len(q)) or ball_block(q, *a)
-    index.cell_counts(nspec)
+    cell_counts(index, dataset.s.codes, 2, nspec)
     # every block of the pass, the kNN pass's ball queries for tied rows
     # included, writes into a view of one flat buffer of _block_rows(n) rows
     # of n cells, most of them into a window of the records that the strips

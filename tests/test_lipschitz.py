@@ -212,7 +212,7 @@ def test_sampled_pairs_match_exhaustive_bit_for_bit(seed, n, width, metric, bloc
     if metric == "gower" and data.draw(st.booleans()):
         weights = rng.integers(0, 3, width).astype(float)
         weights[rng.integers(width)] = 0.5
-    distances = lipschitz._distances(x, metric, weights)
+    distances = lipschitz._distances(x, metric, weights, "original")
     exhaustive = distances()
     flat = rng.permutation(n * (n - 1) // 2)
     i, j = _pair_index(flat, n)
@@ -232,11 +232,11 @@ def _whole_array_audit(original, mapped, d_original, d_mapped, *, weights=None,
         total_pairs = sample_count
         flat = CounterRng(seed).integers(n * (n - 1) // 2, sample_count)
         i_idx, j_idx = _pair_index(flat, n)
-        d_orig = lipschitz._distances(original, d_original, weights)(i_idx, j_idx)
-        d_map = lipschitz._distances(mapped, d_mapped, weights)(i_idx, j_idx)
+        d_orig = lipschitz._distances(original, d_original, weights, "original")(i_idx, j_idx)
+        d_map = lipschitz._distances(mapped, d_mapped, weights, "mapped")(i_idx, j_idx)
     else:
-        d_orig = lipschitz._distances(original, d_original, weights)()
-        d_map = lipschitz._distances(mapped, d_mapped, weights)()
+        d_orig = lipschitz._distances(original, d_original, weights, "original")()
+        d_map = lipschitz._distances(mapped, d_mapped, weights, "mapped")()
 
     both_zero = (d_orig == 0.0) & (d_map == 0.0)
     infinite = (d_orig == 0.0) & (d_map > 0.0)

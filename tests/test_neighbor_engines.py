@@ -11,10 +11,17 @@ from hypothesis import strategies as st
 from fairaudit import neighborhood
 from fairaudit.criteria import FTU, CriterionSpec, get_criterion
 from fairaudit.dataset import Column, ColumnSchema, Dataset, Provenance, load_dataset
-from fairaudit.distance import DistanceSpec, min_max_scale
+from fairaudit.distance import DistanceSpec, FeatureSpace, min_max_scale
 from fairaudit.errors import AllIndeterminate, InvalidParams
 from fairaudit.measures import mi_nats, rate_gap
-from fairaudit.neighborhood import NeighborhoodSpec, NeighborIndex, build_index, soft_evaluate
+from fairaudit.neighborhood import (
+    NeighborhoodSpec,
+    NeighborIndex,
+    build_index,
+    cell_counts,
+    soft_evaluate,
+)
+from neighbor_oracle import by_distance_then_index, neighbors
 
 _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -47,7 +54,7 @@ def _quantized_dataset(seed, n, levels, numeric, categorical):
 def _engines(ds, dist=None):
     """Every index of one input: the strips', plus the KD-tree's on all-numeric data."""
     names = ("grid", "tree") if all(c.kind == "numeric" for c in ds.features) else ("grid",)
-    return tuple(NeighborIndex(ds, dist, engine=name) for name in names)
+    return tuple(NeighborIndex(FeatureSpace(ds, dist), engine=name) for name in names)
 
 
 def _drawn_weights(data, numeric, categorical):
@@ -76,19 +83,9 @@ def _oracle(index, k):
     return members, np.take_along_axis(d, members, axis=1), d
 
 
-def _by_distance_then_index(members, dists):
-    """Rows reordered by (distance, record index): the order knn(i) promises.
-
-    Bulk selection keeps an untied row's k nearest in engine order, so rows
-    compare against the oracle as sets, made exact by this canonical order.
-    """
-    order = np.lexsort((members, dists), axis=-1)
-    return np.take_along_axis(members, order, axis=1), np.take_along_axis(dists, order, axis=1)
-
-
 def _check_knn_order(index, rows, k, want_m, want_d):
     for i in rows:
-        members, dists = index.knn(int(i), k)
+        members, dists = neighbors(index, int(i), k=k)
         assert np.array_equal(members, want_m[i])
         assert np.array_equal(dists, want_d[i])
 
@@ -123,7 +120,7 @@ def test_knn_engines_match_brute_force_oracle():
         want_m, want_d, d = _oracle(grid, k)
 
         def check_block(index, queries):
-            members, dists = _by_distance_then_index(*index._knn_block(queries, k))
+            members, dists = by_distance_then_index(*index._knn_block(queries, k))
             assert np.array_equal(members, want_m[queries])
             assert np.array_equal(dists, want_d[queries])
 
@@ -203,10 +200,10 @@ def test_mixed_strips_match_oracle_and_shared_index_matches_fresh():
     )
     def check(seed, n, levels, data):
         ds = _quantized_dataset(seed, n, levels, numeric=1, categorical=2)
-        index = NeighborIndex(ds, engine="grid")
+        index = NeighborIndex(FeatureSpace(ds), engine="grid")
         k = data.draw(st.integers(1, n), label="k")
         want_m, want_d, d = _oracle(index, k)
-        members, dists = _by_distance_then_index(*index._knn_block(np.arange(n), k))
+        members, dists = by_distance_then_index(*index._knn_block(np.arange(n), k))
         assert np.array_equal(members, want_m)
         assert np.array_equal(dists, want_d)
         _check_knn_order(index, range(n), k, want_m, want_d)
@@ -238,11 +235,14 @@ def test_soft_criteria_share_one_neighbor_query():
     for cid in ("isp", "ieo", "isuff"):
         soft_evaluate(ds, get_criterion(cid), nspec, index=index)
     assert sum(queried) == ds.n
-    counts = index.cell_counts(nspec)
-    assert counts is index.cell_counts(nspec)
+    # the pass is kept read-only on the index, and a later criterion reads it
+    counts = index._counts[nspec]
+    soft_evaluate(ds, get_criterion("isp"), nspec, index=index)
+    assert index._counts[nspec] is counts and sum(queried) == ds.n
+    assert not counts.flags.writeable
     assert counts.shape == (ds.n, 8)
     joint = (ds.y.codes * ds.y_hat.arity + ds.y_hat.codes) * ds.s.arity + ds.s.codes
-    want = np.bincount(joint[index.knn(7, 30)[0]], minlength=8)
+    want = np.bincount(joint[neighbors(index, 7, k=30)[0]], minlength=8)
     assert np.array_equal(counts[7], want)
 
 
@@ -353,7 +353,7 @@ def test_count_pass_matches_member_list_oracle():
         ds = _quantized_dataset(seed, n, levels, numeric=numeric, categorical=categorical)
         engine = "grid" if categorical else engine      # the tree needs all-numeric data
         dist = _drawn_weights(data, numeric, categorical)
-        index = NeighborIndex(ds, dist, engine=engine)
+        index = NeighborIndex(FeatureSpace(ds, dist), engine=engine)
         engines.add((engine, categorical > 0))
         radius = data.draw(st.sampled_from([None, 0.05, 0.3, 1.0]), label="radius")
         if radius is None:
@@ -381,6 +381,47 @@ def test_count_pass_matches_member_list_oracle():
 
     check()
     assert engines == {("grid", False), ("tree", False), ("grid", True)}
+
+
+@pytest.mark.parametrize("mode", ["knn", "ball"])
+@pytest.mark.parametrize("engine", ["grid", "tree"])
+def test_cell_counts_of_any_labels_match_member_list_bincounts(engine, mode):
+    @_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        large=st.booleans(),
+        levels=st.sampled_from([3, 8, 40]),
+        numeric=st.integers(1 if engine == "tree" else 0, 3),
+        width=st.integers(1, 6),
+        data=st.data(),
+    )
+    def check(seed, large, levels, numeric, width, data):
+        lo = 1024 if large else 30      # large inputs span several query blocks
+        n = data.draw(st.integers(lo, lo + 80), label="n")
+        # the tree needs all-numeric data
+        categorical = 0 if engine == "tree" else data.draw(st.integers(0 if numeric else 1, 2),
+                                                           label="categorical")
+        ds = _quantized_dataset(seed, n, levels, numeric=numeric, categorical=categorical)
+        space = FeatureSpace(ds, _drawn_weights(data, numeric, categorical))
+        del space.dataset           # the query and count layers never read a dataset
+        index = NeighborIndex(space, engine=engine)
+        if mode == "knn":
+            nspec = NeighborhoodSpec("knn", k=data.draw(st.integers(1, 60) | st.integers(1, n),
+                                                        label="k"))
+        else:
+            nspec = NeighborhoodSpec("ball", radius=data.draw(st.sampled_from([0.05, 0.3, 1.0]),
+                                                              label="radius"))
+        labels = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="labels")
+                                       ).integers(0, width, n)
+        offsets, members = _brute_force_neighborhoods(index, nspec)
+        got = cell_counts(index, labels, width, nspec)
+        assert np.array_equal(got, _counts_from(labels, width, offsets, members))
+        if width == 1:
+            assert np.array_equal(got[:, 0], np.diff(offsets))
+        with pytest.raises(InvalidParams):
+            cell_counts(index, labels + width, width, nspec)
+
+    check()
 
 
 def test_soft_evaluate_rejects_index_of_another_dataset():
@@ -465,13 +506,15 @@ def test_the_tree_runs_for_three_numeric_coordinates_and_the_strips_for_the_rest
     for ds, name in ((mixed, "tree"), (wide_mixed, "tree"), (categorical, "tree"),
                      (mixed, "kdtree"), (numeric, "kdtree"), (numeric, "")):
         with pytest.raises(InvalidParams):
-            NeighborIndex(ds, engine=name)
+            NeighborIndex(FeatureSpace(ds), engine=name)
     for ds in (numeric, wide):
         default = build_index(ds)
+        labels, width = _joint_labels(ds)
         for nspec in (NeighborhoodSpec("knn", k=30), NeighborhoodSpec("ball", radius=0.05)):
             for name in ("grid", "tree"):
-                assert np.array_equal(NeighborIndex(ds, engine=name).cell_counts(nspec),
-                                      default.cell_counts(nspec))
+                index = NeighborIndex(FeatureSpace(ds), engine=name)
+                assert np.array_equal(cell_counts(index, labels, width, nspec),
+                                      cell_counts(default, labels, width, nspec))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -483,7 +526,7 @@ def test_tiny_inputs_match_the_oracle_on_the_strips_and_the_tree(n):
     for k in range(1, n + 1):
         want_m, want_d, _ = _oracle(engines[0], k)
         for index in engines:
-            members, dists = _by_distance_then_index(*index._knn_block(queries, k))
+            members, dists = by_distance_then_index(*index._knn_block(queries, k))
             assert np.array_equal(members, want_m)
             assert np.array_equal(dists, want_d)
             _check_knn_order(index, queries, k, want_m, want_d)
@@ -515,12 +558,12 @@ def test_grid_matches_the_oracle_on_awkward_coordinates(columns):
     features = tuple(Column(f"f{j}", "numeric", values=v) for j, v in enumerate(values))
     ds = Dataset(categorical("s"), categorical("y"), categorical("yhat"), features, None,
                  Provenance("grid", "error", None, 0))
-    grid = NeighborIndex(ds, engine="grid")
+    grid = NeighborIndex(FeatureSpace(ds), engine="grid")
     assert grid.space.coordinates()[0].shape[1] == len(values)
     for k in (1, 9, n):
         want_m, want_d, d = _oracle(grid, k)
         for queries in (np.arange(n), grid.engine.order):
-            members, dists = _by_distance_then_index(*grid._knn_block(queries, k))
+            members, dists = by_distance_then_index(*grid._knn_block(queries, k))
             assert np.array_equal(members, want_m[queries])
             assert np.array_equal(dists, want_d[queries])
     for radius in (0.0, 0.002, 1 / 30, 0.2):
@@ -529,9 +572,10 @@ def test_grid_matches_the_oracle_on_awkward_coordinates(columns):
             want = np.flatnonzero(d[q] <= radius)
             assert np.array_equal(members[offsets[q]:offsets[q + 1]], want)
             assert np.array_equal(dists[offsets[q]:offsets[q + 1]], d[q, want])
+    labels, width = _joint_labels(ds)
     for nspec in (NeighborhoodSpec("knn", k=9), NeighborhoodSpec("ball", radius=0.1)):
-        assert np.array_equal(grid.cell_counts(nspec),
-                              _counts_from(grid, *_brute_force_neighborhoods(grid, nspec)))
+        assert np.array_equal(cell_counts(grid, labels, width, nspec),
+                              _counts_from(labels, width, *_brute_force_neighborhoods(grid, nspec)))
 
 
 class _KernelRecorder:
@@ -576,11 +620,17 @@ class _KernelRecorder:
         return rows
 
 
-def _counts_from(index, offsets, members):
-    owner = np.repeat(np.arange(index.n), np.diff(offsets))
-    cells = int(np.prod(index.cell_shape))
-    return np.bincount(owner * cells + index._cells[members],
-                       minlength=index.n * cells).reshape(index.n, cells)
+def _joint_labels(ds):
+    """Every record's joint (Y, Ŷ, S) cell, as soft_evaluate labels them, and the cell count."""
+    shape = (ds.y.arity, ds.y_hat.arity, ds.s.arity)
+    return (ds.y.codes * shape[1] + ds.y_hat.codes) * shape[2] + ds.s.codes, int(np.prod(shape))
+
+
+def _counts_from(labels, width, offsets, members):
+    """Member-list counts: row i bincounts the labels of record i's members."""
+    n = len(offsets) - 1
+    owner = np.repeat(np.arange(n), np.diff(offsets))
+    return np.bincount(owner * width + labels[members], minlength=n * width).reshape(n, width)
 
 
 def test_strips_match_brute_force_on_numeric_dominant_mixed_data():
@@ -596,23 +646,25 @@ def test_strips_match_brute_force_on_numeric_dominant_mixed_data():
     )
     def check(seed, n, levels, weights, data):
         ds = _quantized_dataset(seed, n, levels, numeric=2, categorical=1)
-        index = NeighborIndex(ds, DistanceSpec(weights), engine="grid")
+        index = NeighborIndex(FeatureSpace(ds, DistanceSpec(weights)), engine="grid")
         k = data.draw(st.integers(1, 80), label="k")
         want_m, want_d, d = _oracle(index, k)
         recorder = _KernelRecorder(index)
         order = index.engine.order          # the strip order cell_counts walks in
-        members, dists = _by_distance_then_index(*index._knn_block(order, k))
+        labels, width = _joint_labels(ds)
+        members, dists = by_distance_then_index(*index._knn_block(order, k))
         assert np.array_equal(members, want_m[order])
         assert np.array_equal(dists, want_d[order])
         ties.append(_boundary_ties(np.sort(d, axis=1), k))
-        assert np.array_equal(index.cell_counts(NeighborhoodSpec("knn", k=k)),
-                              _counts_from(index, np.arange(n + 1) * k, want_m.ravel()))
+        assert np.array_equal(cell_counts(index, labels, width, NeighborhoodSpec("knn", k=k)),
+                              _counts_from(labels, width, np.arange(n + 1) * k, want_m.ravel()))
 
         radius = data.draw(st.sampled_from([1.0 / levels, 0.02, 0.05, 0.3]), label="radius")
         inside = d <= radius
         offsets = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
-        assert np.array_equal(index.cell_counts(NeighborhoodSpec("ball", radius=radius)),
-                              _counts_from(index, offsets, np.nonzero(inside)[1]))
+        ball = NeighborhoodSpec("ball", radius=radius)
+        assert np.array_equal(cell_counts(index, labels, width, ball),
+                              _counts_from(labels, width, offsets, np.nonzero(inside)[1]))
         # a strip-ordered run of queries, each with its own radius, 0 included
         lo = data.draw(st.integers(0, n - 40), label="lo")
         queries = order[lo:lo + 40]
@@ -653,11 +705,11 @@ def test_strip_work_is_bounded_by_the_full_scan(nspec):
     cells = {}
     # numeric-dominant (one light categorical, as in the benchmark's mixed
     # workload) and wide (three heavy categoricals)
-    for name, index in (("narrow", build_index(_uniform_mixed_dataset(n, (4,)),
-                                               DistanceSpec({"c0": 0.02}))),
-                        ("wide", build_index(_uniform_mixed_dataset(n, (25, 20, 10))))):
+    for name, ds, dist in (("narrow", _uniform_mixed_dataset(n, (4,)), DistanceSpec({"c0": 0.02})),
+                           ("wide", _uniform_mixed_dataset(n, (25, 20, 10)), None)):
+        index = build_index(ds, dist)
         recorder = _KernelRecorder(index)
-        index.cell_counts(nspec)
+        cell_counts(index, *_joint_labels(ds), nspec)
         cells[name] = recorder.cells()
     assert cells["narrow"] < n * n / 2
     # the numeric columns bound little of the wide distance, so its blocks

@@ -18,6 +18,7 @@ from fairaudit.neighborhood import (
 from fairaudit.report import AuditConfig, run_audit
 from fairaudit.rng import CounterRng
 from fairaudit.scenarios import ScenarioSpec, generate
+from neighbor_oracle import neighbors
 
 
 def _numeric_dataset(values):
@@ -58,7 +59,7 @@ def _random_mixed_dataset(seed, n):
 def test_knn_on_line():
     ds = _numeric_dataset([0, 1, 3])
     idx = build_index(ds)
-    members, dists = idx.knn(0, 2)
+    members, dists = neighbors(idx, 0, k=2)
     assert list(members) == [0, 1]
     assert dists[0] == 0.0 and abs(dists[1] - 1 / 3) < 1e-15
 
@@ -66,7 +67,7 @@ def test_knn_on_line():
 def test_ball_uses_normalized_distance():
     ds = _numeric_dataset([0, 1, 3])
     idx = build_index(ds)
-    assert list(idx.ball(0, 0.5)) == [0, 1]
+    assert list(neighbors(idx, 0, radius=0.5)) == [0, 1]
 
 
 def test_no_features_rejected():
@@ -112,18 +113,14 @@ def test_tree_and_strips_agree():
         ColumnSchema("f1", "feature", "numeric"),
     ]
     ds = load_dataset(io.BytesIO(("\n".join(lines) + "\n").encode()), schema)
-    tree = NeighborIndex(ds, engine="tree")
-    strips = NeighborIndex(ds, engine="grid")
+    tree = NeighborIndex(FeatureSpace(ds), engine="tree")
+    strips = NeighborIndex(FeatureSpace(ds), engine="grid")
     for q in (0, 3, 55, 700, n - 1):
-        ma, da = tree.knn(q, 15)
-        mb, db = strips.knn(q, 15)
+        ma, da = neighbors(tree, q, k=15)
+        mb, db = neighbors(strips, q, k=15)
         assert np.array_equal(ma, mb) and np.array_equal(da, db)
-        assert np.array_equal(tree.ball(q, 0.06), strips.ball(q, 0.06))
-    # a radius that is not > 0 is refused, NaN too, whose ball would be empty
-    for index in (tree, strips):
-        for radius in (0.0, -0.1, float("nan")):
-            with pytest.raises(InvalidParams):
-                index.ball(3, radius)
+        assert np.array_equal(neighbors(tree, q, radius=0.06),
+                              neighbors(strips, q, radius=0.06))
 
 
 @pytest.mark.parametrize("params", [
@@ -144,7 +141,7 @@ def test_neighborhood_spec_needs_an_integer_k_and_a_numeric_radius():
     for k in (2.5, 3.0, True, np.True_, None, 0):
         with pytest.raises(InvalidParams):
             NeighborhoodSpec("knn", k=k)
-    for radius in (True, np.True_, float("nan"), 0.0, 1.5, None, "0.5"):
+    for radius in (True, np.True_, float("nan"), 0.0, -0.1, 1.5, None, "0.5"):
         with pytest.raises(InvalidParams):
             NeighborhoodSpec("ball", radius=radius)
     assert NeighborhoodSpec("knn", k=np.int64(3)) == NeighborhoodSpec("knn", k=3)
@@ -164,7 +161,7 @@ def test_ball_monotone_in_radius():
     ds = _random_mixed_dataset(24, 300)
     idx = build_index(ds)
     for q in (0, 7, 150):
-        sizes = [len(idx.ball(q, r)) for r in (0.05, 0.1, 0.2, 0.5, 1.0)]
+        sizes = [len(neighbors(idx, q, radius=r)) for r in (0.05, 0.1, 0.2, 0.5, 1.0)]
         assert sizes == sorted(sizes)
         assert sizes[-1] == ds.n  # distance is capped at 1
 
@@ -255,7 +252,7 @@ def test_soft_independent_knn_with_rate_oracle():
     s = ds.s.codes
     yhat = ds.y_hat.codes
     for q in (0, 123, 4567, 7999):
-        members, _ = idx.knn(q, k)
+        members, _ = neighbors(idx, q, k=k)
         gaps = []
         for v in np.unique(yhat[members]):
             rates = [
@@ -274,7 +271,7 @@ def test_soft_local_values_match_direct_computation():
     s = ds.s.codes
     yhat = ds.y_hat.codes
     for q in (0, 100, 1500, 2999):
-        members, _ = idx.knn(q, k)
+        members, _ = neighbors(idx, q, k=k)
         counts = np.zeros((2, 2))
         for m in members:
             counts[yhat[m], s[m]] += 1
