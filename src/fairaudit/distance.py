@@ -165,21 +165,21 @@ def gower_weights(weights, p: int) -> np.ndarray:
     return w
 
 
-def gower_matrix_condensed(matrix: np.ndarray, weights=None) -> np.ndarray:
-    """Condensed (i < j, row-major) pairwise distances for a raw numeric matrix.
+def gower_matrix_condensed(matrix: np.ndarray, weights=None):
+    """Condensed pairwise distances of a raw numeric matrix, in the blocks
+    of `condensed_blocks`, each divided by the total weight in place.
 
     Same scaling and weighting rules as FeatureSpace, for callers that work
-    on plain arrays rather than datasets.  `condensed_sums` adds the weighted
-    column terms left to right, as `FeatureSpace.pair_distances` does.
+    on plain arrays rather than datasets, and the same column order.
     """
     x = np.asarray(matrix, dtype=np.float64)
     w = gower_weights(weights, x.shape[1])
-    d = condensed_sums(min_max_scale(np.ascontiguousarray(x.T), axis=1), w)
-    d /= w.sum()                   # in place: no second condensed array
-    return d
+    total = w.sum()
+    blocks = condensed_blocks(min_max_scale(np.ascontiguousarray(x.T), axis=1), w)
+    return ((start, np.divide(d, total, out=d)) for start, d in blocks)
 
 
-_CONDENSED_BLOCK = 1 << 15     # cells per block of rows: two scratch arrays stay in cache
+_CONDENSED_BLOCK = 1 << 15     # cells per block of rows: the scratch arrays stay in cache
 
 
 @contextmanager
@@ -198,30 +198,28 @@ def short_row_buffers():
         np.setbufsize(size)
 
 
-def condensed_sums(columns: np.ndarray, weights=None, squared: bool = False) -> np.ndarray:
-    """Per-pair sums of column terms, condensed (i < j, row-major) like pdist.
+def condensed_blocks(columns: np.ndarray, weights=None, squared: bool = False):
+    """Per-pair sums of column terms, condensed (i < j, row-major) like pdist,
+    as (start, sums) per block of rows: the sums of pairs start, start + 1, ...
+    in a buffer that the next block overwrites, so memory is O(_CONDENSED_BLOCK + n).
 
     `columns` is (p, n): one row of values per column.  The term of a pair
     in column t is w[t] * |a - b| (with `weights`) or |a - b|, or (a - b)^2
     when `squared` (unweighted).  Each pair's terms are added left to right
     from the first, so the sums carry the bits of scipy's pdist
-    'cityblock' (with or without w) and 'sqeuclidean'.  Blocks of rows are
-    computed as rectangles over the columns j > their first row, then each
-    row's j > i part is copied out.
+    'cityblock' (with or without w) and 'sqeuclidean'.  A block of rows is
+    a rectangle over the columns j > its first row; each row's j > i part
+    is copied out.
     """
-    p, n = columns.shape
-    out = np.zeros(n * (n - 1) // 2)
-    if p == 0 or n < 2:
-        return out
-    acc = np.empty(_CONDENSED_BLOCK + n)
-    term = np.empty(_CONDENSED_BLOCK + n)
+    n = columns.shape[1]
+    acc, term, out = np.zeros((3, _CONDENSED_BLOCK + n))     # acc stays 0 without columns
     pos = lo = 0
-    with short_row_buffers():
-        while lo < n - 1:
-            width = n - 1 - lo
-            rows = max(1, min(width, _CONDENSED_BLOCK // width))
-            block = acc[:rows * width].reshape(rows, width)
-            scratch = term[:rows * width].reshape(rows, width)
+    while lo < n - 1:
+        width = n - 1 - lo
+        rows = max(1, min(width, _CONDENSED_BLOCK // width))
+        block = acc[:rows * width].reshape(rows, width)
+        scratch = term[:rows * width].reshape(rows, width)
+        with short_row_buffers():       # off the yield: the caller keeps numpy's buffer
             for t, col in enumerate(columns):
                 dst = block if t == 0 else scratch
                 np.subtract(col[lo:lo + rows, None], col[lo + 1:], out=dst)
@@ -233,8 +231,10 @@ def condensed_sums(columns: np.ndarray, weights=None, squared: bool = False) -> 
                         dst *= weights[t]
                 if t:
                     block += scratch
-            for r in range(rows):
-                out[pos:pos + width - r] = block[r, r:]
-                pos += width - r
-            lo += rows
-    return out
+        k = 0
+        for r in range(rows):
+            out[k:k + width - r] = block[r, r:]
+            k += width - r
+        yield pos, out[:k]
+        pos += k
+        lo += rows

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import condensed_sums, gower_matrix_condensed, gower_weights, min_max_scale
+from .distance import condensed_blocks, gower_matrix_condensed, gower_weights, min_max_scale
 from .errors import DegenerateInput, InvalidParams, NotAProbabilityVector, ParseError
 from .errors import is_integral, is_real
 from .rng import CounterRng
@@ -65,14 +65,11 @@ class LipschitzReport:
 
 
 def _distances(matrix, metric, weights, side):
-    """A function: of pair index arrays (i, j), the distances of the pairs
-    (i[t], j[t]); of no arguments, those of all pairs in condensed order.
-
-    Both add each pair's column terms left to right (all pairs through
-    `condensed_sums`), so a sampled pair's distance is bit-identical to its
-    exhaustive value.  The columns are transposed and Gower-scaled once;
-    pairs gather 1-D from contiguous columns, so no (pairs, p) temporary is
-    ever built.  `side` ('original' or 'mapped') names the matrix in errors.
+    """A function of pair index arrays (i, j): the distances of the pairs
+    (i[t], j[t]), bit-identical to their values in `_condensed`: both add
+    each pair's column terms left to right.  The columns are transposed and
+    Gower-scaled once; pairs gather 1-D from contiguous columns, so no
+    (pairs, p) temporary is ever built.  `side` names the matrix in errors.
     """
     columns, w = np.ascontiguousarray(matrix.T), None
     if metric == "gower":
@@ -80,29 +77,39 @@ def _distances(matrix, metric, weights, side):
         columns = min_max_scale(columns, axis=1,
                                 names=list(map(f"{side} column {{}}".format, range(len(columns)))))
 
-    def distances(i=None, j=None) -> np.ndarray:
-        if i is None and metric == "gower":
-            return gower_matrix_condensed(matrix, weights)
-        if i is None:
-            acc = condensed_sums(columns, squared=metric == "euclidean")
-        else:
-            acc = np.zeros(len(i))
-            for t, col in enumerate(columns):
-                d = col[i] - col[j]
-                if metric == "euclidean":
-                    acc += d * d
-                else:
-                    np.abs(d, out=d)
-                    acc += d if w is None else w[t] * d
-        if metric == "euclidean":                  # the last step runs in place
-            return np.sqrt(acc, out=acc)
-        if metric == "total_variation":
-            acc *= 0.5
-        elif metric == "gower":
-            acc /= w.sum()
-        return acc
+    def distances(i, j) -> np.ndarray:
+        acc = np.zeros(len(i))
+        for t, col in enumerate(columns):
+            d = col[i] - col[j]
+            if metric == "euclidean":
+                acc += d * d
+            else:
+                np.abs(d, out=d)
+                acc += d if w is None else w[t] * d
+        return _last_step(acc, metric, w)
 
     return distances
+
+
+def _last_step(acc, metric, w=None):
+    """The metric's distances from its summed column terms, in place."""
+    if metric == "euclidean":
+        return np.sqrt(acc, out=acc)
+    if metric == "total_variation":
+        acc *= 0.5
+    elif metric == "gower":
+        acc /= w.sum()
+    return acc
+
+
+def _condensed(matrix, metric, weights):
+    """(start, distances) per block of rows of all pairs in condensed order,
+    in a reused buffer.  The blocks depend on n alone, so two sides align.
+    """
+    if metric == "gower":
+        return gower_matrix_condensed(matrix, weights)
+    blocks = condensed_blocks(np.ascontiguousarray(matrix.T), squared=metric == "euclidean")
+    return ((start, _last_step(acc, metric)) for start, acc in blocks)
 
 
 def _pair_index(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,19 +120,19 @@ def _pair_index(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _blocks(original, mapped, metrics, weights, count, seed):
-    """(flat, d_orig, d_map) per block of _PAIR_BLOCK pairs.
+    """(flat, d_orig, d_map) per block.
 
-    Without a seed: all pairs.  With one: `count` uniform draws, the same as
-    one `integers` call (CounterRng draws do not depend on their chunking).
+    Without a seed: all pairs, one `_condensed` block of rows at a time.
+    With one: `count` uniform draws, _PAIR_BLOCK at a time, the same as one
+    `integers` call (CounterRng draws do not depend on their chunking).
     """
     n = len(original)
-    dist_orig, dist_map = (_distances(x, m, weights, side) for x, m, side
-                           in zip((original, mapped), metrics, ("original", "mapped")))
-    if seed is None:
-        d_orig, d_map = dist_orig(), dist_map()
-        for start in range(0, len(d_orig), _PAIR_BLOCK):
-            stop = min(start + _PAIR_BLOCK, len(d_orig))
-            yield np.arange(start, stop), d_orig[start:stop], d_map[start:stop]
+    sides = tuple(zip((original, mapped), metrics, ("original", "mapped")))
+    dist_orig, dist_map = (_distances(x, m, weights, side) for x, m, side in sides)
+    if seed is None:            # the pair functions above have checked both sides' scaling
+        streams = (_condensed(x, m, weights) for x, m, _ in sides)
+        for (start, d_orig), (_, d_map) in zip(*streams):
+            yield np.arange(start, start + len(d_orig)), d_orig, d_map
         return
     rng = CounterRng(seed)
     for start in range(0, count, _PAIR_BLOCK):
@@ -192,8 +199,9 @@ def audit_map(
     d_mapped / d_original > 1 + tol; `tol` must be a finite number >= 0,
     `sample_count` an integer >= 1 (a bool is neither), and `weights` are
     refused unless a metric is gower.  Beyond a column copy of the inputs, a
-    sampled scan holds O(_PAIR_BLOCK) memory, an exhaustive one two
-    condensed distance arrays.
+    sampled scan holds O(_PAIR_BLOCK) memory and an exhaustive one
+    O(_CONDENSED_BLOCK + n): its row blocks stream into the fold, and no
+    array of all n(n-1)/2 pairs is built.
     """
     original = np.asarray(original, dtype=np.float64)
     mapped = np.asarray(mapped, dtype=np.float64)

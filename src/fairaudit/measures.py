@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -94,20 +95,21 @@ class StratumValues(Sequence):
 def rate_gap(counts: np.ndarray) -> np.ndarray:
     """Largest spread of P(row = v | col group) across column groups with members.
 
-    counts has shape (..., R, C); the result has shape (...) and is 0 for
-    tables with fewer than two groups.  For binary rows this is the familiar
-    absolute rate difference between groups; it is reported as diagnostic
-    context, not a pass/fail measure.
+    counts (non-negative) has shape (..., R, C); the result has shape (...)
+    and is 0 for tables with fewer than two groups.  For binary rows this is
+    the familiar absolute rate difference between groups; it is reported as
+    diagnostic context, not a pass/fail measure.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    group_tot = counts.sum(axis=-2, keepdims=True)            # (..., 1, C)
+    rows = [[counts[..., r, c] for c in range(counts.shape[-1])]
+            for r in range(counts.shape[-2])]
+    totals = [reduce(np.add, col) for col in zip(*rows)]    # in row order, as sum(axis=-2)
+    gap = np.zeros(counts.shape[:-2])
     with np.errstate(invalid="ignore", divide="ignore"):
-        rates = counts / group_tot
-    present = group_tot > 0
-    hi = np.where(present, rates, -np.inf).max(axis=-1)
-    lo = np.where(present, rates, np.inf).min(axis=-1)
-    gap = (hi - lo).max(axis=-1)
-    return np.where(present.sum(axis=(-2, -1)) >= 2, gap, 0.0)
+        for row in rows:     # an empty group's rate is 0 / 0, which fmax and fmin skip
+            rates = [x / t for x, t in zip(row, totals)]
+            gap = np.maximum(gap, reduce(np.fmax, rates) - reduce(np.fmin, rates))
+    return np.where(sum(t > 0 for t in totals) >= 2, gap, 0.0)
 
 
 # -- mutual information -------------------------------------------------------

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit import neighborhood
+from fairaudit import distance, neighborhood
 from fairaudit.dataset import Column, Dataset, Provenance
 from fairaudit.distance import (
     DistanceSpec,
     FeatureSpace,
-    condensed_sums,
+    condensed_blocks,
     gower_matrix_condensed,
     min_max_scale,
 )
@@ -174,9 +174,24 @@ def test_a_strip_count_pass_fills_views_of_one_buffer(monkeypatch, nspec):
     assert 2 * len(windowed) > len(calls) and max(windowed) < n
 
 
+def _joined(blocks):
+    """One array of the blocks, each copied before the next overwrites it.
+
+    The blocks must cover the pairs in order, and the caller's ufuncs run
+    with numpy's own buffer size between them.
+    """
+    pieces, pos, size = [], 0, np.getbufsize()
+    for start, d in blocks:
+        assert start == pos and np.getbufsize() == size
+        pieces.append(d.copy())
+        pos += len(d)
+    return np.concatenate(pieces)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, distance._CONDENSED_BLOCK])
 @pytest.mark.parametrize("n", [2, 3, 64, 257])
 @pytest.mark.parametrize("values", ["random", "duplicates"])
-def test_condensed_sums_bit_equal_to_pdist(n, values):
+def test_condensed_blocks_bit_equal_to_pdist(n, values, budget, monkeypatch):
     pdist = pytest.importorskip("scipy.spatial.distance").pdist
     rng = np.random.default_rng(n)
     x = rng.random((n, 5))
@@ -185,8 +200,10 @@ def test_condensed_sums_bit_equal_to_pdist(n, values):
         x[rng.integers(0, n, n // 2)] = x[rng.integers(0, n, n // 2)]
     columns = np.ascontiguousarray(x.T)
     w = np.array([0.3, 1.0, 2.5, 0.0, 1.0 / 3.0])
-    assert np.array_equal(condensed_sums(columns, w), pdist(x, "cityblock", w=w))
-    assert np.array_equal(condensed_sums(columns), pdist(x, "cityblock"))
-    assert np.array_equal(condensed_sums(columns, squared=True), pdist(x, "sqeuclidean"))
+    monkeypatch.setattr(distance, "_CONDENSED_BLOCK", budget)
+    assert np.array_equal(_joined(condensed_blocks(columns, w)), pdist(x, "cityblock", w=w))
+    assert np.array_equal(_joined(condensed_blocks(columns)), pdist(x, "cityblock"))
+    assert np.array_equal(_joined(condensed_blocks(columns, squared=True)),
+                          pdist(x, "sqeuclidean"))
     want = pdist(min_max_scale(x), "cityblock", w=w) / w.sum()
-    assert np.array_equal(gower_matrix_condensed(x, w), want)
+    assert np.array_equal(_joined(gower_matrix_condensed(x, w)), want)

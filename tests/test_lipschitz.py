@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit import lipschitz
+from fairaudit import distance, lipschitz
 from fairaudit.errors import DegenerateInput, InvalidParams, NotAProbabilityVector, ParseError
 from fairaudit.lipschitz import MAPPED_METRICS, _pair_index, audit_map, load_mapped_csv
 from fairaudit.rng import CounterRng
@@ -194,13 +194,34 @@ def test_pair_index_inverts_the_condensed_order(n):
     assert np.array_equal(i, rows) and np.array_equal(j, cols)
 
 
+_BLOCKS = [1, 7, 64, lipschitz._PAIR_BLOCK]
+
+
+def _row_budget(block):
+    """The exhaustive scan's cells per row block matching a pair block of
+    _BLOCKS: the same small budgets, and the default for the default."""
+    return distance._CONDENSED_BLOCK if block == lipschitz._PAIR_BLOCK else block
+
+
+def _streamed(x, metric, weights):
+    """All pairs' distances in condensed order, joined from the streamed
+    row blocks, which must cover the pairs in order without gaps."""
+    pieces, pos = [], 0
+    for start, d in lipschitz._condensed(x, metric, weights):
+        assert start == pos
+        pieces.append(d.copy())           # the next block reuses the buffer
+        pos += len(d)
+    assert pos == len(x) * (len(x) - 1) // 2
+    return np.concatenate(pieces)
+
+
 @_SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 40),
     width=st.integers(1, 12),
     metric=st.sampled_from(MAPPED_METRICS),
-    block=st.sampled_from([1, 7, 64, lipschitz._PAIR_BLOCK]),
+    block=st.sampled_from(_BLOCKS),
     data=st.data(),
 )
 def test_sampled_pairs_match_exhaustive_bit_for_bit(seed, n, width, metric, block, data):
@@ -213,7 +234,8 @@ def test_sampled_pairs_match_exhaustive_bit_for_bit(seed, n, width, metric, bloc
         weights = rng.integers(0, 3, width).astype(float)
         weights[rng.integers(width)] = 0.5
     distances = lipschitz._distances(x, metric, weights, "original")
-    exhaustive = distances()
+    with mock.patch.object(distance, "_CONDENSED_BLOCK", _row_budget(block)):
+        exhaustive = _streamed(x, metric, weights)
     flat = rng.permutation(n * (n - 1) // 2)
     i, j = _pair_index(flat, n)
     sampled = np.concatenate([distances(i[s:s + block], j[s:s + block])
@@ -225,6 +247,8 @@ def _whole_array_audit(original, mapped, d_original, d_mapped, *, weights=None,
                        sampling, sample_count=0, seed=None, tol=lipschitz.DEFAULT_TOL):
     """The whole-array audit: every pair's distances, masks and ratios at
     once, then one stable sort.  The reference the blocked fold must equal.
+    Its exhaustive distances come from the pair kernel over all pairs, not
+    from the streamed row blocks.
     """
     n = len(original)
     flat, total_pairs = None, n * (n - 1) // 2
@@ -232,11 +256,10 @@ def _whole_array_audit(original, mapped, d_original, d_mapped, *, weights=None,
         total_pairs = sample_count
         flat = CounterRng(seed).integers(n * (n - 1) // 2, sample_count)
         i_idx, j_idx = _pair_index(flat, n)
-        d_orig = lipschitz._distances(original, d_original, weights, "original")(i_idx, j_idx)
-        d_map = lipschitz._distances(mapped, d_mapped, weights, "mapped")(i_idx, j_idx)
     else:
-        d_orig = lipschitz._distances(original, d_original, weights, "original")()
-        d_map = lipschitz._distances(mapped, d_mapped, weights, "mapped")()
+        i_idx, j_idx = np.triu_indices(n, 1)
+    d_orig = lipschitz._distances(original, d_original, weights, "original")(i_idx, j_idx)
+    d_map = lipschitz._distances(mapped, d_mapped, weights, "mapped")(i_idx, j_idx)
 
     both_zero = (d_orig == 0.0) & (d_map == 0.0)
     infinite = (d_orig == 0.0) & (d_map > 0.0)
@@ -265,13 +288,13 @@ def _whole_array_audit(original, mapped, d_original, d_mapped, *, weights=None,
     )
 
 
-_BLOCKS = [1, 7, 64, lipschitz._PAIR_BLOCK]
-
-
 def _assert_fold_matches_whole_array(x, m, metrics, sampling, count, seed, block):
+    """The fold over blocks of `block` pairs (sampled) or of the matching row
+    budget (exhaustive: 1 gives one row per block, 7 and 64 ragged blocks)."""
     kwargs = dict(sampling=sampling, sample_count=count, seed=seed)
     want = _whole_array_audit(x, m, *metrics, **kwargs)
-    with mock.patch.object(lipschitz, "_PAIR_BLOCK", block):
+    with mock.patch.object(lipschitz, "_PAIR_BLOCK", block), \
+            mock.patch.object(distance, "_CONDENSED_BLOCK", _row_budget(block)):
         got = audit_map(x, m, *metrics, **kwargs)
     assert got == want
     return want
@@ -386,3 +409,21 @@ def test_sampled_audit_memory_is_bounded_by_the_block():
     bound = 16 * 8 * lipschitz._PAIR_BLOCK    # 8 MiB, half of one full-length float array
     # beyond the kernels' column copies, which are the size of the inputs
     assert peak - x.nbytes - m.nbytes < bound
+
+
+def test_exhaustive_audit_memory_is_bounded_by_the_row_block():
+    """12.5e6 exhaustive pairs stream through the fold one row block at a
+    time: no array of all pairs (100 MB here) is ever built."""
+    n = 5_000
+    x = _points(35, n, 2)
+    m = 1.1 * x                               # every pair violates
+    tracemalloc.start()
+    try:
+        rep = audit_map(x, m, sampling="exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.violation_count == rep.pairs_examined == n * (n - 1) // 2
+    condensed = 8 * rep.pairs_examined
+    # beyond the kernels' column copies, which are the size of the inputs
+    assert peak - x.nbytes - m.nbytes < condensed // 10

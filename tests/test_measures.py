@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairaudit.errors import DegenerateTable, MissingClass
 from fairaudit.measures import (
@@ -12,6 +15,7 @@ from fairaudit.measures import (
     chi_square,
     conditional_mutual_information,
     mutual_information,
+    rate_gap,
     stratified_balanced_error_ratio,
     stratified_chi_square,
 )
@@ -279,3 +283,44 @@ def test_2x2_independence_agreement():
             assert chi > 1e-9
             assert ber < 0.5 - 1e-12 or abs(mi) < 1e-10
     assert checked_dependent > 300
+
+
+# -- rate gap ------------------------------------------------------------------
+
+def _rate_gap_reductions(counts):
+    """The rate gap as whole-axis reductions over the (..., R, C) stack."""
+    counts = np.asarray(counts, dtype=np.float64)
+    group_tot = counts.sum(axis=-2, keepdims=True)            # (..., 1, C)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rates = counts / group_tot
+    present = group_tot > 0
+    hi = np.where(present, rates, -np.inf).max(axis=-1)
+    lo = np.where(present, rates, np.inf).min(axis=-1)
+    gap = (hi - lo).max(axis=-1)
+    return np.where(present.sum(axis=(-2, -1)) >= 2, gap, 0.0)
+
+
+@st.composite
+def _count_stacks(draw):
+    """(G, R, C) stacks, R and C in 1..4, of integer or fractional counts,
+    with whole groups (columns) emptied at random."""
+    shape = (draw(st.integers(0, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        counts = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 9)))
+    else:
+        counts = draw(hnp.arrays(np.float64, shape, elements=st.floats(
+            0.0, 1e3, allow_subnormal=False)))
+    empty = draw(hnp.arrays(np.bool_, (shape[0], 1, shape[2])))
+    counts[np.broadcast_to(empty, shape)] = 0
+    return counts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(counts=_count_stacks())
+def test_rate_gap_matches_the_reduction_formula_bit_for_bit(counts):
+    want = _rate_gap_reductions(counts)
+    got = rate_gap(counts)
+    assert got.shape == want.shape == counts.shape[:1]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    one = rate_gap(counts[0]) if len(counts) else None      # a single (R, C) table
+    assert one is None or one.view(np.int64) == want[0].view(np.int64)
