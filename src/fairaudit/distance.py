@@ -165,17 +165,18 @@ def gower_weights(weights, p: int) -> np.ndarray:
     return w
 
 
-def gower_matrix_condensed(matrix: np.ndarray, weights=None):
+def gower_matrix_condensed(matrix: np.ndarray, weights=None, names=None):
     """Condensed pairwise distances of a raw numeric matrix, in the blocks
     of `condensed_blocks`, each divided by the total weight in place.
 
     Same scaling and weighting rules as FeatureSpace, for callers that work
     on plain arrays rather than datasets, and the same column order.
+    `names` label the columns in `min_max_scale`'s errors.
     """
     x = np.asarray(matrix, dtype=np.float64)
     w = gower_weights(weights, x.shape[1])
     total = w.sum()
-    blocks = condensed_blocks(min_max_scale(np.ascontiguousarray(x.T), axis=1), w)
+    blocks = condensed_blocks(min_max_scale(np.ascontiguousarray(x.T), axis=1, names=names), w)
     return ((start, np.divide(d, total, out=d)) for start, d in blocks)
 
 

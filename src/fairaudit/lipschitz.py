@@ -31,7 +31,7 @@ DEFAULT_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 2000        # n(n-1)/2 ~ 2e6 pairs
 DEFAULT_SAMPLE_COUNT = 2_000_000
 MAX_LISTED_VIOLATIONS = 100
-_PAIR_BLOCK = 1 << 16          # pairs per block: the temporaries stay in cache
+_PAIR_BLOCK = 1 << 14          # pairs per block: the gathered (pairs, p) rows stay in L2
 
 ORIGINAL_METRICS = ("euclidean", "manhattan", "gower")
 MAPPED_METRICS = ORIGINAL_METRICS + ("total_variation",)
@@ -67,28 +67,31 @@ class LipschitzReport:
 def _distances(matrix, metric, weights, side):
     """A function of pair index arrays (i, j): the distances of the pairs
     (i[t], j[t]), bit-identical to their values in `_condensed`: both add
-    each pair's column terms left to right.  The columns are transposed and
-    Gower-scaled once; pairs gather 1-D from contiguous columns, so no
-    (pairs, p) temporary is ever built.  `side` names the matrix in errors.
+    each pair's column terms left to right.  Pairs gather whole rows of a
+    row-major source: the input itself (no copy when C-contiguous) or, for
+    gower, one scaled copy.  A block's (pairs, p) difference is one
+    temporary; `side` names the matrix in errors.
     """
-    columns, w = np.ascontiguousarray(matrix.T), None
+    rows, w = np.ascontiguousarray(matrix), None
     if metric == "gower":
-        w = gower_weights(weights, len(columns))
-        columns = min_max_scale(columns, axis=1,
-                                names=list(map(f"{side} column {{}}".format, range(len(columns)))))
+        w = gower_weights(weights, rows.shape[1])
+        rows = min_max_scale(rows, names=_column_names(side, rows.shape[1]))
 
     def distances(i, j) -> np.ndarray:
+        a = rows.take(i, axis=0)
+        a -= rows.take(j, axis=0)
+        (np.square if metric == "euclidean" else np.abs)(a, out=a)
         acc = np.zeros(len(i))
-        for t, col in enumerate(columns):
-            d = col[i] - col[j]
-            if metric == "euclidean":
-                acc += d * d
-            else:
-                np.abs(d, out=d)
-                acc += d if w is None else w[t] * d
+        for t in range(a.shape[1]):
+            acc += a[:, t] if w is None or w[t] == 1.0 else w[t] * a[:, t]   # w * x is x at w = 1
         return _last_step(acc, metric, w)
 
     return distances
+
+
+def _column_names(side, p):
+    """Labels of a side's columns in scaling errors: 'original column 0', ..."""
+    return [f"{side} column {c}" for c in range(p)]
 
 
 def _last_step(acc, metric, w=None):
@@ -102,12 +105,13 @@ def _last_step(acc, metric, w=None):
     return acc
 
 
-def _condensed(matrix, metric, weights):
+def _condensed(matrix, metric, weights, names=None):
     """(start, distances) per block of rows of all pairs in condensed order,
     in a reused buffer.  The blocks depend on n alone, so two sides align.
+    `names` label the columns in Gower scaling errors.
     """
     if metric == "gower":
-        return gower_matrix_condensed(matrix, weights)
+        return gower_matrix_condensed(matrix, weights, names)
     blocks = condensed_blocks(np.ascontiguousarray(matrix.T), squared=metric == "euclidean")
     return ((start, _last_step(acc, metric)) for start, acc in blocks)
 
@@ -128,12 +132,13 @@ def _blocks(original, mapped, metrics, weights, count, seed):
     """
     n = len(original)
     sides = tuple(zip((original, mapped), metrics, ("original", "mapped")))
-    dist_orig, dist_map = (_distances(x, m, weights, side) for x, m, side in sides)
-    if seed is None:            # the pair functions above have checked both sides' scaling
-        streams = (_condensed(x, m, weights) for x, m, _ in sides)
+    if seed is None:
+        streams = (_condensed(x, m, weights, _column_names(side, x.shape[1]))
+                   for x, m, side in sides)
         for (start, d_orig), (_, d_map) in zip(*streams):
             yield np.arange(start, start + len(d_orig)), d_orig, d_map
         return
+    dist_orig, dist_map = (_distances(x, m, weights, side) for x, m, side in sides)
     rng = CounterRng(seed)
     for start in range(0, count, _PAIR_BLOCK):
         flat = rng.integers(n * (n - 1) // 2, min(_PAIR_BLOCK, count - start))
@@ -198,10 +203,10 @@ def audit_map(
     forces the full scan at any size).  A pair violates when
     d_mapped / d_original > 1 + tol; `tol` must be a finite number >= 0,
     `sample_count` an integer >= 1 (a bool is neither), and `weights` are
-    refused unless a metric is gower.  Beyond a column copy of the inputs, a
-    sampled scan holds O(_PAIR_BLOCK) memory and an exhaustive one
-    O(_CONDENSED_BLOCK + n): its row blocks stream into the fold, and no
-    array of all n(n-1)/2 pairs is built.
+    refused unless a metric is gower.  A sampled scan gathers rows of the
+    inputs (copied only for gower's scaling or when not C-contiguous) and
+    holds O(_PAIR_BLOCK) more; an exhaustive one holds a column copy of each
+    side and O(_CONDENSED_BLOCK + n), and never builds all n(n-1)/2 pairs.
     """
     original = np.asarray(original, dtype=np.float64)
     mapped = np.asarray(mapped, dtype=np.float64)
@@ -225,11 +230,10 @@ def audit_map(
             r, c = np.argwhere(~np.isfinite(values))[0]
             raise DegenerateInput(f"{name} row {r}, column {c} is {values[r, c]!r}, not finite")
     if d_mapped == "total_variation":
-        sums = mapped.sum(axis=1)
-        bad = np.flatnonzero((mapped < 0).any(axis=1) | (np.abs(sums - 1.0) > 1e-9))
-        if len(bad):
+        bad = np.flatnonzero((mapped < 0).any(axis=1) | (np.abs(mapped.sum(axis=1) - 1.0) > 1e-9))
+        if len(bad):        # the row sums are not kept: the scan would hold them
             raise NotAProbabilityVector(f"mapped row {bad[0]} has a negative entry or sums to "
-                                        f"{sums[bad[0]]!r}, not a probability vector")
+                                        f"{mapped[bad[0]].sum()!r}, not a probability vector")
 
     if sampling == "auto":
         sampling = "exhaustive" if n <= EXHAUSTIVE_LIMIT else "sampled"

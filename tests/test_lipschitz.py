@@ -395,20 +395,53 @@ def test_lipschitz_cli_rejects_bad_parameters_with_exit_2(tmp_path, capsys, flag
     assert "internal error" not in err and flags[0][2:].replace("-", "_") in err
 
 
-def test_sampled_audit_memory_is_bounded_by_the_block():
-    """2e6 sampled pairs hold a few blocks at a time, not full-length arrays."""
+@pytest.mark.parametrize("metrics", [("euclidean", "euclidean"), ("gower", "total_variation")])
+def test_sampled_audit_memory_is_bounded_by_the_block(metrics):
+    """2e6 sampled pairs hold a few blocks at a time, not full-length arrays
+    and no column copies: pairs gather whole rows of the inputs themselves."""
     x = _points(34, 100_000, 2)
     m = 1.1 * x                               # every pair violates: the fold's busiest path
+    if metrics[1] == "total_variation":
+        m = _points(36, 100_000, 2)
+        m /= m.sum(axis=1, keepdims=True)
     tracemalloc.start()
     try:
-        rep = audit_map(x, m, seed=3, sample_count=2_000_000)
+        rep = audit_map(x, m, *metrics, seed=3, sample_count=2_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.violation_count == 2_000_000
-    bound = 16 * 8 * lipschitz._PAIR_BLOCK    # 8 MiB, half of one full-length float array
-    # beyond the kernels' column copies, which are the size of the inputs
-    assert peak - x.nbytes - m.nbytes < bound
+    assert rep.pairs_examined == 2_000_000 and rep.violation_count > 0
+    if metrics[0] == "euclidean":
+        assert rep.violation_count == 2_000_000
+    bound = 16 * 8 * lipschitz._PAIR_BLOCK    # 2 MiB, an eighth of one full-length float array
+    # beyond the one copy the kernels make: gower's scaled copy of its side
+    assert peak - (x.nbytes if metrics[0] == "gower" else 0) < bound
+
+
+def _non_contiguous(a):
+    """A Fortran-ordered copy of `a` and a column-sliced view of a wider array."""
+    wide = np.zeros((len(a), 2 * a.shape[1]))
+    wide[:, 1::2] = a
+    return np.asfortranarray(a), wide[:, 1::2]
+
+
+@pytest.mark.parametrize("sampling", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("d_mapped", MAPPED_METRICS)
+@pytest.mark.parametrize("d_original", lipschitz.ORIGINAL_METRICS)
+def test_non_contiguous_inputs_give_the_reports_of_their_contiguous_copies(
+        d_original, d_mapped, sampling):
+    x = _points(37, 200, 3)
+    m = 1.2 * x[:, [2, 0, 1]]
+    x /= 4.0                                  # shrunk, so every metric pair has violations
+    if d_mapped == "total_variation":
+        m /= m.sum(axis=1, keepdims=True)
+    weights = [1.0, 0.5, 2.0] if "gower" in (d_original, d_mapped) else None
+    kwargs = dict(weights=weights, sampling=sampling, seed=5, sample_count=20_000)
+    want = audit_map(x, m, d_original, d_mapped, **kwargs)
+    assert want.violation_count > 0
+    for x_view, m_view in zip(_non_contiguous(x), _non_contiguous(m)):
+        assert not (x_view.flags.c_contiguous or m_view.flags.c_contiguous)
+        assert audit_map(x_view, m_view, d_original, d_mapped, **kwargs) == want
 
 
 def test_exhaustive_audit_memory_is_bounded_by_the_row_block():
