@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -72,27 +72,15 @@ def _emit(blob: bytes, output: str | None) -> None:
 
 
 def _cmd_audit(args) -> int:
-    config = AuditConfig(
-        data=args.data,
-        schema=args.schema,
+    # every AuditConfig field is an option's dest; the comma lists are split here
+    values = {f.name: getattr(args, f.name) for f in fields(AuditConfig)}
+    values.update(
         criteria=[t for t in args.criteria.split(",") if t],
-        situation_columns=([c.strip() for c in args.st_columns.split(",")]
-                           if args.st_columns else None),
-        measure=args.measure,
-        threshold=args.threshold,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        min_count=args.min_count,
-        min_neighborhood=args.min_neighborhood,
-        alpha=args.alpha,
-        soft_measure=args.soft_measure,
-        k=args.knn,
-        radius=args.ball,
+        situation_columns=([c.strip() for c in args.situation_columns.split(",")]
+                           if args.situation_columns else None),
         weights=_parse_weights(args.weights),
-        output=args.output,
-        format=args.format,
     )
-    report = run_audit(config)
+    report = run_audit(AuditConfig(**values))
     _emit(render(report, args.format), args.output)
     return 0 if report.all_passed else 1
 
@@ -127,23 +115,7 @@ def _cmd_lipschitz(args) -> int:
         sampling=args.sampling, sample_count=args.sample_count,
         seed=args.seed, tol=args.tol,
     )
-    doc = {"schema_version": 1, "tool": {"name": "fairaudit", "version": __version__},
-           "max_ratio": report.max_ratio, "passed": report.passed, **asdict(report)}
-    doc["violations"] = doc.pop("violations")      # listed after the counts
-    if args.format == "json":
-        _emit(canonical_json(doc).encode("utf-8"), args.output)
-    else:
-        lines = [
-            "# Lipschitz audit",
-            "",
-            f"- verdict: {'PASS' if report.passed else 'FAIL'}",
-            f"- max ratio: {report.max_ratio!r}",
-            f"- violations: {report.violation_count} "
-            f"(infinite: {report.infinite_count}) over {report.pairs_examined} pairs",
-            f"- sampling: {report.sampling}",
-            "",
-        ]
-        _emit("\n".join(lines).encode("utf-8"), args.output)
+    _emit(render(report, args.format), args.output)
     return 0 if report.passed else 1
 
 
@@ -166,21 +138,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True, help="JSON column config")
     p.add_argument("--criteria", default=",".join(d.criteria),
                    help=f"comma-separated ids ({','.join(SELECTABLE)})")
-    p.add_argument("--st-columns", default=None,
+    p.add_argument("--st-columns", default=None, dest="situation_columns", metavar="ST_COLUMNS",
                    help="comma-separated feature columns for situation_testing")
     p.add_argument("--measure", default=d.measure, choices=list(MEASURE_KINDS))
     p.add_argument("--threshold", type=float, default=d.threshold)
     p.add_argument("--epsilon", type=float, default=d.epsilon)
     p.add_argument("--delta", type=float, default=d.delta)
-    p.add_argument("--min-count", type=int, default=d.min_count, dest="min_count")
-    p.add_argument("--min-neighborhood", type=int, default=d.min_neighborhood,
-                   dest="min_neighborhood")
+    p.add_argument("--min-count", type=int, default=d.min_count)
+    p.add_argument("--min-neighborhood", type=int, default=d.min_neighborhood)
     p.add_argument("--alpha", type=float, default=d.alpha, help="Laplace smoothing")
-    p.add_argument("--soft-measure", default=d.soft_measure, choices=SOFT_MEASURE_KINDS,
-                   dest="soft_measure")
+    p.add_argument("--soft-measure", default=d.soft_measure, choices=SOFT_MEASURE_KINDS)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--knn", type=int, default=d.k, metavar="K")
-    group.add_argument("--ball", type=float, default=d.radius, metavar="R")
+    group.add_argument("--knn", type=int, default=d.k, dest="k", metavar="K")
+    group.add_argument("--ball", type=float, default=d.radius, dest="radius", metavar="R")
     p.add_argument("--weights", default=None, help="per-column distance weights, col=w,col=w")
     p.add_argument("--output", default=d.output)
     p.add_argument("--format", default=d.format, choices=["json", "markdown"])

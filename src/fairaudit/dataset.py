@@ -198,6 +198,9 @@ def _validate_schema(schema: Sequence[ColumnSchema], threshold: float | None) ->
         holders = [c for c in schema if c.role == role]
         if len(holders) != 1:
             raise RoleViolation(f"exactly one column must have role {role!r}, found {len(holders)}")
+    scores = sum(c.role == "score" for c in schema)
+    if scores > 1:
+        raise RoleViolation(f"at most one column may have role 'score', found {scores}")
     for c in schema:
         if c.role in ("sensitive", "target") and c.kind != "categorical":
             raise RoleViolation(f"{c.role} column {c.name!r} must be categorical")
@@ -282,15 +285,17 @@ def _read_rows(reader, width: int, positions: list[int], names: list[str],
                missing: str) -> tuple[list[list[str]], list[int], int]:
     """The row pass: (tokens per column, CSV line per kept row, dropped rows).
 
-    A row of another width, or an empty cell under missing='error', raises
-    ParseError at its line; under missing='drop' a row with an empty cell
-    is skipped and counted.
+    A blank line is skipped and not counted.  A row of another width, or an
+    empty cell under missing='error', raises ParseError at its line; under
+    missing='drop' a row with an empty cell is skipped and counted.
     """
     columns: list[list[str]] = [[] for _ in positions]
     lines: list[int] = []
     dropped = 0
     for row in reader:
         line_no = reader.line_num    # a quoted field may span lines
+        if not row:
+            continue                 # a blank line, as np.loadtxt skips in load_mapped_csv
         if len(row) != width:
             raise ParseError(f"row has {len(row)} fields, header has {width}", line=line_no)
         cells = [row[pos] for pos in positions]
@@ -319,16 +324,17 @@ def load_dataset(
 ) -> Dataset:
     """Load and validate a CSV (path, bytes, or file object) against a schema.
 
-    Missing cells (empty fields) either raise with line/column context
-    (missing='error', the default) or drop the whole row (missing='drop');
-    dropped rows are counted in provenance.  Numeric prediction and score
-    columns are binarized as (value >= threshold) when a threshold is given.
+    Blank lines are skipped.  Missing cells (empty fields) either raise with
+    line/column context (missing='error', the default) or drop the whole row
+    (missing='drop'); dropped rows are counted in provenance.  Numeric
+    prediction and score columns are binarized as (value >= threshold) when
+    a threshold is given.
 
     The file is read in one bulk pass that takes each used column out as a
-    list of tokens.  Only when that pass meets a row of the wrong width, an
-    empty cell or a record over several lines does a second, row-by-row pass
-    read the file again, to report the first fault by its line or to drop
-    rows.
+    list of tokens.  Only when that pass meets a row of the wrong width (a
+    blank line among them), an empty cell or a record over several lines does
+    a second, row-by-row pass read the file again, to report the first fault
+    by its line, to drop rows or to skip blank lines.
     """
     _check_load_options(threshold, missing)
     _validate_schema(schema, threshold)

@@ -154,7 +154,9 @@ def min_max_scale(x: np.ndarray, axis: int = 0, names=None) -> np.ndarray:
         raise DegenerateInput(f"{'a numeric column' if names is None else names[at]} ranges "
                               f"from {float(lo.flat[at])!r} to {float(hi.flat[at])!r}: its "
                               "span is not a finite float64, so it cannot be scaled")
-    return (x - lo) / np.where(span > 0, span, 1.0)
+    out = x - lo
+    out /= np.where(span > 0, span, 1.0)
+    return out
 
 
 def gower_weights(weights, p: int) -> np.ndarray:

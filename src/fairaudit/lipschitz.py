@@ -202,11 +202,12 @@ def audit_map(
     are sampled uniformly and a seed is mandatory (sampling='exhaustive'
     forces the full scan at any size).  A pair violates when
     d_mapped / d_original > 1 + tol; `tol` must be a finite number >= 0,
-    `sample_count` an integer >= 1 (a bool is neither), and `weights` are
-    refused unless a metric is gower.  A sampled scan gathers rows of the
-    inputs (copied only for gower's scaling or when not C-contiguous) and
-    holds O(_PAIR_BLOCK) more; an exhaustive one holds a column copy of each
-    side and O(_CONDENSED_BLOCK + n), and never builds all n(n-1)/2 pairs.
+    `sample_count` an integer >= 1 and a given `seed` an integer in
+    [0, 2**64) (a bool is none of these), and `weights` are refused unless
+    a metric is gower.  A sampled scan gathers rows of the inputs (copied
+    only for gower's scaling or when not C-contiguous) and holds
+    O(_PAIR_BLOCK) more; an exhaustive one holds a column copy of each side
+    and O(_CONDENSED_BLOCK + n), and never builds all n(n-1)/2 pairs.
     """
     original = np.asarray(original, dtype=np.float64)
     mapped = np.asarray(mapped, dtype=np.float64)
@@ -223,6 +224,8 @@ def audit_map(
         raise InvalidParams(f"tol must be a finite number >= 0, not {tol!r}")
     if not (is_integral(sample_count) and sample_count >= 1):
         raise InvalidParams(f"sample_count must be an integer >= 1, not {sample_count!r}")
+    if seed is not None and not (is_integral(seed) and 0 <= seed < 2**64):
+        raise InvalidParams(f"seed must be an integer in [0, 2**64), not {seed!r}")
     if weights is not None and "gower" not in (d_original, d_mapped):
         raise InvalidParams("weights apply to the gower metric only")
     for name, values in (("original", original), ("mapped", mapped)):

@@ -69,7 +69,6 @@ class StratumValues(Sequence):
 
     keys is the (G, m) int64 code array; values, weights and each aux entry
     are (G,) columns.  Vacuous strata read as value 0 with vacuous_aux.
-    `rendered` maps a writer's layout to its text pieces, shared by isp and ftu.
     """
 
     def __init__(self, kind: str, keys: np.ndarray, values: np.ndarray, weights: np.ndarray,
@@ -78,7 +77,6 @@ class StratumValues(Sequence):
         self.kind, self.keys, self.weights, self.aux = kind, keys, weights, aux
         self.values = np.where(self.vacuous, 0.0, values)
         self.vacuous_aux = dict(vacuous_aux or {})
-        self.rendered: dict = {}
 
     def __len__(self) -> int:
         return len(self.values)

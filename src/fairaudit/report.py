@@ -2,19 +2,21 @@
 
 run_audit loads a dataset, evaluates the selected criteria (switching to
 soft neighborhood evaluation when a feature-conditioned criterion meets
-numeric features), and assembles a Report.  JSON is the canonical machine
-format: keys are emitted in construction order and floats with 17
-significant digits, so identical inputs yield byte-identical output (the
-timing block is the one run-dependent section, kept under its own key).
+numeric features), and assembles a Report; render writes it or a
+LipschitzReport.  JSON is the canonical machine format: keys are emitted
+in construction order and floats with 17 significant digits, so identical
+inputs yield byte-identical output (the timing block is the one
+run-dependent section, kept under its own key).
 """
 
 from __future__ import annotations
 
+import copy
 import json.encoder
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .criteria import (
 from .dataset import Dataset, load_dataset, load_schema_config
 from .distance import DistanceSpec
 from .errors import EmptySelection, InvalidParams
+from .lipschitz import LipschitzReport
 from .measures import StratumValues
 from .neighborhood import (
     DEFAULT_DELTA,
@@ -79,28 +82,14 @@ class AuditConfig:
         return NeighborhoodSpec("ball", radius=self.radius)
 
     def to_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "schema": self.schema,
-            "criteria": list(self.criteria),
-            "situation_columns": self.situation_columns,
-            "measure": self.measure,
-            "threshold": self.threshold,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "min_count": self.min_count,
-            "min_neighborhood": self.min_neighborhood,
-            "alpha": self.alpha,
-            "soft_measure": self.soft_measure,
-            "neighborhood": {
-                "mode": "knn" if self.radius is None else "ball",
-                "k": self.k if self.radius is None else None,
-                "radius": self.radius,
-            },
-            "weights": None if self.weights is None else dict(self.weights),
-            "output": self.output,
-            "format": self.format,
-        }
+        """Every field in order, k and radius as one neighborhood block."""
+        doc = {}
+        for f in fields(self):
+            if f.name == "k":
+                doc["neighborhood"] = _neighborhood_block(self.neighborhood_spec())
+            elif f.name != "radius":    # a copy: the report does not alias the config
+                doc[f.name] = copy.copy(getattr(self, f.name))
+        return doc
 
 
 @dataclass
@@ -120,14 +109,22 @@ class Report:
 
     def _document(self) -> dict:
         return {
-            "schema_version": 1,
-            "tool": {"name": "fairaudit", "version": __version__},
+            **_header(),
             "config": self.config,
             "results": self.results,
             "warnings": self.warnings,
             "all_passed": self.all_passed,
             "timing": self.timing,
         }
+
+
+def _header() -> dict:
+    """The keys every report document opens with."""
+    return {"schema_version": 1, "tool": {"name": "fairaudit", "version": __version__}}
+
+
+def _neighborhood_block(nspec: NeighborhoodSpec) -> dict:
+    return {"mode": nspec.mode, "k": nspec.k, "radius": nspec.radius}
 
 
 # -- canonical JSON -------------------------------------------------------------
@@ -159,12 +156,14 @@ class _StratumRows(Sequence):
     A row is {key, value, weight}, plus rate_gap where the stratum's aux has
     one (vacuous strata have none) and degenerate: true on vacuous strata
     that the measure marks so.  Row dicts are built on access; the JSON
-    writer writes the whole block from the columns at once.
+    writer writes the whole block from the columns at once, and keeps its
+    text pieces per layout in `rendered`: isp and ftu share one instance.
     """
 
     def __init__(self, strata: StratumValues):
         none = np.zeros(len(strata), dtype=bool)
         self.strata = strata
+        self.rendered: dict = {}
         self.gap = strata.aux.get("rate_gap")
         self.has_gap = none if self.gap is None else ~strata.vacuous
         self.degenerate = strata.vacuous if strata.vacuous_aux.get("degenerate") else none
@@ -183,11 +182,11 @@ class _StratumRows(Sequence):
         return row
 
     def json(self, indent: int, level: int) -> list[str]:
-        """The text pieces _write_json writes for these rows at `level`; isp and ftu share them."""
-        layout = ("json", indent, level)
-        if layout not in self.strata.rendered:
-            self.strata.rendered[layout] = self._json(indent, level) if len(self) else ["[]"]
-        return self.strata.rendered[layout]
+        """The text pieces _write_json writes for these rows at `level`, formatted once."""
+        layout = (indent, level)
+        if layout not in self.rendered:
+            self.rendered[layout] = self._json(indent, level) if len(self) else ["[]"]
+        return self.rendered[layout]
 
     def _json(self, indent: int, level: int) -> list[str]:
         s = self.strata
@@ -300,7 +299,6 @@ def _exact_result_dict(result: CriterionResult) -> dict:
 
 
 def _soft_result_dict(result: SoftResult) -> dict:
-    nspec = result.neighborhood
     return {
         **_criterion_keys(result.criterion, "soft"),
         "soft_measure": result.measure_kind,
@@ -311,12 +309,8 @@ def _soft_result_dict(result: SoftResult) -> dict:
         "flagged_count": int(result.violated.sum()),
         "flagged_indices": [int(i) for i in result.flagged_indices],
         "passed": result.passed,
-        "neighborhood": {
-            "mode": nspec.mode,
-            "k": nspec.k,
-            "radius": nspec.radius,
-            "include_self": True,       # the record is always one of its candidates
-        },
+        # the record is always one of its candidates
+        "neighborhood": {**_neighborhood_block(result.neighborhood), "include_self": True},
         "min_neighborhood": result.min_neighborhood,
     }
 
@@ -384,7 +378,7 @@ def run_audit(config: AuditConfig, dataset: Dataset | None = None) -> Report:
     dist = DistanceSpec(config.weights)
     if config.weights:      # checked even when no criterion measures distance
         dist.column_weights(dataset.feature_names())
-    evaluated: dict[str, CriterionResult | SoftResult] = {}   # ftu reuses isp's
+    evaluated: dict[str, tuple] = {}    # id -> (result, entry); ftu reuses isp's
 
     def evaluate_once(cid: str) -> CriterionResult | SoftResult:
         nonlocal shared_index
@@ -408,13 +402,16 @@ def run_audit(config: AuditConfig, dataset: Dataset | None = None) -> Report:
 
     for cid in selection:
         started = time.monotonic()
-        # fairness through unawareness is the same condition as isp
+        # fairness through unawareness is the same condition as isp: its entry
+        # is isp's under its own name, per-stratum rows included
         base = "isp" if cid == "ftu" else cid
         if base not in evaluated:
-            evaluated[base] = evaluate_once(base)
-        result = evaluated[base]
+            result = evaluate_once(base)
+            evaluated[base] = result, (_soft_result_dict(result) if isinstance(result, SoftResult)
+                                       else _exact_result_dict(result))
+        result, entry = evaluated[base]
         if cid == "ftu":
-            result = replace(result, criterion=FTU)
+            entry = {**entry, **_criterion_keys(FTU, entry["mode"])}
         if isinstance(result, SoftResult):
             warnings.append(
                 f"criterion {cid}: numeric features present, switched from "
@@ -425,14 +422,11 @@ def run_audit(config: AuditConfig, dataset: Dataset | None = None) -> Report:
                     f"criterion {cid}: {result.indeterminate_fraction:.4f} of records "
                     "indeterminate (restricted neighborhood below min_neighborhood)"
                 )
-            entry = _soft_result_dict(result)
-        else:
-            entry = _exact_result_dict(result)
-            if result.dropped_mass > 0:
-                warnings.append(
-                    f"criterion {cid}: dropped_mass {result.dropped_mass:.4f} "
-                    f"(strata below min_count={config.min_count})"
-                )
+        elif result.dropped_mass > 0:
+            warnings.append(
+                f"criterion {cid}: dropped_mass {result.dropped_mass:.4f} "
+                f"(strata below min_count={config.min_count})"
+            )
         results.append(entry)
         timing[cid] = time.monotonic() - started
         all_passed &= entry["passed"]
@@ -448,13 +442,35 @@ def run_audit(config: AuditConfig, dataset: Dataset | None = None) -> Report:
 
 # -- rendering -----------------------------------------------------------------------
 
-def render(report: Report, format: str = "json") -> bytes:
-    """Serialize a report; JSON is canonical, markdown is for reading."""
+def render(report: Report | LipschitzReport, format: str = "json") -> bytes:
+    """Serialize an audit or Lipschitz report; JSON is canonical, markdown is for reading."""
+    audit = isinstance(report, Report)
     if format == "json":
-        return canonical_json(report._document()).encode("utf-8")
+        doc = report._document() if audit else _lipschitz_document(report)
+        return canonical_json(doc).encode("utf-8")
     if format == "markdown":
-        return _render_markdown(report).encode("utf-8")
+        return (_render_markdown if audit else _lipschitz_markdown)(report).encode("utf-8")
     raise InvalidParams(f"unknown report format {format!r}")
+
+
+def _lipschitz_document(report: LipschitzReport) -> dict:
+    doc = {**_header(), "max_ratio": report.max_ratio, "passed": report.passed,
+           **asdict(report)}
+    doc["violations"] = doc.pop("violations")      # listed after the counts
+    return doc
+
+
+def _lipschitz_markdown(report: LipschitzReport) -> str:
+    return "\n".join([
+        "# Lipschitz audit",
+        "",
+        f"- verdict: {'PASS' if report.passed else 'FAIL'}",
+        f"- max ratio: {report.max_ratio!r}",
+        f"- violations: {report.violation_count} "
+        f"(infinite: {report.infinite_count}) over {report.pairs_examined} pairs",
+        f"- sampling: {report.sampling}",
+        "",
+    ])
 
 
 def _render_markdown(report: Report) -> str:

@@ -68,6 +68,13 @@ def test_duplicate_role_rejected():
         _load("s,y,yhat,s2\na,0,0,a\n", schema)
 
 
+def test_two_score_columns_rejected():
+    schema = _schema([ColumnSchema("p1", "score", "numeric"),
+                      ColumnSchema("p2", "score", "numeric")])
+    with pytest.raises(RoleViolation, match="at most one column may have role 'score'"):
+        _load("s,y,yhat,p1,p2\na,0,0,0.1,0.2\nb,1,1,0.3,0.4\n", schema)
+
+
 def test_three_category_sensitive_accepted():
     ds = _load("s,y,yhat\na,0,0\nb,1,1\nc,0,1\n", _schema())
     assert ds.s.arity == 3
@@ -393,8 +400,8 @@ def test_a_pipe_is_read_once_when_rows_are_dropped(tmp_path):
 def _reference_load(source, schema, threshold=None, missing="error"):
     """A row-by-row loader: the documented semantics of load_dataset, spelled out.
 
-    Rows are read in file order.  A row of the wrong width raises at its
-    line; a row with an empty used cell raises or is dropped.  Then each
+    Rows are read in file order and blank lines are skipped.  A row of the
+    wrong width raises at its line; a row with an empty used cell raises or is dropped.  Then each
     used column, in schema order, is encoded; a numeric column raises at its
     first non-numeric token, then at its first non-finite one.
     """
@@ -417,6 +424,8 @@ def _reference_load(source, schema, threshold=None, missing="error"):
         tokens = {c.name: [] for c in used}
         lines, dropped = [], 0
         for row in reader:
+            if not row:
+                continue
             if len(row) != len(header):
                 raise ParseError(f"row has {len(row)} fields, header has {len(header)}",
                                  line=reader.line_num)
@@ -570,3 +579,25 @@ def test_a_late_fault_in_a_long_file_loads_like_the_reference(fault, missing, at
     buf = io.StringIO()
     csv.writer(buf).writerows([["s", "y", "yhat", "num", "cat"]] + rows)
     _assert_loads_like_the_reference(buf.getvalue().encode(), "bytes", schema, missing=missing)
+
+
+@pytest.mark.parametrize("missing", ["error", "drop"])
+@pytest.mark.parametrize("text, lines", [
+    ("s,y,yhat\na,0,0\nb,1,1\n\n", [2, 3]),                     # trailing blank line
+    ("s,y,yhat\r\na,0,0\r\n\r\nb,1,1\r\n", [2, 4]),              # inner blank line
+    ("s,y,yhat\n\na,0,0\n\n\nb,1,1\n\n", [3, 6]),                 # several of both
+])
+def test_blank_lines_are_skipped_and_not_dropped(text, lines, missing):
+    _assert_loads_like_the_reference(text.encode(), "bytes", _schema(), missing=missing)
+    ds = _load(text, _schema(), missing=missing)
+    assert list(ds.s.codes) == [0, 1] and ds.provenance.dropped_rows == 0
+    bad = text.replace("b,1,1", "b,1,x")
+    numeric = _schema()[:2] + [ColumnSchema("yhat", "prediction", "numeric")]
+    with pytest.raises(ParseError) as err:      # a later fault keeps its line
+        _load(bad, numeric, threshold=0.5, missing=missing)
+    assert err.value.line == lines[1]
+
+
+def test_a_file_of_blank_lines_has_no_data_rows():
+    with pytest.raises(EmptyData, match="no data rows$"):
+        _load("s,y,yhat\n\n\n", _schema(), missing="drop")

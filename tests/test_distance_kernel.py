@@ -2,6 +2,8 @@
 reuse, the coordinates' lower bound, and the condensed pair kernel against
 scipy's pdist."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,3 +209,16 @@ def test_condensed_blocks_bit_equal_to_pdist(n, values, budget, monkeypatch):
                           pdist(x, "sqeuclidean"))
     want = pdist(min_max_scale(x), "cityblock", w=w) / w.sum()
     assert np.array_equal(_joined(gower_matrix_condensed(x, w)), want)
+
+
+def test_min_max_scale_holds_one_array_of_the_result_size():
+    x = np.linspace(-3.0, 5.0, 200_000).reshape(100_000, 2)
+    want = (x - x.min(axis=0)) / (x.max(axis=0) - x.min(axis=0))
+    tracemalloc.start()
+    try:
+        got = min_max_scale(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert peak < 1.25 * got.nbytes

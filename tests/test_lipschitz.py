@@ -377,6 +377,30 @@ def test_bad_parameters_are_rejected(kwargs):
         audit_map(x, 1.5 * x, seed=1, **kwargs)
 
 
+@pytest.mark.parametrize("seed", [True, False, 1.5, "7", -1, 2**64, 2**70])
+@pytest.mark.parametrize("sampling", ["sampled", "exhaustive"])
+def test_a_seed_outside_the_64_bit_integers_is_rejected(seed, sampling):
+    x = _points(35, 50, 2)
+    with pytest.raises(InvalidParams, match="seed must be an integer"):
+        audit_map(x, 1.5 * x, seed=seed, sampling=sampling, sample_count=100)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+def test_a_seed_at_the_ends_of_its_range_is_taken(seed):
+    x = _points(35, 50, 2)
+    rep = audit_map(x, 1.5 * x, seed=seed, sampling="sampled", sample_count=100)
+    assert rep.sample_seed == seed and rep.pairs_examined == 100
+
+
+def test_lipschitz_cli_rejects_a_negative_seed_with_exit_2(tmp_path, capsys):
+    from fairaudit.cli import main
+
+    path = _write(tmp_path, "x_0,m_0\n0,0\n1,1.5\n2,3\n")
+    assert main(["lipschitz", "--data", str(path), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "seed must be an integer" in err
+
+
 def test_weights_are_taken_when_one_metric_is_gower():
     x = _points(34, 50, 3)
     m = x / x.sum(axis=1, keepdims=True)

@@ -100,10 +100,10 @@ def test_chi2_report_pinned_up_to_p_value_rounding():
 def test_render_writes_the_bytes_of_the_plain_document(measure):
     report = _full_report(measure)
     assert render(report, "json") == canonical_json(report.to_dict()).encode("utf-8")
-    # ftu shares isp's per-stratum values, whose rows were formatted once
+    # ftu shares isp's per-stratum rows, which were formatted once
     entries = {entry["id"]: entry for entry in report.results}
-    assert entries["ftu"]["per_stratum"].strata is entries["isp"]["per_stratum"].strata
-    assert len(entries["isp"]["per_stratum"].strata.rendered) == 1
+    assert entries["ftu"]["per_stratum"] is entries["isp"]["per_stratum"]
+    assert len(entries["isp"]["per_stratum"].rendered) == 1
 
 
 def test_isp_and_ftu_write_one_cached_piece_list_with_the_pinned_bytes():
@@ -113,9 +113,9 @@ def test_isp_and_ftu_write_one_cached_piece_list_with_the_pinned_bytes():
     pinned = _fixture("mi").read_text(encoding="utf-8")
     assert canonical_json(doc) == pinned
     entries = {entry["id"]: entry for entry in report.results}
-    (layout, pieces), = entries["isp"]["per_stratum"].strata.rendered.items()
+    (layout, pieces), = entries["isp"]["per_stratum"].rendered.items()
     assert isinstance(pieces, list) and len(pieces) > len(entries["isp"]["per_stratum"])
-    assert entries["ftu"]["per_stratum"].json(*layout[1:]) is pieces
+    assert entries["ftu"]["per_stratum"].json(*layout) is pieces
     assert '"per_stratum": ' + "".join(pieces) + "\n" in pinned
 
 

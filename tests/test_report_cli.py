@@ -1,10 +1,12 @@
+import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairaudit.cli import criteria_table, main
+from fairaudit.cli import build_parser, criteria_table, main
 from fairaudit.report import AuditConfig, canonical_json, parse_report, render, run_audit
 from fairaudit.scenarios import ScenarioSpec, generate, schema_config_for
 from fairaudit.dataset import load_dataset, load_schema_config, save_csv
@@ -357,3 +359,21 @@ def test_bad_parameters_fail_before_the_data_is_read(tmp_path, capsys):
         assert main(["audit", "--data", missing, "--schema", missing, *args]) == 2
         captured = capsys.readouterr()
         assert not captured.out and message in captured.err, captured.err
+
+
+def test_every_audit_config_field_is_echoed_and_is_an_audit_option():
+    names = [f.name for f in fields(AuditConfig)]
+    config = AuditConfig(data="d.csv", schema="s.json", situation_columns=["x0"],
+                         radius=0.25, weights={"x0": 2.0})
+    doc = config.to_dict()
+    at = names.index("k")
+    assert names[at:at + 2] == ["k", "radius"]
+    assert list(doc) == names[:at] + ["neighborhood"] + names[at + 2:]
+    assert doc["neighborhood"] == {"mode": "ball", "k": None, "radius": 0.25}
+    assert all(doc[name] == getattr(config, name) for name in names if name in doc)
+    assert AuditConfig(data="", schema="").to_dict()["neighborhood"] == {
+        "mode": "knn", "k": 50, "radius": None}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subparsers.choices["audit"]._actions}
+    assert set(names) <= dests
