@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -31,7 +32,7 @@ from .lipschitz import (
     load_mapped_csv,
 )
 from .neighborhood import SOFT_MEASURE_KINDS
-from .report import SELECTABLE, AuditConfig, canonical_json, render, run_audit
+from .report import SELECTABLE, AuditConfig, canonical_json, run_audit, write
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, generate, schema_config_for
 
 
@@ -63,12 +64,20 @@ def _parse_weights(text: str | None) -> dict[str, float] | None:
     return weights
 
 
-def _emit(blob: bytes, output: str | None) -> None:
-    if output:
-        Path(output).write_bytes(blob)
-    else:
-        sys.stdout.buffer.write(blob)
+def _emit(report, args) -> None:
+    """Stream the report to stdout, or replace --output only once it is whole."""
+    if not args.output:
+        write(report, sys.stdout.buffer, args.format)
         sys.stdout.buffer.flush()
+        return
+    path = Path(args.output)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as fp:
+            write(report, fp, args.format)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _cmd_audit(args) -> int:
@@ -81,7 +90,7 @@ def _cmd_audit(args) -> int:
         weights=_parse_weights(args.weights),
     )
     report = run_audit(AuditConfig(**values))
-    _emit(render(report, args.format), args.output)
+    _emit(report, args)
     return 0 if report.all_passed else 1
 
 
@@ -115,7 +124,7 @@ def _cmd_lipschitz(args) -> int:
         sampling=args.sampling, sample_count=args.sample_count,
         seed=args.seed, tol=args.tol,
     )
-    _emit(render(report, args.format), args.output)
+    _emit(report, args)
     return 0 if report.passed else 1
 
 

@@ -2,16 +2,19 @@
 
 run_audit loads a dataset, evaluates the selected criteria (switching to
 soft neighborhood evaluation when a feature-conditioned criterion meets
-numeric features), and assembles a Report; render writes it or a
-LipschitzReport.  JSON is the canonical machine format: keys are emitted
-in construction order and floats with 17 significant digits, so identical
-inputs yield byte-identical output (the timing block is the one
-run-dependent section, kept under its own key).
+numeric features), and assembles a Report; write streams it or a
+LipschitzReport into a binary file, and render returns the same bytes.
+JSON is the canonical machine format: keys are emitted in construction
+order and floats with 17 significant digits, so identical inputs yield
+byte-identical output (the timing block is the one run-dependent section,
+kept under its own key).  The JSON text is encoded in bounded runs as it
+is written: no whole-document str or list of pieces is built.
 """
 
 from __future__ import annotations
 
 import copy
+import io
 import json.encoder
 import math
 import time
@@ -130,6 +133,7 @@ def _neighborhood_block(nspec: NeighborhoodSpec) -> dict:
 # -- canonical JSON -------------------------------------------------------------
 
 _escape = json.encoder.encode_basestring_ascii
+_ROWS = 256     # per-stratum rows formatted, joined and written at a time
 
 
 def _fmt_float(x: float) -> str:
@@ -156,14 +160,14 @@ class _StratumRows(Sequence):
     A row is {key, value, weight}, plus rate_gap where the stratum's aux has
     one (vacuous strata have none) and degenerate: true on vacuous strata
     that the measure marks so.  Row dicts are built on access; the JSON
-    writer writes the whole block from the columns at once, and keeps its
-    text pieces per layout in `rendered`: isp and ftu share one instance.
+    writer formats the block straight from the columns, _ROWS rows at a
+    time, and keeps no text once it is written: isp and ftu share one
+    instance, and each of their entries writes it.
     """
 
     def __init__(self, strata: StratumValues):
         none = np.zeros(len(strata), dtype=bool)
         self.strata = strata
-        self.rendered: dict = {}
         self.gap = strata.aux.get("rate_gap")
         self.has_gap = none if self.gap is None else ~strata.vacuous
         self.degenerate = strata.vacuous if strata.vacuous_aux.get("degenerate") else none
@@ -181,15 +185,12 @@ class _StratumRows(Sequence):
             row["degenerate"] = True
         return row
 
-    def json(self, indent: int, level: int) -> list[str]:
-        """The text pieces _write_json writes for these rows at `level`, formatted once."""
-        layout = (indent, level)
-        if layout not in self.rendered:
-            self.rendered[layout] = self._json(indent, level) if len(self) else ["[]"]
-        return self.rendered[layout]
-
-    def _json(self, indent: int, level: int) -> list[str]:
+    def write(self, out, indent: int, level: int) -> None:
+        """Write these rows at `level` into the text stream out, _ROWS rows per write."""
         s = self.strata
+        if not len(s):
+            out.write("[]")
+            return
         pad, p1, p2, p3 = (" " * (indent * (level + d)) for d in range(4))
         m = s.keys.shape[1]
         # key codes lie in [0, arity): one table gives their text, unless they are sparse
@@ -201,73 +202,78 @@ class _StratumRows(Sequence):
             parts += [_column_text(code, str) if code_text is None else code_text[code],
                       ",\n" + p3 if j < m - 1 else "\n" + p2]
         parts += ["],\n" + p2 + '"value": ', _column_text(s.values, _fmt_float),
-                  ",\n" + p2 + '"weight": ',
-                  _column_text(s.weights, _fmt_float)]
+                  ",\n" + p2 + '"weight": ', _column_text(s.weights, _fmt_float)]
+        # rows share str objects: the rate_gap key is joined once per distinct gap, and
+        # the flag stays one object (np.where over two str would copy it into every row)
         if self.has_gap.any():
             gap = np.where(self.has_gap, self.gap, 0.0)    # vacuous rows' gaps are not written
-            parts.append(np.where(self.has_gap, ",\n" + p2 + '"rate_gap": '
-                                  + _column_text(gap, _fmt_float), ""))
-        parts += [np.where(self.degenerate, ",\n" + p2 + '"degenerate": true', ""),
-                  "\n" + p1 + "},\n"]
-        table = np.empty((len(s), len(parts)), dtype=object)
-        for j, part in enumerate(parts):
-            table[:, j] = part
-        table[0, 0] = "[\n" + table[0, 0]
-        table[-1, -1] = "\n" + p1 + "}\n" + pad + "]"
-        return table.ravel().tolist()
+            key = ",\n" + p2 + '"rate_gap": '
+            parts.append(np.where(self.has_gap, _column_text(gap, lambda x: key + _fmt_float(x)),
+                                  ""))
+        flag = np.array(",\n" + p2 + '"degenerate": true', dtype=object)
+        parts += [np.where(self.degenerate, flag, ""), "\n" + p1 + "},\n"]
+        out.write("[\n")
+        for lo in range(0, len(s), _ROWS):
+            rows = slice(lo, min(lo + _ROWS, len(s)))
+            table = np.empty((rows.stop - lo, len(parts)), dtype=object)
+            for j, part in enumerate(parts):
+                table[:, j] = part[rows] if isinstance(part, np.ndarray) else part
+            if rows.stop == len(s):
+                table[-1, -1] = "\n" + p1 + "}\n" + pad + "]"
+            out.write("".join(table.ravel().tolist()))
 
 
-def _write_json(obj, out: list, indent: int, level: int) -> None:
+def _write_json(obj, out, indent: int, level: int) -> None:
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
     if isinstance(obj, np.bool_):
         obj = bool(obj)
     if obj is None:
-        out.append("null")
+        out.write("null")
     elif obj is True:
-        out.append("true")
+        out.write("true")
     elif obj is False:
-        out.append("false")
+        out.write("false")
     elif isinstance(obj, str):
-        out.append(_escape(obj))
+        out.write(_escape(obj))
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
+        out.write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
+        out.write(_fmt_float(float(obj)))
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            out.write("{}")
             return
-        out.append("{\n")
+        out.write("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            out.append(pad_in)
-            out.append(_escape(str(key)))
-            out.append(": ")
+            out.write(pad_in)
+            out.write(_escape(str(key)))
+            out.write(": ")
             _write_json(value, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+            out.write(",\n" if i < len(obj) - 1 else "\n")
+        out.write(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
-            out.append("[]")
+            out.write("[]")
             return
-        out.append("[\n")
+        out.write("[\n")
         for i, value in enumerate(seq):
-            out.append(pad_in)
+            out.write(pad_in)
             _write_json(value, out, indent, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
+            out.write(",\n" if i < len(seq) - 1 else "\n")
+        out.write(pad + "]")
     elif isinstance(obj, _StratumRows):
-        out.extend(obj.json(indent, level))
+        obj.write(out, indent, level)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def canonical_json(obj, indent: int = 2) -> str:
-    out: list[str] = []
+    out = io.StringIO()
     _write_json(obj, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
+    out.write("\n")
+    return out.getvalue()
 
 
 # -- result serialization ----------------------------------------------------------
@@ -444,13 +450,25 @@ def run_audit(config: AuditConfig, dataset: Dataset | None = None) -> Report:
 
 def render(report: Report | LipschitzReport, format: str = "json") -> bytes:
     """Serialize an audit or Lipschitz report; JSON is canonical, markdown is for reading."""
+    buf = io.BytesIO()
+    write(report, buf, format)
+    return buf.getvalue()
+
+
+def write(report: Report | LipschitzReport, fp, format: str = "json") -> None:
+    """Write the bytes `render` returns into the binary stream fp, in bounded runs."""
     audit = isinstance(report, Report)
-    if format == "json":
-        doc = report._document() if audit else _lipschitz_document(report)
-        return canonical_json(doc).encode("utf-8")
-    if format == "markdown":
-        return (_render_markdown if audit else _lipschitz_markdown)(report).encode("utf-8")
-    raise InvalidParams(f"unknown report format {format!r}")
+    if format not in ("json", "markdown"):
+        raise InvalidParams(f"unknown report format {format!r}")
+    out = io.TextIOWrapper(fp, "utf-8", newline="")    # encodes runs of about 8 KiB
+    try:
+        if format == "markdown":
+            out.write((_render_markdown if audit else _lipschitz_markdown)(report))
+        else:
+            _write_json(report._document() if audit else _lipschitz_document(report), out, 2, 0)
+            out.write("\n")
+    finally:
+        out.detach()    # flushed, and fp is left open
 
 
 def _lipschitz_document(report: LipschitzReport) -> dict:

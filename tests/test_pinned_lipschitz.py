@@ -71,6 +71,14 @@ def test_lipschitz_report_bytes_pinned(case, tmp_path):
     assert _report(case, tmp_path) == _fixture(case).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_lipschitz_report_streamed_to_stdout_is_pinned(case, tmp_path, capsysbinary):
+    data = tmp_path / "map.csv"
+    data.write_text(_map_csv(), encoding="utf-8")
+    main(["lipschitz", "--data", str(data)] + CASES[case])
+    assert capsysbinary.readouterr().out == _fixture(case).read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
