@@ -65,19 +65,27 @@ def _parse_weights(text: str | None) -> dict[str, float] | None:
 
 
 def _emit(report, args) -> None:
-    """Stream the report to stdout, or replace --output only once it is whole."""
+    """Stream the report to stdout or --output.  A new or writable regular file (a symlink's
+    target) is replaced, keeping its mode, only once the report is whole; a device, a FIFO,
+    or a file in a directory that takes no new file is written through."""
     if not args.output:
         write(report, sys.stdout.buffer, args.format)
-        sys.stdout.buffer.flush()
-        return
+        return sys.stdout.buffer.flush()
     path = Path(args.output)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "wb") as fp:
-            write(report, fp, args.format)
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    if not path.exists() or path.is_file() and os.access(path, os.W_OK):
+        path = path.resolve()
+        if os.access(path.parent, os.W_OK | os.X_OK):
+            partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            try:
+                with open(partial, "wb") as fp:
+                    write(report, fp, args.format)
+                if path.exists():
+                    os.chmod(partial, path.stat().st_mode)
+                return os.replace(partial, path)
+            finally:
+                partial.unlink(missing_ok=True)
+    with open(path, "wb") as fp:
+        write(report, fp, args.format)
 
 
 def _cmd_audit(args) -> int:
@@ -202,10 +210,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FairauditError as exc:
-        print(f"fairaudit: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (FairauditError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"fairaudit: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not read as a failed criterion (exit 1)

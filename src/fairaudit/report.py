@@ -208,8 +208,8 @@ class _StratumRows(Sequence):
         if self.has_gap.any():
             gap = np.where(self.has_gap, self.gap, 0.0)    # vacuous rows' gaps are not written
             key = ",\n" + p2 + '"rate_gap": '
-            parts.append(np.where(self.has_gap, _column_text(gap, lambda x: key + _fmt_float(x)),
-                                  ""))
+            text = _column_text(gap, lambda x: key + _fmt_float(x))
+            parts.append(np.where(self.has_gap, text, ""))
         flag = np.array(",\n" + p2 + '"degenerate": true', dtype=object)
         parts += [np.where(self.degenerate, flag, ""), "\n" + p1 + "},\n"]
         out.write("[\n")
@@ -246,9 +246,7 @@ def _write_json(obj, out, indent: int, level: int) -> None:
             return
         out.write("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            out.write(pad_in)
-            out.write(_escape(str(key)))
-            out.write(": ")
+            out.write(pad_in + _escape(str(key)) + ": ")
             _write_json(value, out, indent, level + 1)
             out.write(",\n" if i < len(obj) - 1 else "\n")
         out.write(pad + "}")

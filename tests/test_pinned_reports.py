@@ -15,7 +15,10 @@ Regenerate the fixtures only for an intended output change:
 import gc
 import io
 import json
+import os
 import re
+import stat
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -209,7 +212,7 @@ def test_cli_writes_the_pinned_bytes_to_stdout_and_to_output(tmp_path, monkeypat
         "pinned.csv", "pinned_schema.json", "report.json"]
 
 
-def test_failed_write_keeps_the_old_output(tmp_path, monkeypatch):
+def test_failed_write_keeps_the_old_output(tmp_path, monkeypatch, capsysbinary):
     argv = _cli_inputs(tmp_path, monkeypatch, "mi") + ["--output", "report.json"]
     fmt, calls, written = report_module._fmt_float, [], []
 
@@ -236,6 +239,62 @@ def test_failed_write_keeps_the_old_output(tmp_path, monkeypatch):
     assert main(argv) == 2
     assert 0 < written[0] < len(whole)      # the report was half written when it failed
     assert Path("report.json").read_bytes() == b"the old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "pinned.csv", "pinned_schema.json", "report.json"]
+    # stdout is streamed: what was written stays written, and the exit status marks it
+    capsysbinary.readouterr()
+    calls.clear()
+    assert main(argv[:-2]) == 2
+    assert 0 < len(capsysbinary.readouterr().out) < len(whole)
+
+
+def _pinned_output(measure: str, output: str) -> bytes:
+    return _fixture(measure).read_bytes().replace(
+        b'"output": null', b'"output": ' + json.dumps(output).encode(), 1)
+
+
+def test_output_through_a_symlink_replaces_its_target_and_keeps_the_mode(tmp_path, monkeypatch):
+    argv = _cli_inputs(tmp_path, monkeypatch, "mi")
+    Path("kept").mkdir()
+    target = Path("kept", "report.json")
+    target.write_bytes(b"the old report\n")
+    target.chmod(0o640)
+    Path("report.json").symlink_to(target)
+    assert main(argv + ["--output", "report.json"]) == 1
+    assert Path("report.json").is_symlink() and Path("report.json").resolve() == target.resolve()
+    assert _without_timing(target.read_bytes()) == _pinned_output("mi", "report.json")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in Path("kept").iterdir()) == ["report.json"]
+
+
+def test_output_to_a_fifo_is_written_through(tmp_path, monkeypatch):
+    argv = _cli_inputs(tmp_path, monkeypatch, "mi")
+    os.mkfifo("pipe")
+    read = []
+    reader = threading.Thread(target=lambda: read.append(Path("pipe").read_bytes()), daemon=True)
+    reader.start()
+    assert main(argv + ["--output", "pipe"]) == 1
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.stat("pipe").st_mode)
+    assert _without_timing(read[0]) == _pinned_output("mi", "pipe")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pinned.csv", "pinned_schema.json", "pipe"]
+
+
+def test_output_in_a_directory_that_takes_no_new_file_is_written_through(tmp_path, monkeypatch):
+    argv = _cli_inputs(tmp_path, monkeypatch, "mi")
+    Path("report.json").write_bytes(b"the old report\n")
+    inode = Path("report.json").stat().st_ino
+    access = os.access
+    # a superuser may still create files in a read-only directory; access() then says no
+    monkeypatch.setattr(os, "access", lambda p, mode: access(p, mode) and (
+        Path(p) != tmp_path.resolve() or not mode & os.W_OK))
+    tmp_path.chmod(0o555)
+    try:
+        assert main(argv + ["--output", "report.json"]) == 1
+    finally:
+        tmp_path.chmod(0o755)
+    assert Path("report.json").stat().st_ino == inode
+    assert _without_timing(Path("report.json").read_bytes()) == _pinned_output("mi", "report.json")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "pinned.csv", "pinned_schema.json", "report.json"]
 
