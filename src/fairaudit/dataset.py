@@ -9,6 +9,7 @@ always agree on the encoding.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
@@ -171,7 +172,9 @@ def load_schema_config(source) -> tuple[list[ColumnSchema], float | None, str]:
         cfg = source
     else:
         cfg = json.load(source)
-    if "columns" not in cfg or not cfg["columns"]:
+    if not isinstance(cfg, dict):
+        raise RoleViolation("config must be a JSON object")
+    if not (isinstance(cfg.get("columns"), list) and cfg["columns"]):
         raise RoleViolation("config must declare a non-empty 'columns' list")
     for i, c in enumerate(cfg["columns"]):
         for key in ("name", "role", "kind"):
@@ -231,11 +234,34 @@ def _as_text_stream(source):
     raise TypeError(f"unsupported CSV source {type(source)!r}")
 
 
-def _encode_categorical(tokens: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-    categories = tuple(sorted(set(tokens)))
-    lookup = {cat: i for i, cat in enumerate(categories)}
-    codes = np.fromiter(map(lookup.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    return codes, categories
+class _Encoder:
+    """One column, encoded chunk by chunk as its tokens are read.
+
+    A categorical token takes the next code at its first appearance; a numeric
+    one is parsed by float, which raises ValueError at a non-numeric token.
+    finish() returns (values, None), or (codes, categories) with the category
+    table sorted and the codes renumbered by it.
+    """
+
+    def __init__(self, kind: str, tokens: Sequence[str] = ()):
+        self.table = collections.defaultdict()
+        self.table.default_factory = self.table.__len__     # the next code
+        self.numeric = kind == "numeric"
+        self.dtype = np.float64 if self.numeric else np.int64
+        self.parse = float if self.numeric else self.table.__getitem__
+        self.chunks: list[np.ndarray] = []
+        self.extend(tokens)     # one chunk at least, so that finish() can concatenate
+
+    def extend(self, tokens: Sequence[str]) -> None:
+        self.chunks.append(np.fromiter(map(self.parse, tokens), self.dtype, len(tokens)))
+
+    def finish(self) -> tuple[np.ndarray, tuple[str, ...] | None]:
+        data, self.chunks = np.concatenate(self.chunks), None
+        if self.numeric:
+            return data, None
+        categories = tuple(sorted(self.table))
+        rank = dict(zip(categories, itertools.count()))
+        return np.array([rank[c] for c in self.table], dtype=np.int64)[data], categories
 
 
 def _parse_numeric(tokens: list[str], name: str, lines: Sequence[int]) -> np.ndarray:
@@ -255,15 +281,18 @@ def _parse_numeric(tokens: list[str], name: str, lines: Sequence[int]) -> np.nda
     return values
 
 
-def _read_columns(reader, width: int, positions: list[int]) -> list[list[str]] | None:
-    """The bulk read: the tokens of each column at `positions`, in row order.
+def _read_columns(reader, width: int, positions: list[int],
+                  kinds: list[str]) -> list[tuple[np.ndarray, tuple | None]] | None:
+    """The bulk read: each column at `positions`, of its kind in `kinds`,
+    encoded `_CHUNK_ROWS` rows at a time as the rows are read.
 
     Every data row r (from 0) it accepts sits on CSV line r + 2.  It returns
     None, with the stream partly read, at the first step that holds a row of
     another width, an empty cell at `positions`, a record over more than one
-    line or a csv error.
+    line, a csv error or a non-numeric token, and at the end when a numeric
+    column holds a non-finite value.
     """
-    columns: list[list[str]] = [[] for _ in positions]
+    encoders = [_Encoder(kind) for kind in kinds]
     rows = 0
     try:
         while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
@@ -272,12 +301,15 @@ def _read_columns(reader, width: int, positions: list[int]) -> list[list[str]] |
                 return None
             cells = list(zip(*chunk))
             del chunk
-            for tokens, pos in zip(columns, positions):
+            for encoder, pos in zip(encoders, positions):
                 if "" in cells[pos]:
                     return None
-                tokens.extend(cells[pos])
-    except csv.Error:
+                encoder.extend(cells[pos])
+    except (csv.Error, ValueError):
         return None     # the row pass raises it again, after any fault on an earlier line
+    columns = [e.finish() for e in encoders]
+    if any(cats is None and not np.isfinite(data).all() for data, cats in columns):
+        return None
     return columns
 
 
@@ -310,11 +342,6 @@ def _read_rows(reader, width: int, positions: list[int], names: list[str],
     return columns, lines, dropped
 
 
-def _binarize(values: np.ndarray, threshold: float) -> tuple[np.ndarray, tuple[str, str]]:
-    codes = (values >= threshold).astype(np.int64)
-    return codes, ("0", "1")
-
-
 def load_dataset(
     source,
     schema: Sequence[ColumnSchema],
@@ -330,11 +357,12 @@ def load_dataset(
     prediction and score columns are binarized as (value >= threshold) when
     a threshold is given.
 
-    The file is read in one bulk pass that takes each used column out as a
-    list of tokens.  Only when that pass meets a row of the wrong width (a
-    blank line among them), an empty cell or a record over several lines does
-    a second, row-by-row pass read the file again, to report the first fault
-    by its line, to drop rows or to skip blank lines.
+    The file is read in one bulk pass that encodes each used column as its
+    rows are read, a few hundred at a time.  Only when that pass meets a row
+    of the wrong width (a blank line among them), an empty cell, a record over
+    several lines or a numeric token that is not a finite number does a
+    second, row-by-row pass read the file again, to report the first fault by
+    its line, to drop rows or to skip blank lines.
     """
     _check_load_options(threshold, missing)
     _validate_schema(schema, threshold)
@@ -354,34 +382,30 @@ def load_dataset(
 
         used = [c for c in schema if c.role != "ignore"]
         positions = [header.index(c.name) for c in used]
-        raw = _read_columns(reader, len(header), positions)
-        if raw is None:
+        encoded = _read_columns(reader, len(header), positions, [c.kind for c in used])
+        dropped = 0
+        if encoded is None:
             stream.seek(0)
             reader = csv.reader(stream)
             next(reader)
             raw, lines, dropped = _read_rows(reader, len(header), positions,
                                              [c.name for c in used], missing)
-        else:
-            lines, dropped = range(2, len(raw[0]) + 2), 0
-        if not lines:
+            encoded = [_Encoder(c.kind, tokens).finish() if c.kind == "categorical"
+                       else (_parse_numeric(tokens, c.name, lines), None)
+                       for c, tokens in zip(used, raw)]
+        if not len(encoded[0][0]):
             raise EmptyData("CSV has no data rows" + (" after drops" if dropped else ""))
     finally:
         if close:
             stream.close()
 
     columns: dict[str, Column] = {}
-    for c, tokens in zip(used, raw):
-        if c.kind == "categorical":
-            codes, cats = _encode_categorical(tokens)
-            col = Column(c.name, "categorical", codes=codes, categories=cats)
-        else:
-            values = _parse_numeric(tokens, c.name, lines)
-            if c.role == "prediction" or (c.role == "score" and threshold is not None):
-                codes, cats = _binarize(values, threshold)
-                col = Column(c.name, "categorical", codes=codes, categories=cats)
-            else:
-                col = Column(c.name, "numeric", values=values)
-        columns[c.name] = col
+    for c, (data, categories) in zip(used, encoded):
+        if categories is None and (c.role == "prediction"
+                                   or (c.role == "score" and threshold is not None)):
+            data, categories = (data >= threshold).astype(np.int64), ("0", "1")
+        columns[c.name] = (Column(c.name, "numeric", values=data) if categories is None
+                           else Column(c.name, "categorical", codes=data, categories=categories))
 
     by_role = {c.role: columns[c.name] for c in used if c.role in _UNIQUE_ROLES}
     score = next((columns[c.name] for c in used if c.role == "score"), None)

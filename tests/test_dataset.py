@@ -1,16 +1,20 @@
 import csv
 import io
+import json
 import math
 import os
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairaudit import dataset as dataset_module
 from fairaudit.dataset import (
     Column,
     ColumnSchema,
@@ -239,6 +243,19 @@ def test_schema_config_parsing():
     assert len(schema) == 3
     assert threshold == 0.7
     assert missing == "drop"
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ("columns", "config must be a JSON object"),
+    (["columns"], "config must be a JSON object"),
+    ({"columns": 5}, "non-empty 'columns' list"),
+    ({"columns": "abc"}, "non-empty 'columns' list"),
+    ({"columns": {"name": "s"}}, "non-empty 'columns' list"),
+    ({"columns": []}, "non-empty 'columns' list"),
+])
+def test_schema_config_must_be_an_object_with_a_columns_list(cfg, message):
+    with pytest.raises(RoleViolation, match=message):
+        load_schema_config(io.StringIO(json.dumps(cfg)))
 
 
 @pytest.mark.parametrize("token", ["nan", "NaN", "NAN", "inf", "Inf", "-inf", "-INF",
@@ -559,6 +576,72 @@ def _audit_csvs(draw):
 def test_load_matches_a_row_by_row_reference(case, kind, missing):
     blob, schema, threshold = case
     _assert_loads_like_the_reference(blob, kind, schema, threshold=threshold, missing=missing)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2])
+def test_small_chunks_load_like_the_reference(chunk_rows):
+    # the same inputs, each now crossing chunk edges, where the encoders carry their state
+    with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk_rows):
+        test_load_matches_a_row_by_row_reference()
+
+
+def _long_csv(fault=None, column=3):
+    """600 rows over s, y, yhat, num, cat.  cat's "m" comes before its smaller
+    "b", and "a" first appears in row 300, past the first chunk; `fault`
+    replaces row 257's cell in `column`, the first row of the second chunk."""
+    rows = [["ab"[i % 2], str(i % 2), str(i % 3 % 2), f"{i / 7!r}", "mb"[i % 10 == 9]]
+            for i in range(600)]
+    rows[299][4] = "a"
+    if fault is not None:
+        rows[256][column] = _FAULT_TOKENS[fault]
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["s", "y", "yhat", "num", "cat"]] + rows)
+    return buf.getvalue().encode()
+
+
+_LONG_SCHEMA = _schema([ColumnSchema("num", "feature", "numeric"),
+                        ColumnSchema("cat", "feature", "categorical")])
+
+
+def test_categories_seen_across_chunks_are_sorted():
+    assert dataset_module._CHUNK_ROWS == 256
+    ds = load_dataset(_long_csv(), _LONG_SCHEMA)
+    cat = ds.column("cat")
+    assert cat.categories == ("a", "b", "m")
+    assert cat.codes[0] == 2 and cat.codes[9] == 1 and cat.codes[299] == 0
+    _assert_loads_like_the_reference(_long_csv(), "path", _LONG_SCHEMA)
+
+
+@pytest.mark.parametrize("missing", ["error", "drop"])
+@pytest.mark.parametrize("column", [3, 4])
+@pytest.mark.parametrize("fault", sorted(_FAULT_TOKENS))
+def test_a_fault_in_the_first_row_of_the_second_chunk_loads_like_the_reference(
+        fault, column, missing):
+    # from a path: _reference_load opens one with newline="", as load_dataset
+    # reads every source, but decodes bytes without it, so there "\r" ends no line
+    _assert_loads_like_the_reference(_long_csv(fault, column), "path", _LONG_SCHEMA,
+                                     missing=missing)
+
+
+def test_load_peak_memory_is_bounded_by_the_loaded_columns(tmp_path):
+    # tokens are encoded a chunk at a time, so no column is held as a list of str
+    rng = np.random.default_rng(27)
+    n = 50_000
+    names = ["s", "y", "yhat", "x0", "x1", "x2"]
+    data = [rng.integers(0, arity, n) for arity in (2, 2, 2, 25, 20, 10)]
+    path = tmp_path / "data.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([names] + np.column_stack(data).tolist())
+    schema = _schema([ColumnSchema(x, "feature", "categorical") for x in names[3:]])
+    tracemalloc.start()
+    try:
+        ds = load_dataset(str(path), schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = [ds.s, ds.y, ds.y_hat, *ds.features]
+    assert [c.arity for c in columns] == [2, 2, 2, 25, 20, 10]
+    assert peak <= 2.25 * sum(c.codes.nbytes for c in columns)
 
 
 @pytest.mark.parametrize("fault, missing", [

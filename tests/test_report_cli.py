@@ -269,7 +269,8 @@ def test_malformed_schema_config_exits_as_a_config_error(tmp_path, capsys):
                {"name": "p", "role": "prediction", "kind": "numeric"}]
     for cfg in ({"columns": columns, "threshold": "0.5"},
                 {"columns": columns[:2] + [{"name": "p", "role": "prediction"}],
-                 "threshold": 0.5}):
+                 "threshold": 0.5},
+                "columns", {"columns": 5}, {"columns": "abc"}):
         schema = tmp_path / "bad_schema.json"
         schema.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["audit", "--data", str(data), "--schema", str(schema)]) == 2
