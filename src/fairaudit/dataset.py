@@ -286,7 +286,8 @@ def _read_columns(reader, width: int, positions: list[int],
     """The bulk read: each column at `positions`, of its kind in `kinds`,
     encoded `_CHUNK_ROWS` rows at a time as the rows are read.
 
-    Every data row r (from 0) it accepts sits on CSV line r + 2.  It returns
+    Every record r (from 0) it accepts sits on CSV line r + 2; the blank ones
+    are skipped, as the row pass skips them.  It returns
     None, with the stream partly read, at the first step that holds a row of
     another width, an empty cell at `positions`, a record over more than one
     line, a csv error or a non-numeric token, and at the end when a numeric
@@ -297,9 +298,10 @@ def _read_columns(reader, width: int, positions: list[int],
     try:
         while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
             rows += len(chunk)
-            if set(map(len, chunk)) != {width} or reader.line_num != rows + 1:
+            chunk = [row for row in chunk if row]      # blank lines, skipped like the row pass
+            if set(map(len, chunk)) - {width} or reader.line_num != rows + 1:
                 return None
-            cells = list(zip(*chunk))
+            cells = list(zip(*chunk)) or [()] * width
             del chunk
             for encoder, pos in zip(encoders, positions):
                 if "" in cells[pos]:
@@ -358,11 +360,11 @@ def load_dataset(
     a threshold is given.
 
     The file is read in one bulk pass that encodes each used column as its
-    rows are read, a few hundred at a time.  Only when that pass meets a row
-    of the wrong width (a blank line among them), an empty cell, a record over
+    rows are read, a few hundred at a time, skipping blank lines.  Only when
+    that pass meets a row of the wrong width, an empty cell, a record over
     several lines or a numeric token that is not a finite number does a
     second, row-by-row pass read the file again, to report the first fault by
-    its line, to drop rows or to skip blank lines.
+    its line or to drop rows.
     """
     _check_load_options(threshold, missing)
     _validate_schema(schema, threshold)

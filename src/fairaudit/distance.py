@@ -143,7 +143,9 @@ def min_max_scale(x: np.ndarray, axis: int = 0, names=None) -> np.ndarray:
     nothing.  This is the one scaling every Gower distance here uses.  A
     column whose span is not a finite float64 (a NaN, an infinity, or a
     range like [-1e308, 1e308] that overflows) would scale to NaN: it raises
-    DegenerateInput, named by its label in `names` (one per column).
+    DegenerateInput, named by its label in `names` (one per column).  When
+    every lo is +0.0 and every span 1.0 the scaling changes no bit, and `x`
+    itself is returned, not a copy (a -0.0 lo would flip the sign of a zero).
     """
     lo = x.min(axis=axis, keepdims=True)
     hi = x.max(axis=axis, keepdims=True)
@@ -154,6 +156,8 @@ def min_max_scale(x: np.ndarray, axis: int = 0, names=None) -> np.ndarray:
         raise DegenerateInput(f"{'a numeric column' if names is None else names[at]} ranges "
                               f"from {float(lo.flat[at])!r} to {float(hi.flat[at])!r}: its "
                               "span is not a finite float64, so it cannot be scaled")
+    if (span == 1.0).all() and (lo == 0.0).all() and not np.signbit(lo).any():
+        return x
     out = x - lo
     out /= np.where(span > 0, span, 1.0)
     return out

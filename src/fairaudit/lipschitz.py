@@ -31,7 +31,8 @@ DEFAULT_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 2000        # n(n-1)/2 ~ 2e6 pairs
 DEFAULT_SAMPLE_COUNT = 2_000_000
 MAX_LISTED_VIOLATIONS = 100
-_PAIR_BLOCK = 1 << 14          # pairs per block: the gathered (pairs, p) rows stay in L2
+_PAIR_BLOCK = 1 << 13          # pairs per block: the gathered (pairs, p) rows stay in L2
+_LOAD_ROWS = 8192              # CSV rows per np.loadtxt call of load_mapped_csv
 
 ORIGINAL_METRICS = ("euclidean", "manhattan", "gower")
 MAPPED_METRICS = ORIGINAL_METRICS + ("total_variation",)
@@ -69,8 +70,8 @@ def _distances(matrix, metric, weights, side):
     (i[t], j[t]), bit-identical to their values in `_condensed`: both add
     each pair's column terms left to right.  Pairs gather whole rows of a
     row-major source: the input itself (no copy when C-contiguous) or, for
-    gower, one scaled copy.  A block's (pairs, p) difference is one
-    temporary; `side` names the matrix in errors.
+    gower, one scaled copy where scaling changes a value.  A block's
+    (pairs, p) difference is one temporary; `side` names the matrix in errors.
     """
     rows, w = np.ascontiguousarray(matrix), None
     if metric == "gower":
@@ -205,7 +206,7 @@ def audit_map(
     `sample_count` an integer >= 1 and a given `seed` an integer in
     [0, 2**64) (a bool is none of these), and `weights` are refused unless
     a metric is gower.  A sampled scan gathers rows of the inputs (copied
-    only for gower's scaling or when not C-contiguous) and holds
+    only where scaling changes a value or when not C-contiguous) and holds
     O(_PAIR_BLOCK) more; an exhaustive one holds a column copy of each side
     and O(_CONDENSED_BLOCK + n), and never builds all n(n-1)/2 pairs.
     """
@@ -232,8 +233,8 @@ def audit_map(
         if not np.isfinite(values).all():
             r, c = np.argwhere(~np.isfinite(values))[0]
             raise DegenerateInput(f"{name} row {r}, column {c} is {values[r, c]!r}, not finite")
-    if d_mapped == "total_variation":
-        bad = np.flatnonzero((mapped < 0).any(axis=1) | (np.abs(mapped.sum(axis=1) - 1.0) > 1e-9))
+    if d_mapped == "total_variation":     # abs(), unlike np.abs, reuses its temporary operand
+        bad = np.flatnonzero((abs(mapped.sum(axis=1) - 1.0) > 1e-9) | (mapped < 0).any(axis=1))
         if len(bad):        # the row sums are not kept: the scan would hold them
             raise NotAProbabilityVector(f"mapped row {bad[0]} has a negative entry or sums to "
                                         f"{mapped[bad[0]].sum()!r}, not a probability vector")
@@ -300,6 +301,10 @@ def load_mapped_csv(path) -> tuple[np.ndarray, np.ndarray]:
     Columns go in the order of their integer suffix (x_10 after x_2); other
     columns are ignored.  A short row, an empty cell, a non-numeric or a
     non-finite token raises ParseError with the CSV line and column name.
+    The file is read once, _LOAD_ROWS rows per np.loadtxt call, straight
+    into the two row-major arrays it returns (grown geometrically, trimmed
+    to n), so a pipe loads too; only a malformed file is read a second time,
+    row by row, to name its first fault.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -308,17 +313,29 @@ def load_mapped_csv(path) -> tuple[np.ndarray, np.ndarray]:
         x_cols, m_cols = _column_order(header, "x_"), _column_order(header, "m_")
         if not x_cols or not m_cols:
             raise DegenerateInput("header must contain x_* and m_* columns")
+        p, n, chunk = len(x_cols), 0, None
+        sides = np.empty((0, p)), np.empty((0, len(m_cols)))
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)    # a file without rows
-                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
-                                   usecols=x_cols + m_cols, ndmin=2)
+                warnings.simplefilter("ignore", UserWarning)    # a chunk without rows
+                while chunk is None or len(chunk) == _LOAD_ROWS:
+                    chunk = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                       usecols=x_cols + m_cols, ndmin=2, max_rows=_LOAD_ROWS)
+                    if not np.isfinite(chunk).all():
+                        raise ValueError("a non-finite value")    # the row pass names it
+                    for side, part in zip(sides, (chunk[:, :p], chunk[:, p:])):
+                        if n + len(chunk) > len(side):
+                            side.resize((2 * n + _LOAD_ROWS, side.shape[1]), refcheck=False)
+                        side[n:n + len(chunk)] = part
+                    n += len(chunk)
+            for side in sides:
+                side.resize((n, side.shape[1]), refcheck=False)
         except ValueError:
-            table = None
-        if table is None or not np.isfinite(table).all():
+            sides = None
+        if sides is None:
             fh.seek(0)
             table = _parse_rows(csv.reader(fh), header, x_cols + m_cols)
-    if len(table) < 2:
+            sides = np.ascontiguousarray(table[:, :p]), np.ascontiguousarray(table[:, p:])
+    if len(sides[0]) < 2:
         raise DegenerateInput("need at least 2 records to form a pair")
-    p = len(x_cols)
-    return np.ascontiguousarray(table[:, :p]), np.ascontiguousarray(table[:, p:])
+    return sides

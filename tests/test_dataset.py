@@ -623,15 +623,20 @@ def test_a_fault_in_the_first_row_of_the_second_chunk_loads_like_the_reference(
                                      missing=missing)
 
 
-def test_load_peak_memory_is_bounded_by_the_loaded_columns(tmp_path):
-    # tokens are encoded a chunk at a time, so no column is held as a list of str
+@pytest.mark.parametrize("blank_lines", [False, True])
+def test_load_peak_memory_is_bounded_by_the_loaded_columns(tmp_path, blank_lines):
+    # tokens are encoded a chunk at a time, so no column is held as a list of
+    # str; blank lines, one mid-file and one at the end, are skipped in bulk
     rng = np.random.default_rng(27)
     n = 50_000
     names = ["s", "y", "yhat", "x0", "x1", "x2"]
     data = [rng.integers(0, arity, n) for arity in (2, 2, 2, 25, 20, 10)]
+    rows = np.column_stack(data).tolist()
+    if blank_lines:
+        rows = rows[:n // 2] + [[]] + rows[n // 2:] + [[]]
     path = tmp_path / "data.csv"
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([names] + np.column_stack(data).tolist())
+        csv.writer(fh).writerows([names] + rows)
     schema = _schema([ColumnSchema(x, "feature", "categorical") for x in names[3:]])
     tracemalloc.start()
     try:
@@ -642,6 +647,20 @@ def test_load_peak_memory_is_bounded_by_the_loaded_columns(tmp_path):
     columns = [ds.s, ds.y, ds.y_hat, *ds.features]
     assert [c.arity for c in columns] == [2, 2, 2, 25, 20, 10]
     assert peak <= 2.25 * sum(c.codes.nbytes for c in columns)
+
+
+@pytest.mark.parametrize("missing", ["error", "drop"])
+@pytest.mark.parametrize("fault", sorted(_FAULT_TOKENS))
+def test_a_blank_line_before_a_fault_keeps_its_line(fault, missing):
+    # the bulk pass skips the blank line, and the row pass still names the
+    # fault in row 257 (line 258 without the blank line) by its own line
+    lines = _long_csv(fault).split(b"\r\n", 100)
+    blob = b"\r\n".join(lines[:50] + [b""] + lines[50:])
+    _assert_loads_like_the_reference(blob, "path", _LONG_SCHEMA, missing=missing)
+    if fault in ("word", "nan", "-inf") or (fault, missing) == ("blank", "error"):
+        with pytest.raises(ParseError) as err:
+            load_dataset(io.BytesIO(blob), _LONG_SCHEMA, missing=missing)
+        assert (err.value.line, err.value.column) == (259, "num")
 
 
 @pytest.mark.parametrize("fault, missing", [

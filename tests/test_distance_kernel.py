@@ -222,3 +222,25 @@ def test_min_max_scale_holds_one_array_of_the_result_size():
         tracemalloc.stop()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert peak < 1.25 * got.nbytes
+
+
+def test_min_max_scale_returns_columns_that_span_0_to_1_themselves():
+    x = np.array([[0.0, 1.0], [0.25, 0.0], [1.0, 0.75], [0.5, 0.5]])
+    assert min_max_scale(x) is x
+    columns = np.ascontiguousarray(x.T)
+    assert min_max_scale(columns, axis=1) is columns
+
+
+@pytest.mark.parametrize("column", [
+    [-0.0, 0.25, 1.0],          # min -0.0: x - lo would turn a -0.0 into +0.0
+    [0.0, 0.25, 2.0],           # max 2.0
+    [0.0, 0.25, 0.5],           # max 0.5
+    [1.0, 1.0, 1.0],            # span 0
+])
+def test_min_max_scale_copies_any_other_column_with_the_formulas_bits(column):
+    x = np.array([column, [0.0, 0.5, 1.0]]).T
+    got = min_max_scale(x)
+    lo, span = x.min(axis=0), x.max(axis=0) - x.min(axis=0)
+    want = (x - lo) / np.where(span > 0, span, 1.0)
+    assert got is not x and not np.shares_memory(got, x)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

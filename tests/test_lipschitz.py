@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -145,7 +147,7 @@ def test_non_finite_inputs_are_rejected(which, value):
             audit_map(arrays["original"], arrays["mapped"], *metrics)
 
 
-@pytest.mark.parametrize("text, line, column, message", [
+_MALFORMED = [
     ("x_0,x_1,m_0\n1,2,3\n4,5\n", 3, "m_0", "fields"),
     ("x_0,x_1,m_0\n1,,3\n4,5,6\n", 2, "x_1", "missing value"),
     ("x_0,x_1,m_0\n1,2,3\n4,abc,6\n", 3, "x_1", "non-numeric token 'abc'"),
@@ -154,11 +156,84 @@ def test_non_finite_inputs_are_rejected(which, value):
     ("x_0,x_b,m_0\n1,2,3\n4,5,6\n", 1, "x_b", "integer suffix"),
     ("x_0,m_0,x_0\n1,2,3\n4,5,6\n", 1, "x_0", "x_0 twice"),
     ("x_1,x_01,m_0\n1,2,3\n4,5,6\n", 1, "x_01", "x_1 twice"),
-])
+]
+
+
+@pytest.mark.parametrize("text, line, column, message", _MALFORMED)
 def test_malformed_mapped_csv_names_line_and_column(tmp_path, text, line, column, message):
     with pytest.raises(ParseError, match=message) as info:
         load_mapped_csv(_write(tmp_path, text))
     assert (info.value.line, info.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text, line, column, message", _MALFORMED)
+def test_a_fault_in_the_first_row_of_the_second_chunk_names_its_line(
+        tmp_path, text, line, column, message):
+    # two good rows go in after the header, and a chunk holds every data row
+    # before the fault's, so the fault opens the second np.loadtxt call
+    lines = text.split("\n")
+    text = "\n".join(lines[:1] + ["7,8,9"] * 2 + lines[1:])
+    rows = 2 + sum(1 for row in lines[1:line - 1] if row)
+    with mock.patch.object(lipschitz, "_LOAD_ROWS", rows), \
+            pytest.raises(ParseError, match=message) as info:
+        load_mapped_csv(_write(tmp_path, text))
+    assert (info.value.line, info.value.column) == (line + 2 if line > 1 else 1, column)
+
+
+_CHUNKED = ('\ufeffx_10,note,x_2,m_1,m_0\n'     # a byte-order mark must not hide x_10
+            '"1.5","a, b",2,0.25,0.75\n'
+            '\n'
+            '3,"two\nlines","4",1,0\n'
+            '-0.0,zz,1e-300,0.5,0.5\n'
+            '\n\n'
+            '0.1,,0.2,0.3,0.7\n'
+            '5,q,6,0,1\n'
+            '\n')
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_chunked_load_equals_one_whole_file_loadtxt(tmp_path, rows):
+    path = _write(tmp_path, _CHUNKED)
+    with mock.patch.object(lipschitz, "_LOAD_ROWS", rows):
+        original, mapped = load_mapped_csv(path)
+    for got, cols in ((original, [2, 0]), (mapped, [4, 3])):
+        want = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', skiprows=1,
+                          usecols=cols, ndmin=2, encoding="utf-8-sig")
+        assert got.shape == want.shape == (5, 2) and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_mapped_csv_loads_through_a_fifo(tmp_path):
+    path = tmp_path / "pairs.fifo"
+    os.mkfifo(path)
+    text = "x_0,m_0,m_1\n" + "".join(f"{i},{i / 8!r},{1 - i / 8!r}\n" for i in range(7))
+    # a daemon: a loader that never opens the pipe leaves it blocked, not the run
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    with mock.patch.object(lipschitz, "_LOAD_ROWS", 2):
+        original, mapped = load_mapped_csv(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert original[:, 0].tolist() == list(range(7))
+    assert mapped.tolist() == [[i / 8, 1 - i / 8] for i in range(7)]
+
+
+def test_load_peak_memory_is_bounded_by_the_two_arrays(tmp_path):
+    # chunks go straight into the result arrays: no (n, p + q) table and no
+    # copies of it; what remains is the arrays' geometric headroom
+    x, m = _points(38, 100_000, 4), _points(39, 100_000, 5)
+    path = tmp_path / "pairs.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([f"x_{i}" for i in range(4)] + [f"m_{i}" for i in range(5)]) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in np.hstack([x, m]).tolist())
+    tracemalloc.start()
+    try:
+        original, mapped = load_mapped_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(original, x) and np.array_equal(mapped, m)
+    assert peak <= 1.6 * (original.nbytes + mapped.nbytes)
 
 
 def test_mapped_csv_quoting_ignored_columns_and_suffix_order(tmp_path):
@@ -419,11 +494,15 @@ def test_lipschitz_cli_rejects_bad_parameters_with_exit_2(tmp_path, capsys, flag
     assert "internal error" not in err and flags[0][2:].replace("-", "_") in err
 
 
-@pytest.mark.parametrize("metrics", [("euclidean", "euclidean"), ("gower", "total_variation")])
-def test_sampled_audit_memory_is_bounded_by_the_block(metrics):
+@pytest.mark.parametrize("metrics, identity", [(("euclidean", "euclidean"), False),
+                                               (("gower", "total_variation"), False),
+                                               (("gower", "total_variation"), True)])
+def test_sampled_audit_memory_is_bounded_by_the_block(metrics, identity):
     """2e6 sampled pairs hold a few blocks at a time, not full-length arrays
     and no column copies: pairs gather whole rows of the inputs themselves."""
     x = _points(34, 100_000, 2)
+    if identity:
+        x[0], x[1] = 0.0, 1.0                 # each column spans [+0.0, 1.0]: gower scales nothing
     m = 1.1 * x                               # every pair violates: the fold's busiest path
     if metrics[1] == "total_variation":
         m = _points(36, 100_000, 2)
@@ -437,9 +516,10 @@ def test_sampled_audit_memory_is_bounded_by_the_block(metrics):
     assert rep.pairs_examined == 2_000_000 and rep.violation_count > 0
     if metrics[0] == "euclidean":
         assert rep.violation_count == 2_000_000
-    bound = 16 * 8 * lipschitz._PAIR_BLOCK    # 2 MiB, an eighth of one full-length float array
-    # beyond the one copy the kernels make: gower's scaled copy of its side
-    assert peak - (x.nbytes if metrics[0] == "gower" else 0) < bound
+    bound = 16 * 8 * lipschitz._PAIR_BLOCK    # 1 MiB, a sixteenth of one full-length float array
+    # beyond the one copy the kernels make: gower's scaled copy of its side,
+    # which identity-scaled columns do not need
+    assert peak - (x.nbytes if metrics[0] == "gower" and not identity else 0) < bound
 
 
 def _non_contiguous(a):
