@@ -39,9 +39,10 @@ _UNIQUE_ROLES = ("sensitive", "target", "prediction")
 
 _MAX_KEY_SPAN = 1 << 62   # stratify re-ranks its mixed-radix key past this
 
-# rows per step of the bulk read.  Fewer than the collector's first-generation
-# threshold (700), so a step's row lists die before a collection can promote
-# them; larger steps set off full collections over the whole heap.
+# rows per chunk of the one pass over a CSV.  Fewer than the collector's
+# first-generation threshold (700), so a chunk's row lists die before a
+# collection can promote them; larger chunks set off full collections over
+# the whole heap.  Only a chunk that holds a fault is walked row by row.
 _CHUNK_ROWS = 256
 
 
@@ -219,11 +220,7 @@ def _as_text_stream(source):
     # as the csv module requires, so that bare \r line ends and a \r inside
     # a quoted field load the same from a path, bytes and a stream
     if isinstance(source, (str, Path)):
-        fh = open(source, "r", encoding="utf-8-sig", newline="")
-        if fh.seekable():
-            return fh, str(source), True
-        with fh:    # a pipe: the row pass may have to read the text again
-            return io.StringIO(fh.read(), newline=""), str(source), False
+        return open(source, "r", encoding="utf-8-sig", newline=""), str(source), True
     if isinstance(source, bytes):
         return io.StringIO(source.decode("utf-8-sig"), newline=""), "<bytes>", False
     if hasattr(source, "read"):
@@ -243,14 +240,13 @@ class _Encoder:
     table sorted and the codes renumbered by it.
     """
 
-    def __init__(self, kind: str, tokens: Sequence[str] = ()):
+    def __init__(self, kind: str):
         self.table = collections.defaultdict()
         self.table.default_factory = self.table.__len__     # the next code
         self.numeric = kind == "numeric"
         self.dtype = np.float64 if self.numeric else np.int64
         self.parse = float if self.numeric else self.table.__getitem__
-        self.chunks: list[np.ndarray] = []
-        self.extend(tokens)     # one chunk at least, so that finish() can concatenate
+        self.chunks = [np.empty(0, self.dtype)]     # so that finish() has one to concatenate
 
     def extend(self, tokens: Sequence[str]) -> None:
         self.chunks.append(np.fromiter(map(self.parse, tokens), self.dtype, len(tokens)))
@@ -264,84 +260,83 @@ class _Encoder:
         return np.array([rank[c] for c in self.table], dtype=np.int64)[data], categories
 
 
-def _parse_numeric(tokens: list[str], name: str, lines: Sequence[int]) -> np.ndarray:
-    try:
-        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-    except ValueError:
-        for tok, line in zip(tokens, lines):
-            try:
-                float(tok)
-            except ValueError:
-                raise ParseError(f"non-numeric token {tok!r}", line=line, column=name) from None
-        raise
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        i = bad[0]
-        raise ParseError(f"non-finite numeric token {tokens[i]!r}", line=lines[i], column=name)
-    return values
-
-
-def _read_columns(reader, width: int, positions: list[int],
-                  kinds: list[str]) -> list[tuple[np.ndarray, tuple | None]] | None:
-    """The bulk read: each column at `positions`, of its kind in `kinds`,
-    encoded `_CHUNK_ROWS` rows at a time as the rows are read.
-
-    Every record r (from 0) it accepts sits on CSV line r + 2; the blank ones
-    are skipped, as the row pass skips them.  It returns
-    None, with the stream partly read, at the first step that holds a row of
-    another width, an empty cell at `positions`, a record over more than one
-    line, a csv error or a non-numeric token, and at the end when a numeric
-    column holds a non-finite value.
+def _row_lines(chunk: list[list[str]], start: int, end: int) -> list[int]:
+    """The CSV line each non-blank row of a chunk ends on, the chunk read
+    after line `start` up to line `end`.  A row takes one line, plus one for
+    each line break in its fields (\r\n counts once); a quoted field cut off
+    by the end of the file holds its last line's break, so none passes `end`.
     """
-    encoders = [_Encoder(kind) for kind in kinds]
-    rows = 0
-    try:
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            rows += len(chunk)
-            chunk = [row for row in chunk if row]      # blank lines, skipped like the row pass
-            if set(map(len, chunk)) - {width} or reader.line_num != rows + 1:
-                return None
-            cells = list(zip(*chunk)) or [()] * width
-            del chunk
-            for encoder, pos in zip(encoders, positions):
-                if "" in cells[pos]:
-                    return None
-                encoder.extend(cells[pos])
-    except (csv.Error, ValueError):
-        return None     # the row pass raises it again, after any fault on an earlier line
-    columns = [e.finish() for e in encoders]
-    if any(cats is None and not np.isfinite(data).all() for data, cats in columns):
-        return None
-    return columns
+    spans = (1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+             for row in chunk)
+    return [min(start + n, end) for n, row in zip(itertools.accumulate(spans), chunk) if row]
 
 
-def _read_rows(reader, width: int, positions: list[int], names: list[str],
-               missing: str) -> tuple[list[list[str]], list[int], int]:
-    """The row pass: (tokens per column, CSV line per kept row, dropped rows).
+def _numeric_fault(tokens: Sequence[str], lines: Sequence[int], name: str) -> ParseError | None:
+    """The first non-numeric token of a numeric column's chunk, or else its
+    first non-finite one, as a ParseError at its line."""
+    fault = None
+    for token, line in zip(tokens, lines):
+        try:
+            value = float(token)
+        except ValueError:
+            return ParseError(f"non-numeric token {token!r}", line=line, column=name)
+        if fault is None and not math.isfinite(value):
+            fault = ParseError(f"non-finite numeric token {token!r}", line=line, column=name)
+    return fault
 
-    A blank line is skipped and not counted.  A row of another width, or an
-    empty cell under missing='error', raises ParseError at its line; under
-    missing='drop' a row with an empty cell is skipped and counted.
+
+def _read_columns(reader, width: int, positions: list[int], used: list[ColumnSchema],
+                  missing: str) -> tuple[list[tuple[np.ndarray, tuple | None]], int]:
+    """The one pass over the data rows: each used column, at its header
+    position in `positions`, encoded `_CHUNK_ROWS` rows at a time as they are
+    read, and the count of dropped rows.  Only a chunk that holds a row of
+    another width, an empty used cell, a csv error or a numeric fault is
+    walked row by row; faults are raised in the order load_dataset states.
     """
-    columns: list[list[str]] = [[] for _ in positions]
-    lines: list[int] = []
+    encoders = [_Encoder(c.kind) for c in used]
+    faults: dict[int, ParseError] = {}      # column -> its numeric fault so far
     dropped = 0
-    for row in reader:
-        line_no = reader.line_num    # a quoted field may span lines
-        if not row:
-            continue                 # a blank line, as np.loadtxt skips in load_mapped_csv
-        if len(row) != width:
-            raise ParseError(f"row has {len(row)} fields, header has {width}", line=line_no)
-        cells = [row[pos] for pos in positions]
-        if "" in cells:
-            if missing == "drop":
-                dropped += 1
-                continue
-            raise ParseError("missing value", line=line_no, column=names[cells.index("")])
-        for tokens, cell in zip(columns, cells):
-            tokens.append(cell)
-        lines.append(line_no)
-    return columns, lines, dropped
+    while True:
+        start, chunk, error = reader.line_num, [], None
+        try:
+            chunk.extend(itertools.islice(reader, _CHUNK_ROWS))    # keeps the rows before an error
+        except csv.Error as exc:
+            error = exc
+        if not (chunk or error):
+            break
+        end, lines = reader.line_num, None
+        rows = [row for row in chunk if row]
+        cells = list(zip(*rows)) or [()] * width
+        if error or set(map(len, rows)) - {width} or any("" in cells[p] for p in positions):
+            lines, keep = _row_lines(chunk, start, end), []
+            for row, line in zip(rows, lines):
+                if len(row) != width:
+                    raise ParseError(f"row has {len(row)} fields, header has {width}", line=line)
+                empty = [c.name for c, pos in zip(used, positions) if row[pos] == ""]
+                if empty and missing == "error":
+                    raise ParseError("missing value", line=line, column=empty[0])
+                keep.append(not empty)
+            if error:
+                raise error
+            dropped += keep.count(False)
+            rows, lines = (list(itertools.compress(x, keep)) for x in (rows, lines))
+            cells = list(zip(*rows)) or [()] * width
+        cells = [cells[pos] for pos in positions]
+        for j, encoder in enumerate(encoders):
+            if encoder is None:
+                continue                    # past the column's first non-numeric token
+            try:
+                encoder.extend(cells[j])
+                if not encoder.numeric or j in faults or np.isfinite(encoder.chunks[-1]).all():
+                    continue
+            except ValueError:
+                encoders[j] = None          # that token outranks any non-finite one
+            lines = _row_lines(chunk, start, end) if lines is None else lines
+            faults[j] = _numeric_fault(cells[j], lines, used[j].name)
+        del chunk, rows, cells      # before the next chunk is read
+    if faults:
+        raise faults[min(faults)]
+    return [e.finish() for e in encoders], dropped
 
 
 def load_dataset(
@@ -359,12 +354,12 @@ def load_dataset(
     prediction and score columns are binarized as (value >= threshold) when
     a threshold is given.
 
-    The file is read in one bulk pass that encodes each used column as its
-    rows are read, a few hundred at a time, skipping blank lines.  Only when
-    that pass meets a row of the wrong width, an empty cell, a record over
-    several lines or a numeric token that is not a finite number does a
-    second, row-by-row pass read the file again, to report the first fault by
-    its line or to drop rows.
+    The file is read once, a few hundred rows at a time, each used column
+    encoded as its rows are read.  Faults are raised in this order: at the
+    first row of the wrong width or with an empty used cell (width first); at
+    a row the csv module refuses, once the rows before it are checked; then,
+    once the whole file is read, the first numeric column in schema order
+    with a bad token raises at its first non-numeric one, else its first non-finite.
     """
     _check_load_options(threshold, missing)
     _validate_schema(schema, threshold)
@@ -384,19 +379,11 @@ def load_dataset(
 
         used = [c for c in schema if c.role != "ignore"]
         positions = [header.index(c.name) for c in used]
-        encoded = _read_columns(reader, len(header), positions, [c.kind for c in used])
-        dropped = 0
-        if encoded is None:
-            stream.seek(0)
-            reader = csv.reader(stream)
-            next(reader)
-            raw, lines, dropped = _read_rows(reader, len(header), positions,
-                                             [c.name for c in used], missing)
-            encoded = [_Encoder(c.kind, tokens).finish() if c.kind == "categorical"
-                       else (_parse_numeric(tokens, c.name, lines), None)
-                       for c, tokens in zip(used, raw)]
+        encoded, dropped = _read_columns(reader, len(header), positions, used, missing)
         if not len(encoded[0][0]):
             raise EmptyData("CSV has no data rows" + (" after drops" if dropped else ""))
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     finally:
         if close:
             stream.close()

@@ -16,6 +16,7 @@ than encoded as a float.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -300,14 +301,21 @@ def load_mapped_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
     Columns go in the order of their integer suffix (x_10 after x_2); other
     columns are ignored.  A short row, an empty cell, a non-numeric or a
-    non-finite token raises ParseError with the CSV line and column name.
-    The file is read once, _LOAD_ROWS rows per np.loadtxt call, straight
-    into the two row-major arrays it returns (grown geometrically, trimmed
-    to n), so a pipe loads too; only a malformed file is read a second time,
-    row by row, to name its first fault.
+    non-finite token raises ParseError with the CSV line and column name, a
+    row the csv module refuses with its line.  The file is read once,
+    _LOAD_ROWS rows per np.loadtxt call, straight into the two row-major
+    arrays it returns (grown geometrically, trimmed to n); only a malformed
+    file is read a second time, row by row, to name its first fault, so a
+    pipe is read into memory first.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header = next(csv.reader(fh), None)
+        if not fh.seekable():
+            fh = io.StringIO(fh.read(), newline="")
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
         if header is None:
             raise DegenerateInput("mapped-pairs CSV has no header")
         x_cols, m_cols = _column_order(header, "x_"), _column_order(header, "m_")
@@ -334,7 +342,11 @@ def load_mapped_csv(path) -> tuple[np.ndarray, np.ndarray]:
             sides = None
         if sides is None:
             fh.seek(0)
-            table = _parse_rows(csv.reader(fh), header, x_cols + m_cols)
+            reader = csv.reader(fh)
+            try:
+                table = _parse_rows(reader, header, x_cols + m_cols)
+            except csv.Error as exc:
+                raise ParseError(str(exc), line=reader.line_num) from None
             sides = np.ascontiguousarray(table[:, :p]), np.ascontiguousarray(table[:, p:])
     if len(sides[0]) < 2:
         raise DegenerateInput("need at least 2 records to form a pair")

@@ -414,11 +414,20 @@ def test_a_pipe_is_read_once_when_rows_are_dropped(tmp_path):
     assert ds.n == 2 and ds.provenance.dropped_rows == 1
 
 
+def _rows(reader):
+    """The reader's rows; a CSV the csv module refuses is a ParseError at its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 def _reference_load(source, schema, threshold=None, missing="error"):
     """A row-by-row loader: the documented semantics of load_dataset, spelled out.
 
     Rows are read in file order and blank lines are skipped.  A row of the
-    wrong width raises at its line; a row with an empty used cell raises or is dropped.  Then each
+    wrong width, or one the csv module refuses, raises at its line; a row
+    with an empty used cell raises or is dropped.  Then each
     used column, in schema order, is encoded; a numeric column raises at its
     first non-numeric token, then at its first non-finite one.
     """
@@ -430,7 +439,8 @@ def _reference_load(source, schema, threshold=None, missing="error"):
         stream, name = io.StringIO(source.read().decode("utf-8-sig")), "<stream>"
     with stream:
         reader = csv.reader(stream)
-        header = next(reader)
+        rows = _rows(reader)
+        header = next(rows)
         for c in schema:
             if c.name not in header:
                 raise MissingColumn(f"column {c.name!r} not in CSV header")
@@ -440,7 +450,7 @@ def _reference_load(source, schema, threshold=None, missing="error"):
         used = [c for c in schema if c.role != "ignore"]
         tokens = {c.name: [] for c in used}
         lines, dropped = [], 0
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             if len(row) != len(header):
@@ -490,11 +500,7 @@ def _reference_load(source, schema, threshold=None, missing="error"):
 
 
 def _outcome(load, blob, kind, directory, schema, **opts):
-    """load's Dataset, or the type, message, line and column of its error.
-
-    A csv.Error (an unquoted carriage return under the bytes reader) is an
-    outcome too: both loaders must raise it at the same point.
-    """
+    """load's Dataset, or the type, message, line and column of its error."""
     if kind == "path":
         source = os.path.join(directory, "data.csv")
         Path(source).write_bytes(blob)
@@ -502,7 +508,7 @@ def _outcome(load, blob, kind, directory, schema, **opts):
         source = blob if kind == "bytes" else io.BytesIO(blob)
     try:
         return load(source, schema, **opts)
-    except (FairauditError, csv.Error) as err:
+    except FairauditError as err:
         return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
 
 
@@ -623,29 +629,36 @@ def test_a_fault_in_the_first_row_of_the_second_chunk_loads_like_the_reference(
                                      missing=missing)
 
 
-@pytest.mark.parametrize("blank_lines", [False, True])
-def test_load_peak_memory_is_bounded_by_the_loaded_columns(tmp_path, blank_lines):
+@pytest.mark.parametrize("case", [False, True, "dropped row", "two-line category"], ids=str)
+def test_load_peak_memory_is_bounded_by_the_loaded_columns(tmp_path, case):
     # tokens are encoded a chunk at a time, so no column is held as a list of
-    # str; blank lines, one mid-file and one at the end, are skipped in bulk
+    # str; blank lines (one mid-file and one at the end, case True), a row
+    # dropped for an empty cell and a quoted category over two lines are each
+    # handled within their chunk, and the file is read once
     rng = np.random.default_rng(27)
     n = 50_000
     names = ["s", "y", "yhat", "x0", "x1", "x2"]
     data = [rng.integers(0, arity, n) for arity in (2, 2, 2, 25, 20, 10)]
     rows = np.column_stack(data).tolist()
-    if blank_lines:
+    if case is True:
         rows = rows[:n // 2] + [[]] + rows[n // 2:] + [[]]
+    elif case == "dropped row":
+        rows[n // 2][4] = ""
+    elif case == "two-line category":
+        rows[n // 2][3] = "two\nlines"
     path = tmp_path / "data.csv"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([names] + rows)
     schema = _schema([ColumnSchema(x, "feature", "categorical") for x in names[3:]])
     tracemalloc.start()
     try:
-        ds = load_dataset(str(path), schema)
+        ds = load_dataset(str(path), schema, missing="drop")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     columns = [ds.s, ds.y, ds.y_hat, *ds.features]
-    assert [c.arity for c in columns] == [2, 2, 2, 25, 20, 10]
+    assert [c.arity for c in columns] == [2, 2, 2, 25 + (case == "two-line category"), 20, 10]
+    assert ds.provenance.dropped_rows == (case == "dropped row")
     assert peak <= 2.25 * sum(c.codes.nbytes for c in columns)
 
 
@@ -698,6 +711,103 @@ def test_blank_lines_are_skipped_and_not_dropped(text, lines, missing):
     with pytest.raises(ParseError) as err:      # a later fault keeps its line
         _load(bad, numeric, threshold=0.5, missing=missing)
     assert err.value.line == lines[1]
+
+
+@pytest.mark.parametrize("chunk_rows", [256, 3])
+@pytest.mark.parametrize("missing", ["error", "drop"])
+@pytest.mark.parametrize("fault", sorted(_FAULT_TOKENS))
+def test_line_breaks_in_quoted_fields_keep_a_later_fault_on_its_line(fault, missing, chunk_rows):
+    # rows 1-3 each take two lines, through a quoted \n, \r\n and \r
+    rows = [["ab"[i % 2], str(i % 2), str(i % 3 % 2), str(i), "m"] for i in range(8)]
+    rows[1][4], rows[2][4], rows[3][4] = "one\ntwo", "one\r\ntwo", "one\rtwo"
+    rows[5][3] = _FAULT_TOKENS[fault]
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["s", "y", "yhat", "num", "cat"]] + rows)
+    with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk_rows):
+        _assert_loads_like_the_reference(buf.getvalue().encode(), "path", _LONG_SCHEMA,
+                                         missing=missing)
+        if fault in ("word", "nan", "-inf") or (fault, missing) == ("blank", "error"):
+            with pytest.raises(ParseError) as err:
+                load_dataset(buf.getvalue().encode(), _LONG_SCHEMA, missing=missing)
+            assert (err.value.line, err.value.column) == (10, "num")
+
+
+@pytest.mark.parametrize("chunk_rows", [256, 1])
+@pytest.mark.parametrize("ending", ["", "\n", "\r\n"])
+def test_a_quote_left_open_at_the_end_of_the_file_ends_on_the_last_line(ending, chunk_rows):
+    # the open field holds the last line's break, which starts no further line
+    text = 's,y,yhat,num,cat\na,0,0,1,"two\nlines"\nb,1,1,"2,m' + ending
+    with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk_rows):
+        _assert_loads_like_the_reference(text.encode(), "path", _LONG_SCHEMA)
+        with pytest.raises(ParseError, match="row has 4 fields") as err:
+            load_dataset(text.encode(), _LONG_SCHEMA)
+    assert err.value.line == 4
+
+
+_OVERSIZED = "z" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("missing", ["error", "drop"])
+@pytest.mark.parametrize("earlier", [None, "short", "blank", "word"])
+def test_a_field_over_the_csv_limit_is_a_parse_error_after_the_rows_before_it(earlier, missing):
+    # a short row or an empty cell before it in the same chunk is raised
+    # first; a numeric fault waits for the end of the file, which never comes
+    rows = [["ab"[i % 2], str(i % 2), str(i % 3 % 2), str(i), "m"] for i in range(6)]
+    rows[4][4] = _OVERSIZED
+    if earlier == "short":
+        rows[2].pop()
+    elif earlier is not None:
+        rows[2][3] = _FAULT_TOKENS[earlier]
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["s", "y", "yhat", "num", "cat"]] + rows)
+    blob = buf.getvalue().encode()
+    _assert_loads_like_the_reference(blob, "path", _LONG_SCHEMA, missing=missing)
+    if earlier in (None, "word") or (earlier, missing) == ("blank", "drop"):
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            load_dataset(blob, _LONG_SCHEMA, missing=missing)
+        assert err.value.line == 6
+
+
+def test_an_oversized_header_is_a_parse_error_at_line_1():
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        _load(f"s,y,yhat,{_OVERSIZED}\na,0,0,1\n", _schema())
+    assert err.value.line == 1
+
+
+def _load_through_a_fifo(directory, blob, schema, **opts):
+    path = Path(directory) / "data.fifo"
+    os.mkfifo(path)
+    # a daemon: a loader that never opens the pipe leaves it blocked, not the run
+    writer = threading.Thread(target=path.write_bytes, args=(blob,), daemon=True)
+    writer.start()
+    try:
+        return load_dataset(str(path), schema, **opts)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("fault", sorted(_FAULT_TOKENS))
+def test_a_fault_past_the_first_chunk_of_a_pipe_names_the_reference_line(tmp_path, fault):
+    blob = _long_csv(fault)
+    want = _outcome(_reference_load, blob, "path", tmp_path, _LONG_SCHEMA)
+    try:
+        got = _load_through_a_fifo(tmp_path, blob, _LONG_SCHEMA)
+    except ParseError as err:
+        got = type(err), str(err), err.line, err.column
+    assert got == want
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_with_a_dropped_row_and_a_quoted_newline_loads_like_its_path(tmp_path):
+    text = _long_csv("blank").decode().replace(",m\r\n", ',"m\nn"\r\n', 1)
+    path = tmp_path / "data.csv"
+    path.write_text(text, newline="")
+    want = load_dataset(str(path), _LONG_SCHEMA, missing="drop")
+    got = _load_through_a_fifo(tmp_path, text.encode(), _LONG_SCHEMA, missing="drop")
+    assert got.equals(want) and "m\nn" in got.column("cat").categories
+    assert got.provenance.dropped_rows == want.provenance.dropped_rows == 1
 
 
 def test_a_file_of_blank_lines_has_no_data_rows():

@@ -1,3 +1,4 @@
+import csv
 import os
 import threading
 import tracemalloc
@@ -178,6 +179,30 @@ def test_a_fault_in_the_first_row_of_the_second_chunk_names_its_line(
             pytest.raises(ParseError, match=message) as info:
         load_mapped_csv(_write(tmp_path, text))
     assert (info.value.line, info.value.column) == (line + 2 if line > 1 else 1, column)
+
+
+@pytest.mark.parametrize("text, line, column, message", _MALFORMED)
+def test_a_malformed_mapped_csv_through_a_fifo_names_what_its_path_names(
+        tmp_path, text, line, column, message):
+    with pytest.raises(ParseError, match=message) as from_path:
+        load_mapped_csv(_write(tmp_path, text))
+    path = tmp_path / "pairs.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    with pytest.raises(ParseError) as from_pipe:
+        load_mapped_csv(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (from_pipe.value.line, from_pipe.value.column) == (line, column)
+    assert str(from_pipe.value) == str(from_path.value)
+
+
+def test_a_mapped_field_over_the_csv_limit_is_a_parse_error_at_its_line(tmp_path):
+    text = f"x_0,m_0\n1,2\n\n3,{'9' * (csv.field_size_limit() + 1)}\n"
+    with pytest.raises(ParseError, match="field larger than field limit") as info:
+        load_mapped_csv(_write(tmp_path, text))
+    assert info.value.line == 4
 
 
 _CHUNKED = ('\ufeffx_10,note,x_2,m_1,m_0\n'     # a byte-order mark must not hide x_10

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -174,6 +175,25 @@ def test_lipschitz_cli(tmp_path):
     rows = ["x_0,x_1,m_0,m_1"] + [f"{a!r},{b!r},{a!r},{b!r}" for a, b in x]
     data.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert main(["lipschitz", "--data", str(data), "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["audit", "lipschitz"])
+def test_a_field_over_the_csv_limit_exits_2_as_a_data_error(tmp_path, capsys, command):
+    oversized = "1" * (csv.field_size_limit() + 1)
+    if command == "audit":
+        data, schema, _ = _write_scenario(tmp_path, "independent", n=300)
+        lines = Path(data).read_text().splitlines()
+        lines[5] = lines[5].split(",", 1)[0] + "," + oversized
+        Path(data).write_text("\n".join(lines) + "\n")
+        args = ["audit", "--data", data, "--schema", schema]
+    else:
+        data = tmp_path / "pairs.csv"
+        data.write_text(f"x_0,m_0\n1,2\n3,4\n5,4\n7,4\n1,{oversized}\n")
+        args = ["lipschitz", "--data", str(data)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fairaudit: error: field larger than field limit")
+    assert "internal error" not in err and "(line 6)" in err
 
 
 def test_criteria_subcommand_matches_fixture(capsys):
