@@ -10,6 +10,7 @@ always agree on the encoding.
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
 import functools
 import io
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import (
     EmptyData,
+    InvalidParams,
     MissingColumn,
     NumericConditioning,
     ParseError,
@@ -46,6 +48,15 @@ _MAX_KEY_SPAN = 1 << 62   # stratify re-ranks its mixed-radix key past this
 _CHUNK_ROWS = 256
 
 
+def _code_dtype(arity: int) -> np.dtype:
+    """The narrowest unsigned type that holds the codes 0 .. arity - 1:
+    uint8 up to 256 categories, uint16 up to 65,536, uint32 otherwise."""
+    for dtype in (np.uint8, np.uint16):
+        if arity - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.uint32)
+
+
 @dataclass(frozen=True)
 class ColumnSchema:
     """Declared name, role and kind of one CSV column."""
@@ -65,19 +76,27 @@ class ColumnSchema:
 class Column:
     """One loaded column: categorical (codes + category table) or numeric.
 
-    The codes or values are frozen on construction.
+    Codes must be integers in [0, arity); they are stored in the narrowest
+    unsigned type that holds arity - 1 (uint8 up to 256 categories, uint16
+    up to 65,536, else uint32).  The codes or values are frozen on construction.
     """
 
     name: str
     kind: str
-    codes: np.ndarray | None = None        # int64, categorical only
+    codes: np.ndarray | None = None        # narrowest unsigned type, categorical only
     categories: tuple[str, ...] | None = None
     values: np.ndarray | None = None       # float64, numeric only
 
     def __post_init__(self):
-        field, dtype = (("codes", np.int64) if self.kind == "categorical"
-                        else ("values", np.float64))
-        data = np.asarray(getattr(self, field), dtype=dtype)
+        if self.kind == "categorical":
+            field, codes = "codes", np.asarray(self.codes)
+            if codes.size and not (codes.dtype.kind in "iu" and codes.min() >= 0
+                                   and codes.max() < self.arity):
+                raise InvalidParams(f"column {self.name!r}: codes must be integers in "
+                                    f"[0, {self.arity})")
+            data = np.asarray(codes, dtype=_code_dtype(self.arity))
+        else:
+            field, data = "values", np.asarray(self.values, dtype=np.float64)
         data.flags.writeable = False
         object.__setattr__(self, field, data)
 
@@ -214,21 +233,34 @@ def _validate_schema(schema: Sequence[ColumnSchema], threshold: float | None) ->
             )
 
 
-def _as_text_stream(source):
+@contextlib.contextmanager
+def _text_stream(source):
+    """(text stream, source name) over a path, bytes or a file object, read
+    as it is consumed.  A binary source is decoded by a wrapper that is
+    detached on exit, so the caller's stream stays open.
+    """
     # utf-8-sig drops a leading byte-order mark, which would otherwise become
     # part of the first header name; every source is read with newline="",
     # as the csv module requires, so that bare \r line ends and a \r inside
     # a quoted field load the same from a path, bytes and a stream
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline=""), str(source), True
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            yield fh, str(source)
+        return
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig"), newline=""), "<bytes>", False
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8-sig")
-        return io.StringIO(data, newline=""), getattr(source, "name", "<stream>"), False
-    raise TypeError(f"unsupported CSV source {type(source)!r}")
+        source, name = io.BytesIO(source), "<bytes>"
+    elif hasattr(source, "read"):
+        name = getattr(source, "name", "<stream>")
+    else:
+        raise TypeError(f"unsupported CSV source {type(source)!r}")
+    if isinstance(source.read(0), str):
+        yield source, name
+        return
+    wrapper = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    try:
+        yield wrapper, name
+    finally:
+        wrapper.detach()
 
 
 class _Encoder:
@@ -236,20 +268,26 @@ class _Encoder:
 
     A categorical token takes the next code at its first appearance; a numeric
     one is parsed by float, which raises ValueError at a non-numeric token.
-    finish() returns (values, None), or (codes, categories) with the category
-    table sorted and the codes renumbered by it.
+    A chunk of categorical codes is kept in the type that the size of the
+    category table after it gives.  finish() returns (values, None), or
+    (codes, categories) with the category table sorted and the codes
+    renumbered by it, in the type its arity gives.
     """
 
     def __init__(self, kind: str):
         self.table = collections.defaultdict()
         self.table.default_factory = self.table.__len__     # the next code
         self.numeric = kind == "numeric"
-        self.dtype = np.float64 if self.numeric else np.int64
-        self.parse = float if self.numeric else self.table.__getitem__
-        self.chunks = [np.empty(0, self.dtype)]     # so that finish() has one to concatenate
+        # so that finish() has one to concatenate
+        self.chunks = [np.empty(0, np.float64 if self.numeric else _code_dtype(1))]
 
     def extend(self, tokens: Sequence[str]) -> None:
-        self.chunks.append(np.fromiter(map(self.parse, tokens), self.dtype, len(tokens)))
+        if self.numeric:
+            self.chunks.append(np.fromiter(map(float, tokens), np.float64, len(tokens)))
+            return
+        # read as int64, then narrowed by the size of the table so far
+        codes = np.fromiter(map(self.table.__getitem__, tokens), np.int64, len(tokens))
+        self.chunks.append(codes.astype(_code_dtype(len(self.table))))
 
     def finish(self) -> tuple[np.ndarray, tuple[str, ...] | None]:
         data, self.chunks = np.concatenate(self.chunks), None
@@ -257,7 +295,8 @@ class _Encoder:
             return data, None
         categories = tuple(sorted(self.table))
         rank = dict(zip(categories, itertools.count()))
-        return np.array([rank[c] for c in self.table], dtype=np.int64)[data], categories
+        rank = np.array([rank[c] for c in self.table], dtype=_code_dtype(len(categories)))
+        return rank[data], categories
 
 
 def _row_lines(chunk: list[list[str]], start: int, end: int) -> list[int]:
@@ -363,36 +402,32 @@ def load_dataset(
     """
     _check_load_options(threshold, missing)
     _validate_schema(schema, threshold)
-    stream, source_name, close = _as_text_stream(source)
-    try:
+    with _text_stream(source) as (stream, source_name):
         reader = csv.reader(stream)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyData("CSV has no header row") from None
-        for col in schema:
-            if col.name not in header:
-                raise MissingColumn(f"column {col.name!r} not in CSV header")
-            if header.count(col.name) > 1:
-                raise ParseError(f"header names column {col.name!r} {header.count(col.name)} "
-                                 "times", line=1)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyData("CSV has no header row")
+            for col in schema:
+                if col.name not in header:
+                    raise MissingColumn(f"column {col.name!r} not in CSV header")
+                if header.count(col.name) > 1:
+                    raise ParseError(f"header names column {col.name!r} "
+                                     f"{header.count(col.name)} times", line=1)
 
-        used = [c for c in schema if c.role != "ignore"]
-        positions = [header.index(c.name) for c in used]
-        encoded, dropped = _read_columns(reader, len(header), positions, used, missing)
-        if not len(encoded[0][0]):
-            raise EmptyData("CSV has no data rows" + (" after drops" if dropped else ""))
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
-    finally:
-        if close:
-            stream.close()
+            used = [c for c in schema if c.role != "ignore"]
+            positions = [header.index(c.name) for c in used]
+            encoded, dropped = _read_columns(reader, len(header), positions, used, missing)
+            if not len(encoded[0][0]):
+                raise EmptyData("CSV has no data rows" + (" after drops" if dropped else ""))
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
 
     columns: dict[str, Column] = {}
     for c, (data, categories) in zip(used, encoded):
         if categories is None and (c.role == "prediction"
                                    or (c.role == "score" and threshold is not None)):
-            data, categories = (data >= threshold).astype(np.int64), ("0", "1")
+            data, categories = (data >= threshold).view(np.uint8), ("0", "1")
         columns[c.name] = (Column(c.name, "numeric", values=data) if categories is None
                            else Column(c.name, "categorical", codes=data, categories=categories))
 
@@ -445,9 +480,10 @@ class Strata(Mapping):
     """Read-only view of a stratification: stratum key -> ascending record indices.
 
     Strata are numbered in lexicographic key order: labels[i] is record i's
-    stratum g, sizes[g] its record count and codes[g] its key as a row of a
-    (G, m) int64 array, all three frozen on construction and equal from either
-    rank branch of stratify.  Stratum g owns order[bounds[g]:bounds[g + 1]];
+    stratum g, sizes[g] its record count (both int64) and codes[g] its key as
+    a row of a (G, m) array in the narrowest unsigned type that holds every
+    condition column's codes, all three frozen on construction and equal from
+    either rank branch of stratify.  Stratum g owns order[bounds[g]:bounds[g + 1]];
     order, bounds and the index slices are computed only on access.
     """
 
@@ -508,7 +544,8 @@ def stratify(dataset: Dataset, condition_columns: Iterable[str]) -> Strata:
         if c.kind != "categorical":
             raise NumericConditioning(f"cannot stratify on numeric column {r!r}")
     # lexicographic dense rank: a mixed-radix key per record, re-ranked
-    # whenever the next digit could overflow int64, so keys sort like codes
+    # whenever the next digit could overflow int64, so keys sort like codes;
+    # the key is int64, so adding narrow codes to it widens them
     key = np.zeros(dataset.n, dtype=np.int64)
     span = 1
     for c in cols:
@@ -521,7 +558,8 @@ def stratify(dataset: Dataset, condition_columns: Iterable[str]) -> Strata:
     labels, sizes = _dense_rank(key, span)
     member = np.empty(len(sizes), dtype=np.int64)
     member[labels] = np.arange(dataset.n)      # any one record of each stratum
-    codes = np.empty((len(sizes), len(cols)), dtype=np.int64)
+    top = max((c.arity for c in cols), default=1)
+    codes = np.empty((len(sizes), len(cols)), dtype=_code_dtype(top))
     for j, c in enumerate(cols):
         codes[:, j] = c.codes[member]
     return Strata(labels, sizes, codes)

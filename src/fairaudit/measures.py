@@ -67,8 +67,9 @@ def _in_stratum_order(terms: np.ndarray) -> float:
 class StratumValues(Sequence):
     """(key, MeasureValue, weight) per stratum, built on access from columns.
 
-    keys is the (G, m) int64 code array; values, weights and each aux entry
-    are (G,) columns.  Vacuous strata read as value 0 with vacuous_aux.
+    keys is the (G, m) code array, in the narrowest unsigned type that holds
+    the condition columns' codes; values, weights and each aux entry are (G,)
+    columns.  Vacuous strata read as value 0 with vacuous_aux.
     """
 
     def __init__(self, kind: str, keys: np.ndarray, values: np.ndarray, weights: np.ndarray,

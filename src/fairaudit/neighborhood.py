@@ -556,8 +556,10 @@ def soft_evaluate(
     shape = (dataset.y.arity, dataset.y_hat.arity, dataset.s.arity)
     joint = index._counts.get(nspec)
     if joint is None:
-        # the joint (Y, Ŷ, S) cell of every record: (y * |Ŷ| + ŷ) * |S| + s
-        labels = (dataset.y.codes * shape[1] + dataset.y_hat.codes) * shape[2] + dataset.s.codes
+        # the joint (Y, Ŷ, S) cell of every record: (y * |Ŷ| + ŷ) * |S| + s, in
+        # int64: the codes' narrow type would wrap
+        y = dataset.y.codes.astype(np.int64)
+        labels = (y * shape[1] + dataset.y_hat.codes) * shape[2] + dataset.s.codes
         joint = index._counts[nspec] = cell_counts(index, labels, math.prod(shape), nspec)
         joint.flags.writeable = False
 

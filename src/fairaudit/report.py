@@ -148,9 +148,10 @@ def _fmt_float(x: float) -> str:
 def _column_text(values: np.ndarray, fmt) -> np.ndarray:
     """fmt over a numeric column as an object array of str, once per distinct value.
 
-    Values are told apart by their bits, so -0.0 keeps its sign.
+    Values are told apart by their bits, read as unsigned integers of the
+    column's own width, so -0.0 keeps its sign and narrow codes keep their count.
     """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
     return np.array([fmt(x) for x in bits.view(values.dtype).tolist()], dtype=object)[inverse]
 
 
@@ -256,10 +257,16 @@ def _write_json(obj, out, indent: int, level: int) -> None:
             out.write("[]")
             return
         out.write("[\n")
-        for i, value in enumerate(seq):
-            out.write(pad_in)
-            _write_json(value, out, indent, level + 1)
-            out.write(",\n" if i < len(seq) - 1 else "\n")
+        if all(type(value) is int for value in seq):
+            # plain ints (flagged_indices) are joined and written _ROWS at a time
+            for lo in range(0, len(seq), _ROWS):
+                out.write(pad_in + (",\n" + pad_in).join(map(str, seq[lo:lo + _ROWS]))
+                          + (",\n" if lo + _ROWS < len(seq) else "\n"))
+        else:
+            for i, value in enumerate(seq):
+                out.write(pad_in)
+                _write_json(value, out, indent, level + 1)
+                out.write(",\n" if i < len(seq) - 1 else "\n")
         out.write(pad + "]")
     elif isinstance(obj, _StratumRows):
         obj.write(out, indent, level)

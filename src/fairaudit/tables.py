@@ -96,7 +96,8 @@ class _Entries(Sequence):
 class StratifiedTables:
     """The retained strata of one stratification as a single (G, R, C) count stack.
 
-    keys[g] is stratum g's row of condition codes in a (G, m) int64 array
+    keys[g] is stratum g's row of condition codes in a (G, m) array of the
+    narrowest unsigned type that holds every condition column's codes
     (lexicographic order), table.counts[g] its counts and weights[g] its
     record fraction of the whole dataset; weights and dropped_mass sum to one.
     keys and weights are frozen on construction, like the table's counts.

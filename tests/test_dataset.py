@@ -28,6 +28,7 @@ from fairaudit.dataset import (
 from fairaudit.errors import (
     EmptyData,
     FairauditError,
+    InvalidParams,
     MissingColumn,
     NumericConditioning,
     ParseError,
@@ -226,6 +227,29 @@ def test_core_types_freeze_their_arrays_on_every_route():
                tables.keys, tables.weights, tables.table.counts]
     assert not any(a.flags.writeable for a in arrays)
     assert columns[1].values.dtype == np.float64
+
+
+@pytest.mark.parametrize("codes", [[0, -1, 1], [0, 1, 2], [0, 1.0, 1]],
+                         ids=["-1", "arity", "float"])
+def test_a_column_refuses_codes_outside_its_categories(codes):
+    # refused before they are narrowed, where -1 would become 255
+    with pytest.raises(InvalidParams, match="'f0'"):
+        Column("f0", "categorical", codes=np.array(codes), categories=("0", "1"))
+
+
+@pytest.mark.parametrize("arity, width", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                          (65_536, np.uint16), (65_537, np.uint32)])
+def test_codes_take_the_narrowest_unsigned_type_that_holds_them(arity, width):
+    n = max(arity, 2)
+    codes = np.arange(n) % arity
+    categories = tuple(f"c{i:05d}" for i in range(arity))   # sorted like their codes
+    column = Column("x", "categorical", codes=codes, categories=categories)
+    assert column.codes.dtype == width and np.array_equal(column.codes, codes)
+    rows = "".join(f"{'ab'[i % 2]},{i % 2},{i % 2},{categories[c]}\n"
+                   for i, c in enumerate(codes))
+    ds = _load("s,y,yhat,x\n" + rows, _schema([ColumnSchema("x", "feature", "categorical")]))
+    assert ds.column("x").equals(column) and ds.column("x").codes.dtype == width
+    assert ds.s.codes.dtype == ds.y_hat.codes.dtype == np.uint8
 
 
 def test_schema_config_parsing():
@@ -434,9 +458,9 @@ def _reference_load(source, schema, threshold=None, missing="error"):
     if isinstance(source, (str, Path)):
         stream, name = open(source, encoding="utf-8-sig", newline=""), str(source)
     elif isinstance(source, bytes):
-        stream, name = io.StringIO(source.decode("utf-8-sig")), "<bytes>"
+        stream, name = io.StringIO(source.decode("utf-8-sig"), newline=""), "<bytes>"
     else:
-        stream, name = io.StringIO(source.read().decode("utf-8-sig")), "<stream>"
+        stream, name = io.StringIO(source.read().decode("utf-8-sig"), newline=""), "<stream>"
     with stream:
         reader = csv.reader(stream)
         rows = _rows(reader)
@@ -623,18 +647,24 @@ def test_categories_seen_across_chunks_are_sorted():
 @pytest.mark.parametrize("fault", sorted(_FAULT_TOKENS))
 def test_a_fault_in_the_first_row_of_the_second_chunk_loads_like_the_reference(
         fault, column, missing):
-    # from a path: _reference_load opens one with newline="", as load_dataset
-    # reads every source, but decodes bytes without it, so there "\r" ends no line
     _assert_loads_like_the_reference(_long_csv(fault, column), "path", _LONG_SCHEMA,
                                      missing=missing)
 
 
-@pytest.mark.parametrize("case", [False, True, "dropped row", "two-line category"], ids=str)
-def test_load_peak_memory_is_bounded_by_the_loaded_columns(tmp_path, case):
-    # tokens are encoded a chunk at a time, so no column is held as a list of
-    # str; blank lines (one mid-file and one at the end, case True), a row
-    # dropped for an empty cell and a quoted category over two lines are each
-    # handled within their chunk, and the file is read once
+@pytest.mark.parametrize("kind", ["path", "bytes", "stream"])
+def test_a_quoted_carriage_return_ends_a_line_from_every_source(kind):
+    blob = b's,y,yhat,num,cat\na,0,0,1,"x\ry"\nb,1,1,oops,m\n'
+    with tempfile.TemporaryDirectory() as directory:
+        got = _outcome(load_dataset, blob, kind, directory, _LONG_SCHEMA)
+        want = _outcome(_reference_load, blob, kind, directory, _LONG_SCHEMA)
+    assert got == want
+    assert got[0] is ParseError and got[2:] == (4, "num")
+
+
+def _write_categorical_csv(path, case=False):
+    """50,000 rows over s, y, yhat and three categorical features of arity
+    25, 20 and 10; `case` adds blank lines, a dropped row or a two-line
+    category.  Returns the schema."""
     rng = np.random.default_rng(27)
     n = 50_000
     names = ["s", "y", "yhat", "x0", "x1", "x2"]
@@ -646,20 +676,48 @@ def test_load_peak_memory_is_bounded_by_the_loaded_columns(tmp_path, case):
         rows[n // 2][4] = ""
     elif case == "two-line category":
         rows[n // 2][3] = "two\nlines"
-    path = tmp_path / "data.csv"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([names] + rows)
-    schema = _schema([ColumnSchema(x, "feature", "categorical") for x in names[3:]])
+    return _schema([ColumnSchema(x, "feature", "categorical") for x in names[3:]])
+
+
+def _traced_load(source, schema):
+    """load_dataset's Dataset and its tracemalloc peak in bytes, asserted to
+    stay within 2.25 times its columns at int64 width, the width this bound
+    was set for, and within 1.25 MiB."""
     tracemalloc.start()
     try:
-        ds = load_dataset(str(path), schema, missing="drop")
+        ds = load_dataset(source, schema, missing="drop")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 2.25 * 8 * ds.n * (3 + len(ds.features))
+    assert peak <= 1.25 * 2**20
+    return ds
+
+
+@pytest.mark.parametrize("case", [False, True, "dropped row", "two-line category"], ids=str)
+def test_load_peak_memory_is_bounded_by_the_loaded_columns(tmp_path, case):
+    # tokens are encoded a chunk at a time, so no column is held as a list of
+    # str; blank lines (one mid-file and one at the end, case True), a row
+    # dropped for an empty cell and a quoted category over two lines are each
+    # handled within their chunk, and the file is read once
+    path = tmp_path / "data.csv"
+    ds = _traced_load(str(path), _write_categorical_csv(path, case))
     columns = [ds.s, ds.y, ds.y_hat, *ds.features]
     assert [c.arity for c in columns] == [2, 2, 2, 25 + (case == "two-line category"), 20, 10]
     assert ds.provenance.dropped_rows == (case == "dropped row")
-    assert peak <= 2.25 * sum(c.codes.nbytes for c in columns)
+
+
+@pytest.mark.parametrize("mode", ["rb", "r"])
+def test_a_stream_is_read_as_it_is_consumed_and_left_open(tmp_path, mode):
+    path = tmp_path / "data.csv"
+    schema = _write_categorical_csv(path)
+    want = load_dataset(str(path), schema, missing="drop")
+    with open(path, mode, **({} if "b" in mode else {"newline": ""})) as fh:
+        ds = _traced_load(fh, schema)
+        assert not fh.closed and not fh.read()     # open, and read to its end
+    assert ds.equals(want) and ds.provenance == want.provenance
 
 
 @pytest.mark.parametrize("missing", ["error", "drop"])

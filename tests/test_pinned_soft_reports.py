@@ -11,9 +11,12 @@ windows, the kNN tie fallback and the ball queries on that path.  Regenerate the
     PYTHONPATH=src python tests/test_pinned_soft_reports.py
 """
 
+import copy
+import dataclasses
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairaudit.dataset import ColumnSchema, load_dataset
@@ -69,6 +72,47 @@ def _fixture(mode: str) -> Path:
 @pytest.mark.parametrize("mode", sorted(NEIGHBORHOODS))
 def test_soft_report_bytes_pinned(mode):
     assert _report(mode) == _fixture(mode).read_text(encoding="utf-8")
+
+
+def _with_int64_codes(dataset):
+    """The dataset with every categorical column's codes widened to int64,
+    bypassing the narrowing a Column applies on construction."""
+    def widen(column):
+        if column.kind != "categorical":
+            return column
+        column = copy.copy(column)
+        object.__setattr__(column, "codes", column.codes.astype(np.int64))
+        return column
+
+    return dataclasses.replace(dataset, s=widen(dataset.s), y=widen(dataset.y),
+                               y_hat=widen(dataset.y_hat),
+                               features=tuple(map(widen, dataset.features)))
+
+
+def test_seventy_sensitive_categories_count_as_with_int64_codes():
+    # the joint cell (y * |Ŷ| + ŷ) * |S| + s reaches 3 * 70 + 69 = 279, past
+    # the uint8 codes of all three columns.  Every record but the last six,
+    # which lie far off, has y = ŷ = 1, so its neighborhood holds no
+    # dependence; cells that wrapped into y = ŷ = 0 would make one.
+    n = 700
+    x = CounterRng(20262).uniforms(n) + 10.0 * (np.arange(n) >= n - 6)
+    rows = ["s,y,yhat,x"] + [f"s{r % 70:02d},{int(r < n - 6)},{int(r < n - 6)},{float(x[r])!r}"
+                             for r in range(n)]
+    schema = [ColumnSchema("s", "sensitive", "categorical"),
+              ColumnSchema("y", "target", "categorical"),
+              ColumnSchema("yhat", "prediction", "categorical"),
+              ColumnSchema("x", "feature", "numeric")]
+    narrow = load_dataset(io.BytesIO(("\n".join(rows) + "\n").encode()), schema)
+    assert narrow.s.arity == 70 and narrow.s.codes.dtype == np.uint8
+    config = AuditConfig(data="seventy.csv", schema="seventy_schema.json",
+                         criteria=["isp", "ieo", "isuff"], k=60)
+    docs = [run_audit(config, dataset=ds).to_dict()
+            for ds in (narrow, _with_int64_codes(narrow))]
+    for doc in docs:
+        del doc["timing"]
+    assert canonical_json(docs[0]) == canonical_json(docs[1])
+    # isp flags only the six far-off records, whose neighborhoods mix ŷ
+    assert docs[0]["results"][0]["flagged_indices"] == list(range(n - 6, n))
 
 
 if __name__ == "__main__":

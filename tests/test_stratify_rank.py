@@ -3,7 +3,9 @@
 Strata are ranked by counting when the mixed-radix key spans at most n
 keys, and by a sort otherwise; past `_MAX_KEY_SPAN` the partial key is
 re-ranked first.  Every branch must give the labels, sizes and codes of
-the oracle: the distinct code rows in lexicographic order.
+the oracle: the distinct code rows in lexicographic order, as int64 labels
+and sizes and codes in the narrowest unsigned type that holds every
+condition column's codes.
 """
 
 import numpy as np
@@ -34,6 +36,12 @@ def _dataset(features):
     )
 
 
+def _width(arity):
+    """The narrowest unsigned type whose range holds the codes 0 .. arity - 1."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32)
+                if arity <= 1 << (8 * np.dtype(t).itemsize))
+
+
 def _oracle(ds, names):
     """(labels, sizes, codes) from a lexsort of the code rows."""
     rows = np.zeros((ds.n, len(names)), dtype=np.int64)
@@ -45,12 +53,13 @@ def _oracle(ds, names):
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     labels = np.empty(ds.n, dtype=np.int64)
     labels[order] = np.cumsum(new) - 1
-    return labels, np.bincount(labels), ranked[new]
+    top = max((ds.column(name).arity for name in names), default=1)
+    return labels, np.bincount(labels), ranked[new].astype(_width(top))
 
 
 def _assert_equal(strata, want):
     for got, expected in zip((strata.labels, strata.sizes, strata.codes), want):
-        assert got.dtype == np.int64
+        assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
 
@@ -104,7 +113,8 @@ def test_a_binarized_prediction_holding_one_code_is_one_stratum():
     ds = load_dataset(b"s,y,yhat\na,0,0.9\nb,1,0.7\na,1,0.8\n", schema, threshold=0.5)
     assert ds.y_hat.arity == 2
     strata = stratify(ds, ["prediction"])
-    _assert_equal(strata, (np.zeros(3), np.array([3]), np.array([[1]])))
+    _assert_equal(strata, (np.zeros(3, dtype=np.int64), np.array([3], dtype=np.int64),
+                           np.array([[1]], dtype=np.uint8)))
 
 
 def test_keys_past_the_int64_span_are_re_ranked_first(monkeypatch):
@@ -122,7 +132,9 @@ def test_keys_past_the_int64_span_are_re_ranked_first(monkeypatch):
 
     monkeypatch.setattr(dataset_module, "_dense_rank", spy)
     names = ds.feature_names()
-    _assert_equal(stratify(ds, names), _oracle(ds, names))
+    strata = stratify(ds, names)
+    _assert_equal(strata, _oracle(ds, names))
+    assert strata.codes.dtype == np.uint16
     assert spans[0] == arity ** 4 and len(spans) == 2
     assert arity ** 5 > dataset_module._MAX_KEY_SPAN
 
